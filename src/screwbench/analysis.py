@@ -9,7 +9,7 @@ least squares, and nonparametric comparison of ratio distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -18,38 +18,43 @@ from scipy.signal import peak_prominences
 from scipy.stats import rankdata
 
 from .errors import DegenerateFitError, UndefinedFrequencyError
-from .sim import FtSample
+from .sim import SimParams
 
 # Sensor noise amplitudes used for default peak prominences (3x std).
-DEFAULT_NOISE_STD = {"fz": 0.1, "mz": 0.003}
+DEFAULT_NOISE_STD = {"fz": SimParams.force_noise_std,
+                     "mz": SimParams.torque_noise_std}
 
 
 @dataclass
 class FtSeries:
-    """An ordered force/torque recording with an optional condition label."""
+    """A force/torque recording sampled every `SimParams.dt`, with an
+    optional condition label. `samples` are (t, fz, mz) triples, such as
+    `FtSample`s, converted once into the columns `times()` and `channel()`
+    return (read-only)."""
 
-    samples: list
+    samples: InitVar[list]
     condition: str | None = None
+    _columns: dict = field(init=False, repr=False)
 
-    def __post_init__(self):
-        t = self.times()
-        if len(t) == 0:
+    def __post_init__(self, samples):
+        if len(samples) == 0:
             raise ValueError("empty series")
-        if len(t) > 1:
-            dts = np.diff(t)
-            if np.any(dts <= 0):
-                raise ValueError("timestamps must be strictly increasing")
-            if np.any(np.abs(dts - 0.01) > 0.01 * 0.01):
-                raise ValueError("sampling must be uniform 100 Hz within 1%")
+        columns = np.array(samples, dtype=float).T.copy()
+        columns.flags.writeable = False
+        self._columns = dict(zip(("t", "fz", "mz"), columns))
+        dts = np.diff(columns[0])
+        if np.any(dts <= 0):
+            raise ValueError("timestamps must be strictly increasing")
+        if np.any(np.abs(dts - SimParams.dt) > 0.01 * SimParams.dt):
+            raise ValueError("sampling must be uniform 100 Hz within 1%")
 
     def times(self) -> np.ndarray:
-        return np.asarray([s.t for s in self.samples], dtype=float)
+        return self._columns["t"]
 
     def channel(self, name: str) -> np.ndarray:
         if name not in ("fz", "mz"):
             raise ValueError(f"unknown channel {name!r}")
-        return np.asarray([getattr(s, name) for s in self.samples],
-                          dtype=float)
+        return self._columns[name]
 
 
 @dataclass

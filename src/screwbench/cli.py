@@ -27,11 +27,6 @@ from .scenario import load_scenario
 
 SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
 
-# Slip flags in analyze reports use the controller's detection defaults.
-SLIP_DROP_FRACTION = 0.5
-SLIP_WINDOW = 30
-SLIP_NOISE_FLOOR = 0.01
-
 
 def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
     path = Path(name)
@@ -52,7 +47,6 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(scenario_path)
     if args.seed is not None:
         scenario.seed = args.seed
-        scenario.sim.seed = args.seed
     result = runner.run_scenario(scenario)
     logio.write_log(args.out, result.samples)
     report = result.report(scenario)
@@ -65,17 +59,11 @@ def cmd_simulate(args) -> int:
 
 
 def _count_slip_flags(mz: np.ndarray) -> int:
-    """Torque drops below SLIP_DROP_FRACTION of the trailing-window max."""
-    events = 0
-    flagged = False
-    for i in range(1, len(mz)):
-        lo = max(0, i - SLIP_WINDOW + 1)
-        peak = float(np.max(mz[lo:i + 1]))
-        drop = peak > SLIP_NOISE_FLOOR and mz[i] < SLIP_DROP_FRACTION * peak
-        if drop and not flagged:
-            events += 1
-        flagged = drop
-    return events
+    """Rising edges of the controller's cam-out detector over a torque log,
+    with the ControllerConfig defaults."""
+    flags = control.camout_flags(mz, control.ControllerConfig())
+    # flag 0 is False under the defaults, so edges start at index 1
+    return int(np.count_nonzero(flags[1:] & ~flags[:-1]))
 
 
 def cmd_analyze(args) -> int:

@@ -131,6 +131,16 @@ def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
     return peak > cfg.noise_floor and w[-1] < cfg.theta_slip * peak
 
 
+def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
+    """`detect_camout` at every sample i >= 1 of a torque record, over the
+    trailing window mz[max(0, i - window + 1):i + 1] the controller holds."""
+    mz = np.asarray(mz, dtype=float)
+    padded = np.concatenate([np.full(cfg.window - 1, -np.inf), mz])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)
+    peak = windows.max(axis=1)
+    return (peak > cfg.noise_floor) & (mz < cfg.theta_slip * peak)
+
+
 def detect_terminal(torque_window, direction: Direction,
                     cfg: ControllerConfig, engaged: bool = True) -> Terminal:
     """Completion detection.
@@ -143,7 +153,6 @@ def detect_terminal(torque_window, direction: Direction,
     w = list(torque_window)
     if len(w) < 2:
         raise ValueError("window length must be >= 2")
-    direction = Direction(direction)
     if direction == Direction.SCREWING:
         if w[-1] < cfg.tau_stop:
             return Terminal.NONE

@@ -7,13 +7,13 @@ Reports are flat YAML key/value documents with deterministic key order.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import yaml
 
 from .analysis import FtSeries
 from .errors import LogFormatError
-from .sim import FtSample
 
 LOG_HEADER = "t_s,fz_n,mz_nm"
 
@@ -43,7 +43,9 @@ def read_log(path, condition: str | None = None) -> FtSeries:
         except ValueError:
             raise LogFormatError(f"non-numeric value in {line!r}",
                                  line=lineno) from None
-        samples.append(FtSample(t=t, fz=fz, mz=mz))
+        if not all(map(math.isfinite, (t, fz, mz))):
+            raise LogFormatError(f"non-finite value in {line!r}", line=lineno)
+        samples.append((t, fz, mz))
     if not samples:
         raise LogFormatError("log contains no samples")
     try:

@@ -66,7 +66,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     screw = _build(ScrewSpec, "screw", data.get("screw", {}))
     substrate = _build(SubstrateSpec, "substrate", data.get("substrate", {}))
-    sim = _build(SimParams, "sim", dict(data.get("sim", {}), seed=data["seed"]))
+    sim = _build(SimParams, "sim", data.get("sim", {}))
 
     ctrl_data = dict(data.get("controller", {}))
     ctrl_data.setdefault("direction", direction.value)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 if TYPE_CHECKING:
     from .control import ToolCommand
@@ -112,20 +112,16 @@ class SimParams:
     p_max: float = 0.1  # peak per-step slip probability
     slip_sharpness: float = 6.0  # logistic steepness
     slip_dwell: float = 0.1  # s, duration of one cam-out
-    dt: float = 0.01  # s (100 Hz)
-    seed: int = 0
+    dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
         if not 0.0 < self.p_max <= 1.0:
             raise ValueError("p_max must be in (0, 1]")
         if self.force_noise_std < 0 or self.torque_noise_std < 0:
             raise ValueError("noise stds must be >= 0")
 
 
-@dataclass
-class FtSample:
+class FtSample(NamedTuple):
     """One axial force/torque measurement. Absolute-value convention."""
 
     t: float  # s
@@ -166,7 +162,6 @@ def required_torque(world: WorldState, screw: ScrewSpec,
     Pure function of the state: no rotation-speed input exists, so the
     output is speed-invariant by construction.
     """
-    direction = Direction(direction)
     if world.engaged_depth <= 0.0 and not world.seated:
         return 0.0
     seat = 0.0

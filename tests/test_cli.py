@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from screwbench import analysis, cli, logio
 from screwbench.errors import LogFormatError
@@ -84,8 +87,9 @@ class TestLogIo:
         path = tmp_path / "log.csv"
         logio.write_log(path, samples)
         series = logio.read_log(path)
-        assert all(a.t == b.t and a.fz == b.fz and a.mz == b.mz
-                   for a, b in zip(samples, series.samples))
+        got = np.stack([series.times(), series.channel("fz"),
+                        series.channel("mz")], axis=1)
+        assert got.tobytes() == np.array(samples).tobytes()
 
     def test_header_schema(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -98,11 +102,64 @@ class TestLogIo:
         with pytest.raises(LogFormatError, match="line 3"):
             logio.read_log(path)
 
+    @pytest.mark.parametrize("row", ["0.02,nan,0.1", "0.02,1.0,inf",
+                                     "0.02,-inf,0.1", "nan,1.0,0.1"])
+    def test_non_finite_value_cites_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_s,fz_n,mz_nm\n0.01,1.0,0.1\n{row}\n")
+        with pytest.raises(LogFormatError, match="line 3"):
+            logio.read_log(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,force,torque\n0.01,1.0,0.1\n")
         with pytest.raises(LogFormatError, match="line 1"):
             logio.read_log(path)
+
+
+def reference_slip_count(mz):
+    """The per-sample loop `analyze` counted slips with before it shared
+    the controller's detector, with the controller's default thresholds."""
+    events = 0
+    flagged = False
+    for i in range(1, len(mz)):
+        lo = max(0, i - 30 + 1)
+        peak = float(np.max(mz[lo:i + 1]))
+        drop = peak > 0.01 and mz[i] < 0.5 * peak
+        if drop and not flagged:
+            events += 1
+        flagged = drop
+    return events
+
+
+# Torque records of 1 to 90 samples (three default windows) built from runs,
+# so zeros and plateaus (ties with the window maximum) are common.
+_levels = st.one_of(st.sampled_from([0.0, 0.005, 0.01, 0.02, 0.04, 0.2]),
+                    st.floats(0.0, 0.4))
+torque_records = st.lists(
+    st.tuples(_levels, st.integers(1, 12)), min_size=1, max_size=90).map(
+    lambda runs: [v for v, k in runs for _ in range(k)][:90])
+
+
+class TestSlipFlagCount:
+    @settings(max_examples=300, deadline=None)
+    @given(torque_records)
+    def test_matches_reference_loop(self, values):
+        mz = np.asarray(values)
+        assert cli._count_slip_flags(mz) == reference_slip_count(mz)
+
+    def test_matches_reference_loop_on_benchmark_session(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import fixtures
+        path = tmp_path / "session.csv"
+        path.write_text(fixtures.session_log(0))
+        mz = logio.read_log(path).channel("mz")
+        assert len(mz) == fixtures.SESSION_SAMPLES
+        count = cli._count_slip_flags(mz)
+        assert count > 0
+        assert count == reference_slip_count(mz)
 
 
 def write_line_log(path, nu=106.0, n=600):

@@ -47,6 +47,29 @@ class TestDetectCamout:
         assert not control.detect_camout([0.15, 0.148, 0.146], cfg)
 
 
+# Torque values drawn from a few levels as well as at random, so zeros and
+# ties with the window maximum are common.
+_levels = st.one_of(st.sampled_from([0.0, 0.005, 0.01, 0.02, 0.2]),
+                    st.floats(0.0, 0.4))
+
+
+class TestCamoutFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(_levels, min_size=1, max_size=120),
+           window=st.integers(2, 40), theta=st.floats(0.05, 0.95),
+           floor=st.sampled_from([0.0, 0.01, 0.05]))
+    def test_matches_detect_camout_on_trailing_windows(self, values, window,
+                                                       theta, floor):
+        cfg = cfg_with(window=window, theta_slip=theta, noise_floor=floor)
+        mz = np.asarray(values)
+        flags = control.camout_flags(mz, cfg)
+        assert len(flags) == len(mz)
+        for i in range(1, len(mz)):
+            expected = control.detect_camout(mz[max(0, i - window + 1):i + 1],
+                                             cfg)
+            assert flags[i] == expected
+
+
 class TestDetectTerminal:
     def test_seating_rise(self):
         cfg = cfg_with(tau_stop=0.2)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from screwbench import control, sim
+from screwbench import control, scenario, sim
+from screwbench.errors import ScenarioError
 
 
 def make_world(**kw):
@@ -244,5 +245,10 @@ def test_invalid_specs_raise():
         sim.SubstrateSpec(k_seat=0.0)
     with pytest.raises(ValueError):
         sim.SimParams(p_max=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         sim.SimParams(dt=-0.01)
+
+
+def test_sample_period_is_not_a_scenario_field():
+    with pytest.raises(ScenarioError, match=r"sim\.dt"):
+        scenario.scenario_from_dict({"seed": 1, "sim": {"dt": 0.005}})
