@@ -11,14 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.signal import peak_prominences
-from scipy.stats import rankdata
 
 from .errors import DegenerateFitError, UndefinedFrequencyError
 from .sim import SimParams
+
+# scipy is imported inside the functions that use it, so that importing
+# the package (and running `simulate` or `compare`) does not load it.
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 # Sensor noise amplitudes used for default peak prominences (3x std).
 DEFAULT_NOISE_STD = {"fz": SimParams.force_noise_std,
@@ -81,8 +84,14 @@ class EnvelopeFit:
 
     def __post_init__(self):
         if self._interp is None:
-            self._interp = PchipInterpolator(self.knot_times,
-                                             self.knot_values)
+            from scipy.interpolate import PchipInterpolator
+
+            # Subnormal knot values overflow scipy's slope harmonic mean
+            # to inf; its reciprocal is 0, a flat slope, which is the
+            # correct monotone choice there.
+            with np.errstate(over="ignore"):
+                self._interp = PchipInterpolator(self.knot_times,
+                                                 self.knot_values)
 
     @property
     def t_min(self) -> float:
@@ -158,6 +167,8 @@ def local_maxima(series: FtSeries, channel: str, min_prominence: float = 0.0,
     t = series.times()
     cand = _plateau_maxima(x)
     if cand:
+        from scipy.signal import peak_prominences
+
         prom = peak_prominences(x, cand)[0]
         cand = [c for c, p in zip(cand, prom) if p >= min_prominence]
     if cand and min_separation > 0.0:
@@ -229,6 +240,14 @@ def _u_count_polynomial(n: int, m: int) -> list[int]:
     return coef
 
 
+def _midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of `x`, tied values sharing the mean of their ranks,
+    and the size of each group of equal values in ascending order."""
+    _, inverse, counts = np.unique(x, return_inverse=True,
+                                   return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse], counts
+
+
 def mann_whitney_u(a, b) -> UTestResult:
     """Two-sided Mann-Whitney U test.
 
@@ -242,12 +261,14 @@ def mann_whitney_u(a, b) -> UTestResult:
     if n == 0 or m == 0:
         raise ValueError("both samples must be non-empty")
     pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled)
+    if np.isnan(pooled).any():
+        raise ValueError("samples must not contain NaN")
+    ranks, tie_counts = _midranks(pooled)
     r_a = float(np.sum(ranks[:n]))
     u1 = r_a - n * (n + 1) / 2.0  # pairs where a beats b (ties half)
     u2 = n * m - u1
 
-    has_ties = len(np.unique(pooled)) < n + m
+    has_ties = len(tie_counts) < n + m
     if not has_ties and min(n, m) <= 8:
         counts = _u_count_polynomial(n, m)
         total = sum(counts)
@@ -257,7 +278,6 @@ def mann_whitney_u(a, b) -> UTestResult:
         return UTestResult(u=u1, p=p, method=UTestMethod.EXACT)
 
     big_n = n + m
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_counts ** 3 - tie_counts))
     var = n * m / 12.0 * ((big_n + 1) - tie_term / (big_n * (big_n - 1)))
     if var <= 0.0:  # all values identical

@@ -46,6 +46,8 @@ def cmd_simulate(args) -> int:
     scenario_path = _resolve_scenario(args.scenario, args.scenario_dir)
     scenario = load_scenario(scenario_path)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScrewbenchError("--seed: must be >= 0")
         scenario.seed = args.seed
     result = runner.run_scenario(scenario)
     logio.write_log(args.out, result.samples)

@@ -10,6 +10,8 @@ ratio (the human-derived value for that head type).
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,13 +38,36 @@ class Scenario:
             raise ScenarioError("duration: must be > 0")
 
 
+# Field annotations (strings under postponed evaluation) that take a number;
+# "float | None" also takes null.
+_NUMERIC = {"float": numbers.Real, "int": numbers.Integral}
+
+
+def _check_number(name: str, value, kind=numbers.Real) -> None:
+    """Reject anything but a finite number of `kind`; a bool is not one."""
+    try:
+        ok = (isinstance(value, kind) and not isinstance(value, bool)
+              and (kind is numbers.Integral or math.isfinite(value)))
+    except OverflowError:  # an int too large to be a float
+        ok = False
+    if not ok:
+        what = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+
+
 def _build(cls, section: str, data: dict):
     if not isinstance(data, dict):
         raise ScenarioError(f"{section}: expected a mapping")
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in names:
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, value in data.items():
+        if key not in fields:
             raise ScenarioError(f"{section}.{key}: unknown field")
+        annotation = fields[key].type
+        if value is None and annotation.endswith(" | None"):
+            continue
+        kind = _NUMERIC.get(annotation.removesuffix(" | None"))
+        if kind is not None:
+            _check_number(f"{section}.{key}", value, kind)
     try:
         return cls(**data)
     except (ValueError, TypeError) as exc:
@@ -73,15 +98,18 @@ def scenario_from_dict(data: dict) -> Scenario:
     ctrl_data.setdefault("nu", screw.nu_char)
     controller = _build(ControllerConfig, "controller", ctrl_data)
 
-    try:
-        duration = float(data.get("duration", 40.0))
-        seed = int(data["seed"])
-        contact_z = float(data.get("contact_z", 0.005))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    duration = data.get("duration", 40.0)
+    _check_number("duration", duration)
+    contact_z = data.get("contact_z", 0.005)
+    _check_number("contact_z", contact_z)
+    seed = data["seed"]
+    _check_number("seed", seed, numbers.Integral)
+    if seed < 0:
+        raise ScenarioError("seed: must be >= 0")
     return Scenario(screw=screw, substrate=substrate, sim=sim,
                     controller=controller, direction=direction,
-                    duration=duration, seed=seed, contact_z=contact_z)
+                    duration=float(duration), seed=int(seed),
+                    contact_z=float(contact_z))
 
 
 def load_scenario(path) -> Scenario:

@@ -115,6 +115,8 @@ class SimParams:
     dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
 
     def __post_init__(self):
+        if self.k_spring <= 0:
+            raise ValueError("k_spring must be > 0")
         if not 0.0 < self.p_max <= 1.0:
             raise ValueError("p_max must be in (0, 1]")
         if self.force_noise_std < 0 or self.torque_noise_std < 0:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,16 @@ class TestFitEnvelope:
         assert np.all(v <= max(values) + 1e-9)
         assert np.all(v >= min(values) - 1e-9)
 
+    @pytest.mark.parametrize("values", [[0.0, 5e-324, 0.0],
+                                        [0.0, 1e-310, 2e-310, 0.0]])
+    def test_subnormal_knots_fit_without_warning(self, values):
+        times = np.arange(len(values), dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = analysis.fit_envelope(self.peaks_at(times, values))
+            v = env(np.linspace(0, len(values) - 1, 500))
+        assert np.all((v >= min(values)) & (v <= max(values)))
+
 
 class TestRegraspFrequency:
     def rectified(self, freq, duration=10.0):
@@ -207,6 +218,22 @@ def brute_force_two_sided_p(a, b):
 
 
 class TestMannWhitneyU:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=60))
+    def test_midranks_match_rankdata(self, values):
+        x = np.asarray(values, dtype=float)
+        ranks, counts = analysis._midranks(x)
+        expected = scipy.stats.rankdata(x)
+        assert ranks.dtype == expected.dtype
+        assert np.array_equal(ranks, expected)
+        assert np.array_equal(counts, np.unique(x, return_counts=True)[1])
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_nan_rejected(self, n):
+        with pytest.raises(ValueError, match="NaN"):
+            analysis.mann_whitney_u([float("nan")] + [1.0] * (n - 1),
+                                    [2.0] * n)
+
     def test_identical_multisets(self):
         a = [1.0, 2.0, 2.0, 3.0]
         result = analysis.mann_whitney_u(a, list(a))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +75,13 @@ class TestSimulate:
         assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_negative_seed_override_rejected(self, tmp_path, scenario_file,
+                                             capsys):
+        assert run_cli("simulate", scenario_file, "--seed", -1,
+                       "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml") == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_scenario_dir_env(self, tmp_path, monkeypatch):
         (tmp_path / "named.yaml").write_text(SCENARIO_TEXT)
@@ -274,3 +285,34 @@ class TestCalibrate:
         path = tmp_path / "pairs.csv"
         path.write_text("1.0,2.0\n1.0,3.0\n1.0,4.0\n")
         assert run_cli("calibrate", path) == 1
+
+
+def test_simulate_and_compare_do_not_load_scipy(tmp_path):
+    """Only `analyze` needs scipy; it is imported on first use."""
+    src = Path(cli.__file__).resolve().parents[1]
+    scenarios = src.parent / "scenarios"
+    code = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        from screwbench import cli
+
+        tmp = Path({str(tmp_path)!r})
+        for group, name in (("a", "screw_phillips_plastic"),
+                            ("b", "unscrew_phillips_plastic")):
+            (tmp / group).mkdir()
+            for seed in (0, 1):
+                assert cli.main([
+                    "simulate", name, "--seed", str(seed),
+                    "--scenario-dir", {str(scenarios)!r},
+                    "--out", str(tmp / group / f"{{seed}}.csv"),
+                    "--report", str(tmp / "r.yaml")]) == 0
+        assert cli.main(["compare", str(tmp / "a"), str(tmp / "b")]) == 0
+        loaded = [k for k in sys.modules if k.startswith("scipy")]
+        assert not loaded, loaded
+        assert cli.main(["analyze", str(tmp / "a" / "0.csv")]) == 0
+        assert "scipy" in sys.modules
+    """)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

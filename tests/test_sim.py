@@ -249,6 +249,33 @@ def test_invalid_specs_raise():
         sim.SimParams(dt=-0.01)
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"duration": float("nan")}, "duration"),
+    ({"duration": float("inf")}, "duration"),
+    ({"contact_z": float("nan")}, "contact_z"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"sim": {"k_spring": "abc"}}, r"sim\.k_spring"),
+    ({"sim": {"k_spring": 0}}, "k_spring"),
+    ({"controller": {"margin": float("inf")}}, r"controller\.margin"),
+    ({"controller": {"margin": True}}, r"controller\.margin"),
+    ({"controller": {"window": 30.5}}, r"controller\.window"),
+], ids=lambda v: repr(v) if isinstance(v, dict) else None)
+def test_invalid_scenario_value_names_field(overrides, field):
+    with pytest.raises(ScenarioError, match=field):
+        scenario.scenario_from_dict({"seed": 1, **overrides})
+
+
+def test_integer_literals_are_numbers():
+    scen = scenario.scenario_from_dict({
+        "seed": 3, "duration": 40, "contact_z": 0,
+        "sim": {"k_spring": 5000}, "controller": {"window": 30, "nu": 100},
+        "screw": {"nu_char": None}})
+    assert scen.duration == 40.0 and scen.sim.k_spring == 5000
+    assert scen.controller.window == 30
+
+
 def test_sample_period_is_not_a_scenario_field():
     with pytest.raises(ScenarioError, match=r"sim\.dt"):
         scenario.scenario_from_dict({"seed": 1, "sim": {"dt": 0.005}})
