@@ -36,7 +36,6 @@ from .sim import (
     Direction,
     FtSample,
     HeadType,
-    Orientation,
     ScrewSpec,
     SimParams,
     SubstrateKind,

@@ -23,20 +23,20 @@ from .sim import SimParams
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
 
-# Sensor noise amplitudes used for default peak prominences (3x std).
-DEFAULT_NOISE_STD = {"fz": SimParams.force_noise_std,
-                     "mz": SimParams.torque_noise_std}
+# Default peak filter of `analyze` and `regrasp_frequency`: a prominence
+# of 3x the channel's sensor noise std and a 0.2 s separation.
+DEFAULT_PROMINENCE = {"fz": 3.0 * SimParams.force_noise_std,
+                      "mz": 3.0 * SimParams.torque_noise_std}
+DEFAULT_SEPARATION = 0.2  # s
 
 
 @dataclass
 class FtSeries:
-    """A force/torque recording sampled every `SimParams.dt`, with an
-    optional condition label. `samples` are (t, fz, mz) triples, such as
-    `FtSample`s, converted once into the columns `times()` and `channel()`
-    return (read-only)."""
+    """A force/torque recording sampled every `SimParams.dt`. `samples`
+    are (t, fz, mz) triples, such as `FtSample`s, converted once into the
+    columns `times()` and `channel()` return (read-only)."""
 
     samples: InitVar[list]
-    condition: str | None = None
     _columns: dict = field(init=False, repr=False)
 
     def __post_init__(self, samples):
@@ -192,10 +192,10 @@ def fit_envelope(peaks: PeakSet) -> EnvelopeFit:
 
 def regrasp_frequency(series: FtSeries, channel: str,
                       min_prominence: float | None = None,
-                      min_separation: float = 0.2) -> float:
+                      min_separation: float = DEFAULT_SEPARATION) -> float:
     """Oscillation frequency as the reciprocal median inter-peak interval."""
     if min_prominence is None:
-        min_prominence = 3.0 * DEFAULT_NOISE_STD[channel]
+        min_prominence = DEFAULT_PROMINENCE[channel]
     peaks = local_maxima(series, channel, min_prominence=min_prominence,
                          min_separation=min_separation)
     if len(peaks) < 3:

@@ -51,9 +51,7 @@ def cmd_simulate(args) -> int:
         scenario.seed = args.seed
     result = runner.run_scenario(scenario)
     logio.write_log(args.out, result.samples)
-    report = result.report(scenario)
-    report["engaged_depth_final"] = float(result.world.engaged_depth)
-    logio.write_report(args.report, report)
+    logio.write_report(args.report, result.report(scenario))
     print(f"outcome: {result.outcome.value}  "
           f"slip_events: {len(result.slip_times)}  "
           f"log: {args.out}  report: {args.report}")
@@ -69,6 +67,8 @@ def _count_slip_flags(mz: np.ndarray) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.envelope_points < 0:
+        raise ScrewbenchError("--envelope-points: must be >= 0")
     series = logio.read_log(args.log)
     est = analysis.estimate_nu(series)
     report = {
@@ -79,7 +79,7 @@ def cmd_analyze(args) -> int:
     }
     peaks = analysis.local_maxima(
         series, "mz",
-        min_prominence=3.0 * analysis.DEFAULT_NOISE_STD["mz"],
+        min_prominence=analysis.DEFAULT_PROMINENCE["mz"],
         min_separation=args.min_separation)
     report["peak_count"] = len(peaks)
     report["peak_times"] = [float(t) for t in peaks.times]
@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
     report["slip_events"] = _count_slip_flags(series.channel("mz"))
     text = logio.format_report(report)
     if args.report:
-        Path(args.report).write_text(text)
+        logio.write_text(args.report, text)
     sys.stdout.write(text)
     return 0
 
@@ -137,10 +137,7 @@ def cmd_compare(args) -> int:
 
 def cmd_calibrate(args) -> int:
     path = Path(args.pairs)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
+    lines = logio.read_text(path).splitlines()
     pairs = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -187,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="analyze a CSV log")
     p_an.add_argument("log")
     p_an.add_argument("--report", default=None, help="also write the report")
-    p_an.add_argument("--min-separation", type=float, default=0.2,
+    p_an.add_argument("--min-separation", type=float,
+                      default=analysis.DEFAULT_SEPARATION,
                       help="minimum peak separation in seconds")
     p_an.add_argument("--envelope-points", type=int, default=50)
     p_an.set_defaults(func=cmd_analyze)

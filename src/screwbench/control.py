@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFitError
-from .sim import Direction, FtSample
+from .sim import NU_CHAR_DEFAULTS, Direction, FtSample, HeadType
 
 
 class Phase(str, enum.Enum):
@@ -43,12 +43,6 @@ ALLOWED_TRANSITIONS = {
 }
 
 
-class Terminal(str, enum.Enum):
-    NONE = "none"
-    SEATED = "seated"
-    FREE = "free"
-
-
 @dataclass
 class ToolCommand:
     z_cmd: float  # m, carriage position
@@ -58,7 +52,7 @@ class ToolCommand:
 @dataclass
 class ControllerConfig:
     direction: Direction = Direction.UNSCREWING
-    nu: float = 106.0  # 1/m, force/torque gain from human data
+    nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
     margin: float = 2.0  # multiplier on nu
     f_min: float = 1.0  # N
     f_max: float = 50.0  # N
@@ -142,8 +136,9 @@ def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
 
 
 def detect_terminal(torque_window, direction: Direction,
-                    cfg: ControllerConfig, engaged: bool = True) -> Terminal:
-    """Completion detection.
+                    cfg: ControllerConfig,
+                    engaged: bool = True) -> Phase | None:
+    """Completion detection: the phase to enter (SEATED or FREE), or None.
 
     Screwing: seated when a sustained rise crosses tau_stop (latest at or
     above the threshold with the window tail strictly rising). Unscrewing:
@@ -155,14 +150,14 @@ def detect_terminal(torque_window, direction: Direction,
         raise ValueError("window length must be >= 2")
     if direction == Direction.SCREWING:
         if w[-1] < cfg.tau_stop:
-            return Terminal.NONE
+            return None
         tail = min(3, len(w) - 1)  # rising steps required
         if all(w[-i] > w[-i - 1] for i in range(1, tail + 1)):
-            return Terminal.SEATED
-        return Terminal.NONE
+            return Phase.SEATED
+        return None
     if engaged and all(v < cfg.noise_floor for v in w):
-        return Terminal.FREE
-    return Terminal.NONE
+        return Phase.FREE
+    return None
 
 
 def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
@@ -242,10 +237,7 @@ def update(state: ControllerState, sample: FtSample, dt: float,
             _enter(state, Phase.ENGAGE)
         return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
-    sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
     w = state.torque_window
-    spindle = sign * cfg.spindle_speed
-
     if state.phase in (Phase.ENGAGE, Phase.DRIVE):
         camout = len(w) >= 2 and detect_camout(w, cfg)
         tau_f = max(w)  # moving-window maximum: the torque envelope
@@ -257,34 +249,27 @@ def update(state: ControllerState, sample: FtSample, dt: float,
         elif state.phase == Phase.DRIVE:
             if state.slip_count > cfg.slip_limit:
                 _enter(state, Phase.FAULT)
-                return state, hold
-            if len(w) >= 2:
+            elif len(w) >= 2:
                 window_full = len(w) == cfg.window
                 term = detect_terminal(w, cfg.direction, cfg,
                                        engaged=state.torque_seen and window_full)
-                if (term == Terminal.SEATED
-                        and cfg.direction == Direction.SCREWING):
-                    _enter(state, Phase.SEATED)
-                    spindle = 0.0
-                elif (term == Terminal.FREE
-                        and cfg.direction == Direction.UNSCREWING):
-                    _enter(state, Phase.FREE)
+                if term is not None:
+                    _enter(state, term)
     elif state.phase == Phase.SEATED:
-        spindle = 0.0
         if state.time_in_phase >= dt:
             _enter(state, Phase.DONE)
-            spindle = 0.0
     elif state.phase == Phase.FREE:
         # keep spinning briefly so the last threads fully disengage
         if state.time_in_phase >= cfg.free_spin_time:
             _enter(state, Phase.DONE)
-            spindle = 0.0
 
     if state.phase in (Phase.DONE, Phase.FAULT):
-        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+        return state, hold
 
     offset = pid_force_step(state, sample.fz, state.force_target, dt, cfg)
     state.z_cmd = state.contact_z_est + offset
+    sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
+    spindle = 0.0 if state.phase == Phase.SEATED else sign * cfg.spindle_speed
     return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=spindle)
 
 

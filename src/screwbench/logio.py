@@ -13,21 +13,35 @@ from pathlib import Path
 import yaml
 
 from .analysis import FtSeries
-from .errors import LogFormatError
+from .errors import LogFormatError, ScrewbenchError
 
 LOG_HEADER = "t_s,fz_n,mz_nm"
+
+
+def read_text(path) -> str:
+    """A missing, unreadable or non-UTF-8 file is an error naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ScrewbenchError(f"cannot write {path}: {exc}") from exc
 
 
 def write_log(path, samples) -> None:
     lines = [LOG_HEADER]
     for s in samples:
         lines.append(f"{s.t!r},{s.fz!r},{s.mz!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
-def read_log(path, condition: str | None = None) -> FtSeries:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+def read_log(path) -> FtSeries:
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise LogFormatError(f"expected header {LOG_HEADER!r}", line=1)
     samples = []
@@ -49,13 +63,13 @@ def read_log(path, condition: str | None = None) -> FtSeries:
     if not samples:
         raise LogFormatError("log contains no samples")
     try:
-        return FtSeries(samples=samples, condition=condition)
+        return FtSeries(samples=samples)
     except ValueError as exc:
         raise LogFormatError(str(exc)) from exc
 
 
 def write_report(path, data: dict) -> None:
-    Path(path).write_text(format_report(data))
+    write_text(path, format_report(data))
 
 
 def format_report(data: dict) -> str:

@@ -58,6 +58,7 @@ class RunResult:
                                 * scenario.controller.nu),
             "seed": int(scenario.seed),
             "direction": scenario.direction.value,
+            "engaged_depth_final": float(self.world.engaged_depth),
         }
 
 
@@ -123,12 +124,11 @@ def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
         trace=step_trace)
 
 
-def run_open_loop(scenario: Scenario, force: float, n_steps: int,
-                  rng=None) -> tuple[list, list, sim.WorldState]:
+def run_open_loop(scenario: Scenario, force: float,
+                  n_steps: int) -> tuple[list, list, sim.WorldState]:
     """Spin at the scenario speed while holding a constant axial force by
     tracking the contact point. Returns (truth, sensed) streams."""
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
+    rng = np.random.default_rng(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
     sign = 1.0 if scenario.direction == sim.Direction.SCREWING else -1.0

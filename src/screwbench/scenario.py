@@ -19,7 +19,7 @@ import yaml
 
 from .control import ControllerConfig
 from .errors import ScenarioError
-from .sim import Direction, ScrewSpec, SimParams, SubstrateSpec
+from .sim import CONTACT_Z, Direction, ScrewSpec, SimParams, SubstrateSpec
 
 
 @dataclass
@@ -31,7 +31,7 @@ class Scenario:
     direction: Direction
     duration: float  # s
     seed: int
-    contact_z: float = 0.005  # m, where the tool meets the screw head
+    contact_z: float = CONTACT_Z  # m, where the tool meets the screw head
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -100,7 +100,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     duration = data.get("duration", 40.0)
     _check_number("duration", duration)
-    contact_z = data.get("contact_z", 0.005)
+    contact_z = data.get("contact_z", CONTACT_Z)
     _check_number("contact_z", contact_z)
     seed = data["seed"]
     _check_number("seed", seed, numbers.Integral)
@@ -116,11 +116,11 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    try:
+    try:  # an integer literal past Python's digit limit is a ValueError
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     return scenario_from_dict(data or {})
 

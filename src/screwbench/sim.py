@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from .control import ToolCommand
 
 TWO_PI = 2.0 * math.pi
+CONTACT_Z = 0.005  # m, default carriage position at first head contact
 
 
 class HeadType(str, enum.Enum):
@@ -29,11 +30,6 @@ class HeadType(str, enum.Enum):
 class SubstrateKind(str, enum.Enum):
     PLASTIC_HOLE = "plastic_hole"
     NUT = "nut"
-
-
-class Orientation(str, enum.Enum):
-    VERTICAL = "vertical"
-    HORIZONTAL = "horizontal"
 
 
 class Direction(str, enum.Enum):
@@ -48,13 +44,6 @@ NU_CHAR_DEFAULTS = {
     HeadType.MISMATCHED_DRIVER: 300.0,
 }
 
-# Tool skip angle on a slip: one recess lobe.
-CAM_ANGLE_DEFAULTS = {
-    HeadType.PHILLIPS: math.pi / 2.0,
-    HeadType.INTERNAL_HEX: math.pi / 3.0,
-    HeadType.MISMATCHED_DRIVER: math.pi / 2.0,
-}
-
 
 @dataclass
 class ScrewSpec:
@@ -64,14 +53,11 @@ class ScrewSpec:
     thread_pitch: float = 0.0005  # m per revolution
     shank_length: float = 0.008  # m
     nu_char: float | None = None  # 1/m; default depends on head_type
-    cam_geometry_angle: float | None = None  # rad
 
     def __post_init__(self):
         self.head_type = HeadType(self.head_type)
         if self.nu_char is None:
             self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
-        if self.cam_geometry_angle is None:
-            self.cam_geometry_angle = CAM_ANGLE_DEFAULTS[self.head_type]
         if self.thread_pitch <= 0:
             raise ValueError("thread_pitch must be > 0")
         if self.shank_length <= 0:
@@ -93,11 +79,9 @@ class SubstrateSpec:
     k_depth: float = 0.19 / 0.008  # N·m per m of engaged thread
     tau_run_nut: float = 0.002  # N·m, running torque in a nut
     k_seat: float = 0.05  # N·m/rad, head-seating torsional stiffness
-    orientation: Orientation = Orientation.VERTICAL
 
     def __post_init__(self):
         self.kind = SubstrateKind(self.kind)
-        self.orientation = Orientation(self.orientation)
         if min(self.tau_cut, self.k_depth, self.tau_run_nut) < 0:
             raise ValueError("torque constants must be >= 0")
         if self.k_seat <= 0:
@@ -146,7 +130,7 @@ class WorldState:
 
 
 def initial_world(screw: ScrewSpec, direction: Direction,
-                  contact_z: float = 0.005) -> WorldState:
+                  contact_z: float = CONTACT_Z) -> WorldState:
     """Start state: screwing begins one pitch engaged (screw started by
     hand), unscrewing begins at full engagement with the head just free."""
     direction = Direction(direction)

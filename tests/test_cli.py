@@ -128,6 +128,29 @@ class TestLogIo:
             logio.read_log(path)
 
 
+@pytest.mark.parametrize("case", ["analyze_missing_log",
+                                  "analyze_not_utf8_log",
+                                  "calibrate_not_utf8_pairs",
+                                  "simulate_out_in_missing_dir"])
+def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
+                                           case):
+    not_utf8 = tmp_path / "not_utf8.csv"
+    not_utf8.write_bytes(b"\xff\xfe0.01,1.0,0.1\n")
+    missing = tmp_path / "missing" / "run.csv"
+    argv, named = {
+        "analyze_missing_log": (["analyze", missing], missing),
+        "analyze_not_utf8_log": (["analyze", not_utf8], not_utf8),
+        "calibrate_not_utf8_pairs": (["calibrate", not_utf8], not_utf8),
+        "simulate_out_in_missing_dir": (
+            ["simulate", scenario_file, "--out", missing,
+             "--report", tmp_path / "r.yaml"], missing),
+    }[case]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(named) in err
+
+
 def reference_slip_count(mz):
     """The per-sample loop `analyze` counted slips with before it shared
     the controller's detector, with the controller's default thresholds."""
@@ -200,6 +223,22 @@ class TestAnalyze:
                               for i in range(1, 100)])
         assert run_cli("analyze", log) == 1
         assert "variance" in capsys.readouterr().err
+
+    def test_negative_envelope_points_rejected(self, tmp_path, capsys):
+        log = tmp_path / "line.csv"
+        write_line_log(log)  # enough peaks for an envelope
+        assert run_cli("analyze", log, "--envelope-points", -1) == 1
+        assert capsys.readouterr().err == (
+            "error: --envelope-points: must be >= 0\n")
+        # checked before the log is read
+        assert run_cli("analyze", tmp_path / "missing.csv",
+                       "--envelope-points", -1) == 1
+        assert "--envelope-points" in capsys.readouterr().err
+        rep = tmp_path / "an.yaml"
+        assert run_cli("analyze", log, "--envelope-points", 0,
+                       "--report", rep) == 0
+        report = yaml.safe_load(rep.read_text())
+        assert report["envelope_t"] == report["envelope_mz"] == []
 
     def test_simulated_screwing_log_flags_slips(self, tmp_path, capsys):
         scen = tmp_path / "screw.yaml"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from screwbench import control, runner, scenario, sim
-from screwbench.control import Phase, Terminal
+from screwbench.control import Phase
 from screwbench.errors import DegenerateFitError
 
 
@@ -75,27 +75,27 @@ class TestDetectTerminal:
         cfg = cfg_with(tau_stop=0.2)
         term = control.detect_terminal([0.10, 0.16, 0.24],
                                        sim.Direction.SCREWING, cfg)
-        assert term == Terminal.SEATED
+        assert term == Phase.SEATED
 
     def test_unscrewed_free(self):
         cfg = cfg_with(noise_floor=0.01)
         term = control.detect_terminal([0.004, 0.003, 0.005],
                                        sim.Direction.UNSCREWING, cfg,
                                        engaged=True)
-        assert term == Terminal.FREE
+        assert term == Phase.FREE
 
     def test_free_requires_prior_engagement(self):
         cfg = cfg_with(noise_floor=0.01)
         term = control.detect_terminal([0.004, 0.003, 0.005],
                                        sim.Direction.UNSCREWING, cfg,
                                        engaged=False)
-        assert term == Terminal.NONE
+        assert term is None
 
     def test_slip_spike_is_not_seating(self):
         cfg = cfg_with(tau_stop=0.2)
         term = control.detect_terminal([0.10, 0.25, 0.05],
                                        sim.Direction.SCREWING, cfg)
-        assert term == Terminal.NONE
+        assert term is None
 
     def test_no_false_seating_during_induced_high_torque_slips(self):
         # closed-loop screwing with aggressive slips near seating torque:

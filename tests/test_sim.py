@@ -1,7 +1,10 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from screwbench import control, scenario, sim
@@ -276,6 +279,32 @@ def test_integer_literals_are_numbers():
     assert scen.controller.window == 30
 
 
-def test_sample_period_is_not_a_scenario_field():
-    with pytest.raises(ScenarioError, match=r"sim\.dt"):
-        scenario.scenario_from_dict({"seed": 1, "sim": {"dt": 0.005}})
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "dt", 0.005),
+    ("screw", "cam_geometry_angle", 1.0),
+    ("substrate", "orientation", "vertical"),
+], ids=["sim.dt", "screw.cam_geometry_angle", "substrate.orientation"])
+def test_removed_setting_is_not_a_scenario_field(section, key, value):
+    with pytest.raises(ScenarioError, match=rf"{section}\.{key}: unknown"):
+        scenario.scenario_from_dict({"seed": 1, section: {key: value}})
+
+
+@pytest.mark.parametrize("text", [
+    b"seed: 1" + b"0" * 5000 + b"\n",  # int beyond Python's digit limit
+    b"\xff\xfe seed: 1\n",  # not UTF-8
+], ids=["long_int", "not_utf8"])
+def test_unparsable_scenario_file_names_it(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    with pytest.raises(ScenarioError, match="bad.yaml"):
+        scenario.load_scenario(path)
+
+
+def test_readme_scenario_block_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```$", readme,
+                        flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        scen = scenario.scenario_from_dict(yaml.safe_load(block))
+        assert scen.seed == 42
