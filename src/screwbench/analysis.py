@@ -69,6 +69,14 @@ class PeakSet:
     def __len__(self):
         return len(self.indices)
 
+    def frequency(self) -> float:
+        """Oscillation frequency as the reciprocal median inter-peak
+        interval."""
+        if len(self) < 3:
+            raise UndefinedFrequencyError(
+                f"found {len(self)} peaks; need >= 3 to define a frequency")
+        return float(1.0 / np.median(np.diff(self.times)))
+
 
 @dataclass
 class EnvelopeFit:
@@ -80,18 +88,17 @@ class EnvelopeFit:
 
     knot_times: np.ndarray
     knot_values: np.ndarray
-    _interp: PchipInterpolator = field(repr=False, default=None)
+    _interp: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._interp is None:
-            from scipy.interpolate import PchipInterpolator
+        from scipy.interpolate import PchipInterpolator
 
-            # Subnormal knot values overflow scipy's slope harmonic mean
-            # to inf; its reciprocal is 0, a flat slope, which is the
-            # correct monotone choice there.
-            with np.errstate(over="ignore"):
-                self._interp = PchipInterpolator(self.knot_times,
-                                                 self.knot_values)
+        # Subnormal knot values overflow scipy's slope harmonic mean to
+        # inf; its reciprocal is 0, a flat slope, which is the correct
+        # monotone choice there.
+        with np.errstate(over="ignore"):
+            self._interp = PchipInterpolator(self.knot_times,
+                                             self.knot_values)
 
     @property
     def t_min(self) -> float:
@@ -138,39 +145,21 @@ class ConditionSummary:
     outliers: list
 
 
-def _plateau_maxima(x: np.ndarray) -> list[int]:
-    """Strict local maxima; a flat top counts once, at its start index."""
-    n = len(x)
-    out = []
-    i = 1
-    while i < n - 1:
-        if x[i] > x[i - 1]:
-            j = i
-            while j + 1 < n and x[j + 1] == x[i]:
-                j += 1
-            if j < n - 1 and x[j + 1] < x[i]:
-                out.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return out
-
-
 def local_maxima(series: FtSeries, channel: str, min_prominence: float = 0.0,
                  min_separation: float = 0.0) -> PeakSet:
     """Prominence-filtered local maxima with a minimum time separation.
 
-    Separation conflicts are resolved highest-peak-first; ties go to the
-    earliest index.
+    A flat top counts once, at its first sample. Separation conflicts are
+    resolved highest-peak-first; ties go to the earliest index.
     """
+    from scipy.signal import find_peaks
+
     x = series.channel(channel)
     t = series.times()
-    cand = _plateau_maxima(x)
-    if cand:
-        from scipy.signal import peak_prominences
-
-        prom = peak_prominences(x, cand)[0]
-        cand = [c for c, p in zip(cand, prom) if p >= min_prominence]
+    # plateau_size=1 filters nothing; it makes find_peaks report each
+    # flat top's first sample
+    _, props = find_peaks(x, prominence=min_prominence, plateau_size=1)
+    cand = props["left_edges"].tolist()
     if cand and min_separation > 0.0:
         order = sorted(cand, key=lambda i: (-x[i], i))
         kept: list[int] = []
@@ -193,15 +182,11 @@ def fit_envelope(peaks: PeakSet) -> EnvelopeFit:
 def regrasp_frequency(series: FtSeries, channel: str,
                       min_prominence: float | None = None,
                       min_separation: float = DEFAULT_SEPARATION) -> float:
-    """Oscillation frequency as the reciprocal median inter-peak interval."""
+    """`PeakSet.frequency` of the channel's peaks under the given filter."""
     if min_prominence is None:
         min_prominence = DEFAULT_PROMINENCE[channel]
-    peaks = local_maxima(series, channel, min_prominence=min_prominence,
-                         min_separation=min_separation)
-    if len(peaks) < 3:
-        raise UndefinedFrequencyError(
-            f"found {len(peaks)} peaks; need >= 3 to define a frequency")
-    return float(1.0 / np.median(np.diff(peaks.times)))
+    return local_maxima(series, channel, min_prominence=min_prominence,
+                        min_separation=min_separation).frequency()
 
 
 def estimate_nu(series: FtSeries) -> NuEstimate:

@@ -15,6 +15,7 @@ or ./scenarios, in that order.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, control, logio, runner
-from .errors import ScrewbenchError
+from .errors import ScrewbenchError, UndefinedFrequencyError
 from .scenario import load_scenario
 
 SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
@@ -69,6 +70,8 @@ def _count_slip_flags(mz: np.ndarray) -> int:
 def cmd_analyze(args) -> int:
     if args.envelope_points < 0:
         raise ScrewbenchError("--envelope-points: must be >= 0")
+    if not (math.isfinite(args.min_separation) and args.min_separation >= 0):
+        raise ScrewbenchError("--min-separation: must be a finite number >= 0")
     series = logio.read_log(args.log)
     est = analysis.estimate_nu(series)
     report = {
@@ -85,9 +88,8 @@ def cmd_analyze(args) -> int:
     report["peak_times"] = [float(t) for t in peaks.times]
     report["peak_values"] = [float(v) for v in peaks.values]
     try:
-        report["regrasp_frequency_hz"] = analysis.regrasp_frequency(
-            series, "mz")
-    except ScrewbenchError:
+        report["regrasp_frequency_hz"] = peaks.frequency()
+    except UndefinedFrequencyError:
         report["regrasp_frequency_hz"] = None
     if len(peaks) >= 2:
         env = analysis.fit_envelope(peaks)
@@ -147,12 +149,16 @@ def cmd_calibrate(args) -> int:
             raise ScrewbenchError(
                 f"{path}:{lineno}: expected 2 comma-separated values")
         try:
-            pairs.append((float(parts[0]), float(parts[1])))
+            pair = (float(parts[0]), float(parts[1]))
         except ValueError:
             if lineno == 1:
                 continue  # header row
             raise ScrewbenchError(
                 f"{path}:{lineno}: non-numeric pair {line!r}") from None
+        if not all(map(math.isfinite, pair)):
+            raise ScrewbenchError(
+                f"{path}:{lineno}: non-finite pair {line!r}")
+        pairs.append(pair)
     result = control.calibrate_force(pairs)
     sys.stdout.write(logio.format_report({
         "gain": result.gain,

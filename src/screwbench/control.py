@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFitError
-from .sim import NU_CHAR_DEFAULTS, Direction, FtSample, HeadType
+from .sim import (NU_CHAR_DEFAULTS, TWO_PI, Direction, FtSample, HeadType,
+                  SimParams)
 
 
 class Phase(str, enum.Enum):
@@ -65,8 +66,8 @@ class ControllerConfig:
     window: int = 30  # samples in the torque moving window
     base_ramp: float = 3.0  # N/s, force-target slew rate
     slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
-    k_spring_est: float = 5000.0  # N/m, feed-forward spring estimate
-    spindle_speed: float = 2.0 * math.pi  # rad/s magnitude while driving
+    k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
+    spindle_speed: float = TWO_PI  # rad/s magnitude while driving
     approach_speed: float = 0.005  # m/s carriage advance before contact
     contact_threshold: float = 0.5  # N, force that marks contact
     travel_limit: float = 0.02  # m, carriage offset limit around contact

@@ -1,13 +1,15 @@
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from screwbench import analysis
+from screwbench import analysis, logio
 from screwbench.analysis import FtSeries, UTestMethod
 from screwbench.errors import DegenerateFitError, UndefinedFrequencyError
 from screwbench.sim import FtSample
@@ -127,6 +129,64 @@ class TestFitEnvelope:
             env = analysis.fit_envelope(self.peaks_at(times, values))
             v = env(np.linspace(0, len(values) - 1, 500))
         assert np.all((v >= min(values)) & (v <= max(values)))
+
+
+def reference_local_maxima(x, t, min_prominence=0.0, min_separation=0.0):
+    """`local_maxima` as it was before it used `find_peaks`: a scan for
+    strict maxima (a flat top counts once, at its first sample), a
+    `peak_prominences` filter and the highest-first separation filter."""
+    n = len(x)
+    cand = []
+    i = 1
+    while i < n - 1:
+        if x[i] > x[i - 1]:
+            j = i
+            while j + 1 < n and x[j + 1] == x[i]:
+                j += 1
+            if j < n - 1 and x[j + 1] < x[i]:
+                cand.append(i)
+            i = j + 1
+        else:
+            i += 1
+    if cand:
+        prom = scipy.signal.peak_prominences(x, cand)[0]
+        cand = [c for c, p in zip(cand, prom) if p >= min_prominence]
+    if cand and min_separation > 0.0:
+        order = sorted(cand, key=lambda i: (-x[i], i))
+        kept = []
+        for i in order:
+            if all(abs(t[i] - t[k]) >= min_separation for k in kept):
+                kept.append(i)
+        cand = sorted(kept)
+    return cand
+
+
+class TestLocalMaximaOracle:
+    # small integers, so plateaus and prominences equal to the minimum
+    # are common
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=60),
+           st.integers(0, 3), st.sampled_from([0.0, 0.02, 0.05]))
+    def test_matches_reference_scan(self, values, prominence, separation):
+        s = series_from(np.asarray(values, dtype=float))
+        peaks = analysis.local_maxima(s, "mz", min_prominence=prominence,
+                                      min_separation=separation)
+        assert peaks.indices.tolist() == reference_local_maxima(
+            s.channel("mz"), s.times(), prominence, separation)
+
+    def test_matches_reference_scan_on_benchmark_session(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import fixtures
+        path = tmp_path / "session.csv"
+        path.write_text(fixtures.session_log(0))
+        s = logio.read_log(path)
+        prominence = analysis.DEFAULT_PROMINENCE["mz"]
+        peaks = analysis.local_maxima(s, "mz", min_prominence=prominence)
+        assert len(peaks) > 0
+        assert peaks.indices.tolist() == reference_local_maxima(
+            s.channel("mz"), s.times(), prominence)
 
 
 class TestRegraspFrequency:

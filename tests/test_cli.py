@@ -240,6 +240,32 @@ class TestAnalyze:
         report = yaml.safe_load(rep.read_text())
         assert report["envelope_t"] == report["envelope_mz"] == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_min_separation_rejected(self, tmp_path, capsys, value):
+        log = tmp_path / "line.csv"
+        write_line_log(log)
+        assert run_cli("analyze", log, f"--min-separation={value}") == 1
+        assert capsys.readouterr().err == (
+            "error: --min-separation: must be a finite number >= 0\n")
+        # checked before the log is read
+        assert run_cli("analyze", tmp_path / "missing.csv",
+                       f"--min-separation={value}") == 1
+        assert "--min-separation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("separation", [0, 1.0])
+    def test_regrasp_frequency_follows_min_separation(self, tmp_path,
+                                                      capsys, separation):
+        """The frequency is read from the peaks the report lists."""
+        log = tmp_path / "line.csv"
+        write_line_log(log, n=1000)
+        rep = tmp_path / "an.yaml"
+        assert run_cli("analyze", log, "--min-separation", separation,
+                       "--report", rep) == 0
+        report = yaml.safe_load(rep.read_text())
+        assert report["peak_count"] >= 3
+        assert report["regrasp_frequency_hz"] == (
+            1.0 / np.median(np.diff(report["peak_times"])))
+
     def test_simulated_screwing_log_flags_slips(self, tmp_path, capsys):
         scen = tmp_path / "screw.yaml"
         scen.write_text("direction: screwing\nduration: 40.0\nseed: 3\n")
@@ -324,6 +350,19 @@ class TestCalibrate:
         path = tmp_path / "pairs.csv"
         path.write_text("1.0,2.0\n1.0,3.0\n1.0,4.0\n")
         assert run_cli("calibrate", path) == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("nan,1\n1,2\n2,3\n", 1),
+        ("pot_reading,ref_force\n0,0\n1,inf\n2,3\n", 3),
+        ("0,0\n1,2\n2,3\n-inf,4\n", 4),
+    ], ids=["nan_first_row", "inf_after_header", "minus_inf_last_row"])
+    def test_non_finite_pair_cites_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        assert run_cli("calibrate", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: non-finite pair")
+        assert err.count("\n") == 1
 
 
 def test_simulate_and_compare_do_not_load_scipy(tmp_path):
