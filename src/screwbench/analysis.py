@@ -4,24 +4,24 @@ Covers the pipeline used on 100 Hz recordings: peak picking with a
 prominence filter, a shape-preserving envelope through the peaks, regrasp
 frequency from inter-peak intervals, force/torque ratio estimation by
 least squares, and nonparametric comparison of ratio distributions.
+
+Needs numpy alone. Peak picking and the envelope give the same bits as
+scipy's `find_peaks` and `PchipInterpolator`, which the tests use as
+references.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateFitError, UndefinedFrequencyError
+from .errors import (DegenerateFitError, UndefinedFrequencyError,
+                     degenerate_on_warning)
 from .sim import SimParams
-
-# scipy is imported inside the functions that use it, so that importing
-# the package (and running `simulate` or `compare`) does not load it.
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 # Default peak filter of `analyze` and `regrasp_frequency`: a prominence
 # of 3x the channel's sensor noise std and a 0.2 s separation.
@@ -80,7 +80,7 @@ class PeakSet:
 
 @dataclass
 class EnvelopeFit:
-    """Monotonicity-preserving piecewise cubic through peak points.
+    """Monotonicity-preserving piecewise cubic (PCHIP) through peak points.
 
     Never overshoots beyond adjacent knot values, so the curve is usable
     directly as a force/torque reference. Evaluable on [t_min, t_max].
@@ -88,17 +88,24 @@ class EnvelopeFit:
 
     knot_times: np.ndarray
     knot_values: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False)
+    _coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator
-
-        # Subnormal knot values overflow scipy's slope harmonic mean to
-        # inf; its reciprocal is 0, a flat slope, which is the correct
-        # monotone choice there.
+        x, y = self.knot_times, self.knot_values
+        h = np.diff(x)
+        if np.any(h <= 0):
+            raise ValueError("knot times must be strictly increasing")
+        # Subnormal knot values overflow the slope harmonic mean to inf;
+        # its reciprocal is 0, a flat slope, which is the correct monotone
+        # choice there.
         with np.errstate(over="ignore"):
-            self._interp = PchipInterpolator(self.knot_times,
-                                             self.knot_values)
+            m = (y[1:] - y[:-1]) / h
+            d = _pchip_slopes(h, m)
+            # cubic Hermite coefficients of each interval, highest power
+            # of s = t - x[i] first
+            c = (d[:-1] + d[1:] - 2 * m) / h
+            self._coeffs = np.stack((c / h, (m - d[:-1]) / h - c, d[:-1],
+                                     y[:-1]))
 
     @property
     def t_min(self) -> float:
@@ -112,7 +119,45 @@ class EnvelopeFit:
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t_min) or np.any(t > self.t_max):
             raise ValueError("evaluation outside the peak time range")
-        return self._interp(t)
+        x = self.knot_times
+        i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(x) - 2)
+        s = t - x[i]
+        c3, c2, c1, c0 = self._coeffs[:, i]
+        # a power sum from the constant term up, in the order of scipy's
+        # PPoly (not Horner's rule), so that the bits match
+        z = s
+        v = 0.0 + c0 + c1 * z
+        z = z * s
+        v = v + c2 * z
+        z = z * s
+        return v + c3 * z
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Knot slopes of scipy's `PchipInterpolator` from the interval widths
+    `h` and secant slopes `m`: the weighted harmonic mean of the two
+    adjacent secants, 0 where they differ in sign or one is flat, and
+    one-sided three-point estimates at the ends (Moler, Numerical
+    Computing with MATLAB, 3.6). Two knots give the straight line."""
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros(len(m) + 1)
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    # both ends at once: the end interval, then its neighbour
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(end) != np.sign(m0)
+    overshoot = ~wrong_sign & (np.sign(m0) != np.sign(m1)) & (
+        np.abs(end) > 3. * np.abs(m0))
+    end[wrong_sign] = 0.
+    end[overshoot] = 3. * m0[overshoot]
+    d[[0, -1]] = end
+    return d
 
 
 @dataclass
@@ -152,23 +197,69 @@ def local_maxima(series: FtSeries, channel: str, min_prominence: float = 0.0,
     A flat top counts once, at its first sample. Separation conflicts are
     resolved highest-peak-first; ties go to the earliest index.
     """
-    from scipy.signal import find_peaks
-
     x = series.channel(channel)
     t = series.times()
-    # plateau_size=1 filters nothing; it makes find_peaks report each
-    # flat top's first sample
-    _, props = find_peaks(x, prominence=min_prominence, plateau_size=1)
-    cand = props["left_edges"].tolist()
+    cand = _peak_candidates(x, min_prominence).tolist()
     if cand and min_separation > 0.0:
-        order = sorted(cand, key=lambda i: (-x[i], i))
+        # `kept` stays sorted and times increase, so only the nearest kept
+        # peak on each side can be too close
+        xs, ts = x.tolist(), t.tolist()
         kept: list[int] = []
-        for i in order:
-            if all(abs(t[i] - t[k]) >= min_separation for k in kept):
-                kept.append(i)
-        cand = sorted(kept)
+        for i in sorted(cand, key=lambda i: (-xs[i], i)):
+            j = bisect_left(kept, i)
+            if ((j == len(kept) or ts[kept[j]] - ts[i] >= min_separation)
+                    and (j == 0 or ts[i] - ts[kept[j - 1]] >= min_separation)):
+                kept.insert(j, i)
+        cand = kept
     idx = np.asarray(cand, dtype=int)
     return PeakSet(indices=idx, times=t[idx], values=x[idx])
+
+
+def _peak_candidates(x: np.ndarray, min_prominence: float) -> np.ndarray:
+    """First sample of each local maximum of `x` whose prominence is at
+    least `min_prominence`: the `left_edges` of scipy's
+    `find_peaks(x, prominence=min_prominence, plateau_size=1)`."""
+    # runs of equal samples; a run is a peak when both neighbouring runs
+    # are lower, so the first and last runs never are
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    v = x[starts]
+    padded = np.r_[-np.inf, v, -np.inf]
+    tops = np.flatnonzero((padded[1:-1] > padded[:-2])
+                          & (padded[1:-1] > padded[2:]))
+    is_peak = (tops > 0) & (tops < len(v) - 1)
+    if not is_peak.any():
+        return np.empty(0, dtype=int)
+    # Prominence as scipy defines it: the peak's height above the higher
+    # of its two side minima, each running up to the nearest strictly
+    # higher sample or to the end. The nearest strictly higher top gives
+    # the same minimum: anything lower in between would sit in a valley
+    # whose far wall is a nearer higher top.
+    vt = v[tops].tolist()
+    before = np.array(_previous_higher(vt), dtype=int)
+    after = len(vt) - 1 - np.array(_previous_higher(vt[::-1])[::-1],
+                                   dtype=int)
+    # "no higher top" is -1 before and len(vt) after; both index `edge`
+    edge = np.r_[tops, len(v), -1]
+    k = tops[is_peak]
+    lo = edge[before[is_peak]] + 1
+    hi = edge[after[is_peak]]
+    # one reduceat over [lo, k] and [k, hi) per peak; the appended 0 keeps
+    # hi == len(v) a valid index
+    bounds = np.stack((lo, k + 1, k, hi), axis=1).ravel()
+    mins = np.minimum.reduceat(np.append(v, 0.0), bounds)
+    prominence = v[k] - np.maximum(mins[0::4], mins[2::4])
+    return starts[k[prominence >= min_prominence]]
+
+
+def _previous_higher(values: list) -> list:
+    """Index of the nearest earlier strictly greater item, or -1."""
+    out, stack = [], []
+    for i, v in enumerate(values):
+        while stack and values[stack[-1]] <= v:
+            stack.pop()
+        out.append(stack[-1] if stack else -1)
+        stack.append(i)
+    return out
 
 
 def fit_envelope(peaks: PeakSet) -> EnvelopeFit:
@@ -196,13 +287,16 @@ def estimate_nu(series: FtSeries) -> NuEstimate:
     n = len(f)
     if n < 3:
         raise DegenerateFitError("need at least 3 samples")
-    if np.ptp(tau) == 0.0:
-        raise DegenerateFitError("torque has zero variance")
-    slope, intercept = np.polyfit(tau, f, 1)
-    if np.ptp(f) == 0.0:
-        r = 0.0
-    else:
-        r = float(np.corrcoef(tau, f)[0, 1])
+    with degenerate_on_warning("force/torque fit"):
+        if np.ptp(tau) == 0.0:
+            raise DegenerateFitError("torque has zero variance")
+        slope, intercept = np.polyfit(tau, f, 1)
+        if np.ptp(f) == 0.0:
+            r = 0.0
+        else:
+            r = float(np.corrcoef(tau, f)[0, 1])
+    if not all(map(math.isfinite, (slope, intercept, r))):
+        raise DegenerateFitError("force/torque fit is not finite")
     return NuEstimate(nu=float(slope), intercept=float(intercept), r=r, n=n)
 
 

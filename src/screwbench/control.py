@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFitError
+from .errors import DegenerateFitError, degenerate_on_warning
 from .sim import (NU_CHAR_DEFAULTS, TWO_PI, Direction, FtSample, HeadType,
                   SimParams)
 
@@ -288,10 +288,13 @@ def calibrate_force(pairs) -> CalibrationResult:
         raise DegenerateFitError("need at least 2 calibration pairs")
     x = np.asarray([p[0] for p in pairs], dtype=float)
     y = np.asarray([p[1] for p in pairs], dtype=float)
-    if np.ptp(x) == 0.0:
-        raise DegenerateFitError("potentiometer readings are constant")
-    gain, offset = np.polyfit(x, y, 1)
-    resid = y - (gain * x + offset)
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    with degenerate_on_warning("calibration fit"):
+        if np.ptp(x) == 0.0:
+            raise DegenerateFitError("potentiometer readings are constant")
+        gain, offset = np.polyfit(x, y, 1)
+        resid = y - (gain * x + offset)
+        rms = float(np.sqrt(np.mean(resid ** 2)))
+    if not all(map(math.isfinite, (gain, offset, rms))):
+        raise DegenerateFitError("calibration fit is not finite")
     return CalibrationResult(gain=float(gain), offset=float(offset),
                              residual_rms=rms)

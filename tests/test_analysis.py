@@ -8,6 +8,7 @@ import scipy.signal
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from screwbench import analysis, logio
 from screwbench.analysis import FtSeries, UTestMethod
@@ -131,10 +132,89 @@ class TestFitEnvelope:
         assert np.all((v >= min(values)) & (v <= max(values)))
 
 
+class TestEnvelopeOracle:
+    """`EnvelopeFit` gives the same bits as scipy's `PchipInterpolator`."""
+
+    @staticmethod
+    def assert_matches_pchip(times, values, grid=None):
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if grid is None:  # every knot, both ends and points in between
+            grid = np.union1d(times, np.linspace(times[0], times[-1], 201))
+        env = analysis.fit_envelope(analysis.PeakSet(
+            indices=np.arange(len(times)), times=times, values=values))
+        with np.errstate(over="ignore"):
+            expected = PchipInterpolator(times, values)(grid)
+        assert env(grid).tobytes() == expected.tobytes()
+
+    # small integers give flat runs and sign changes of the secant slopes
+    knot_value = st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-1e3, 1e3))
+    knot_gap = st.one_of(st.sampled_from([0.01, 0.2, 1.0]),
+                         st.floats(0.01, 10.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(knot_gap, knot_value), min_size=2,
+                    max_size=20))
+    def test_matches_pchip(self, knots):
+        gaps, values = zip(*knots)
+        self.assert_matches_pchip(np.cumsum(gaps), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(knot_gap, knot_gap), st.tuples(knot_value, knot_value))
+    def test_two_knots_match_pchip(self, gaps, values):
+        self.assert_matches_pchip(np.cumsum(gaps), values)
+
+    @pytest.mark.parametrize("values", [[0.0, 5e-324, 0.0],
+                                        [0.0, 1e-310, 2e-310, 0.0]])
+    def test_subnormal_knots_match_pchip(self, values):
+        self.assert_matches_pchip(np.arange(len(values), dtype=float),
+                                  values)
+
+    def test_scalar_and_empty_grids(self):
+        times, values = [0.0, 1.0, 3.0], [1.0, 2.0, 0.5]
+        for grid in (np.float64(2.5), np.array([])):
+            self.assert_matches_pchip(times, values, grid)
+
+
+class TestPeakCandidatesOracle:
+    """Without a separation filter `local_maxima` keeps what scipy's
+    `find_peaks` keeps: each local maximum of at least the prominence,
+    a flat top at its first sample."""
+
+    @staticmethod
+    def find_peaks_left_edges(x, prominence):
+        _, props = scipy.signal.find_peaks(x, prominence=prominence,
+                                           plateau_size=1)
+        return props["left_edges"].tolist()
+
+    # small integers, so plateaus and prominences equal to the minimum
+    # are common
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=60),
+           st.integers(0, 3))
+    def test_matches_find_peaks(self, values, prominence):
+        s = series_from(np.asarray(values, dtype=float))
+        peaks = analysis.local_maxima(s, "mz", min_prominence=prominence)
+        assert peaks.indices.tolist() == self.find_peaks_left_edges(
+            s.channel("mz"), prominence)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_find_peaks_on_long_plateau_heavy_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 6, 5000).astype(float)
+        s = series_from(x)
+        for prominence in (0.0, 1.0, 2.5, 5.0):
+            peaks = analysis.local_maxima(s, "mz", min_prominence=prominence)
+            assert peaks.indices.tolist() == self.find_peaks_left_edges(
+                x, prominence)
+
+
 def reference_local_maxima(x, t, min_prominence=0.0, min_separation=0.0):
-    """`local_maxima` as it was before it used `find_peaks`: a scan for
-    strict maxima (a flat top counts once, at its first sample), a
-    `peak_prominences` filter and the highest-first separation filter."""
+    """`local_maxima` written plainly: a scan for strict maxima (a flat
+    top counts once, at its first sample), scipy's `peak_prominences`
+    filter and the highest-first separation filter checked against every
+    kept peak."""
     n = len(x)
     cand = []
     i = 1
@@ -166,7 +246,10 @@ class TestLocalMaximaOracle:
     # are common
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=60),
-           st.integers(0, 3), st.sampled_from([0.0, 0.02, 0.05]))
+           st.integers(0, 3),
+           st.one_of(st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3,
+                                      0.5]),
+                     st.floats(0.0, 0.5)))
     def test_matches_reference_scan(self, values, prominence, separation):
         s = series_from(np.asarray(values, dtype=float))
         peaks = analysis.local_maxima(s, "mz", min_prominence=prominence,
@@ -183,10 +266,12 @@ class TestLocalMaximaOracle:
         path.write_text(fixtures.session_log(0))
         s = logio.read_log(path)
         prominence = analysis.DEFAULT_PROMINENCE["mz"]
-        peaks = analysis.local_maxima(s, "mz", min_prominence=prominence)
-        assert len(peaks) > 0
-        assert peaks.indices.tolist() == reference_local_maxima(
-            s.channel("mz"), s.times(), prominence)
+        for separation in (0.0, analysis.DEFAULT_SEPARATION):
+            peaks = analysis.local_maxima(s, "mz", min_prominence=prominence,
+                                          min_separation=separation)
+            assert len(peaks) > 0
+            assert peaks.indices.tolist() == reference_local_maxima(
+                s.channel("mz"), s.times(), prominence, separation)
 
 
 class TestRegraspFrequency:
@@ -252,6 +337,17 @@ class TestEstimateNu:
     def test_too_short_rejected(self):
         with pytest.raises(DegenerateFitError):
             analysis.estimate_nu(fz_mz_series([1, 2], [0.1, 0.2]))
+
+    @pytest.mark.parametrize("fz, mz", [
+        ([1e308, -1e308, 0.0], [1e308, -1e308, 0.0]),
+        ([1.0, 2.0, 3.0, 1.0], [0.0, 1e-300, 2e-300, 0.0]),
+    ], ids=["overflow", "underflow"])
+    def test_fit_near_float_limit_rejected_without_warning(self, fz, mz):
+        series = fz_mz_series(fz, mz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError):
+                analysis.estimate_nu(series)
 
     @given(c=st.floats(0.1, 50), shift=st.floats(-5, 5))
     def test_affine_invariance_of_r(self, c, shift):

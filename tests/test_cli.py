@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,17 @@ class TestAnalyze:
         assert run_cli("analyze", log) == 1
         assert "variance" in capsys.readouterr().err
 
+    def test_torque_near_float_limit_gives_one_error_line(self, tmp_path,
+                                                         capsys):
+        log = tmp_path / "tiny.csv"
+        logio.write_log(log, [FtSample(i * 0.01, f, m) for i, (f, m) in
+                              enumerate([(1.0, 0.0), (2.0, 1e-300),
+                                         (3.0, 2e-300), (1.0, 0.0)])])
+        assert run_cli("analyze", log) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: force/torque fit is degenerate")
+        assert err.count("\n") == 1
+
     def test_negative_envelope_points_rejected(self, tmp_path, capsys):
         log = tmp_path / "line.csv"
         write_line_log(log)  # enough peaks for an envelope
@@ -364,9 +376,20 @@ class TestCalibrate:
         assert err.startswith(f"error: {path}:{line}: non-finite pair")
         assert err.count("\n") == 1
 
+    def test_fit_near_float_limit_rejected(self, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        path.write_text("1e308,1e308\n-1e308,-1e308\n0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("calibrate", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: calibration fit is degenerate")
+        assert captured.err.count("\n") == 1
 
-def test_simulate_and_compare_do_not_load_scipy(tmp_path):
-    """Only `analyze` needs scipy; it is imported on first use."""
+
+def test_no_command_loads_scipy(tmp_path):
+    """The package runs on numpy alone; scipy is a test-only reference."""
     src = Path(cli.__file__).resolve().parents[1]
     scenarios = src.parent / "scenarios"
     code = textwrap.dedent(f"""
@@ -388,7 +411,10 @@ def test_simulate_and_compare_do_not_load_scipy(tmp_path):
         loaded = [k for k in sys.modules if k.startswith("scipy")]
         assert not loaded, loaded
         assert cli.main(["analyze", str(tmp / "a" / "0.csv")]) == 0
-        assert "scipy" in sys.modules
+        (tmp / "pairs.csv").write_text("0,0\\n1,5\\n2,9\\n")
+        assert cli.main(["calibrate", str(tmp / "pairs.csv")]) == 0
+        loaded = [k for k in sys.modules if k.startswith("scipy")]
+        assert not loaded, loaded
     """)
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,3 +272,19 @@ class TestCalibrateForce:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(DegenerateFitError):
             control.calibrate_force([(1.0, 2.0)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(1e308, 1e308), (-1e308, -1e308), (0.0, 0.0)],
+        [(0.0, 1e308), (1.0, -1e308)],
+        [(1.0, 0.0), (1.0 + 1e-15, 1.0), (1.0 + 2e-15, 2.0)],
+    ], ids=["overflow", "slope_overflow", "lost_rank"])
+    def test_fit_near_float_limits_rejected_without_warning(self, pairs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError):
+                control.calibrate_force(pairs)
+
+    def test_non_finite_fit_rejected_when_numpy_does_not_warn(self):
+        with np.errstate(all="ignore"), pytest.raises(
+                DegenerateFitError, match="not finite"):
+            control.calibrate_force([(0.0, 1e308), (1.0, -1e308)])
