@@ -33,8 +33,9 @@ DEFAULT_SEPARATION = 0.2  # s
 @dataclass
 class FtSeries:
     """A force/torque recording sampled every `SimParams.dt`. `samples`
-    are (t, fz, mz) triples, such as `FtSample`s, converted once into the
-    columns `times()` and `channel()` return (read-only)."""
+    are (t, fz, mz) triples, such as `FtSample`s or the rows of an (n, 3)
+    array, copied once into the columns `times()` and `channel()` return
+    (read-only)."""
 
     samples: InitVar[list]
     _columns: dict = field(init=False, repr=False)
@@ -42,7 +43,7 @@ class FtSeries:
     def __post_init__(self, samples):
         if len(samples) == 0:
             raise ValueError("empty series")
-        columns = np.array(samples, dtype=float).T.copy()
+        columns = np.asarray(samples, dtype=float).T.copy()
         columns.flags.writeable = False
         self._columns = dict(zip(("t", "fz", "mz"), columns))
         dts = np.diff(columns[0])

@@ -110,8 +110,11 @@ def _group_nus(directory: Path) -> list:
         raise ScrewbenchError(f"no CSV logs in {directory}")
     nus = []
     for log in logs:
-        series = logio.read_log(log)
-        nus.append(analysis.estimate_nu(series).nu)
+        try:
+            nus.append(analysis.estimate_nu(logio.read_log(log)).nu)
+        except ScrewbenchError as exc:
+            # one bad log among many: say which
+            raise ScrewbenchError(f"{log}: {exc}") from exc
     return nus
 
 

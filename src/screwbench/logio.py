@@ -7,15 +7,29 @@ Reports are flat YAML key/value documents with deterministic key order.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .analysis import FtSeries
 from .errors import LogFormatError, ScrewbenchError
 
 LOG_HEADER = "t_s,fz_n,mz_nm"
+
+# Every byte `write_log` can put in the body of a log. A body of these
+# bytes alone is parsed in one `np.loadtxt` pass. Anything else goes to the
+# line scan, because loadtxt and `str.splitlines`/`float` disagree there:
+# blanks, `\r` and the other characters `splitlines` breaks at, `_`, `nan`,
+# non-ASCII.
+_WRITER_BODY_BYTES = b"0123456789+-.eE,\n"
+
+# libyaml's emitter when PyYAML was built with it: the same bytes as the
+# pure-Python one, about four times faster on an `analyze` report.
+_REPORT_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def read_text(path) -> str:
@@ -41,6 +55,43 @@ def write_log(path, samples) -> None:
 
 
 def read_log(path) -> FtSeries:
+    """The log at `path` as an `FtSeries`. A log as `write_log` writes it
+    is parsed in one vectorized pass; any other file goes through the line
+    scan, so a malformed row still gets the error naming its line."""
+    series = _read_log_fast(path)
+    return series if series is not None else _read_log_lines(path)
+
+
+def _read_log_fast(path) -> FtSeries | None:
+    """The log parsed by one `np.loadtxt` call, or None wherever the line
+    scan might decide differently: then the caller falls back to it."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    header, _, body = data.partition(b"\n")
+    if header != LOG_HEADER.encode():
+        return None
+    if body.translate(None, _WRITER_BODY_BYTES):
+        return None  # a byte the writer never emits
+    with warnings.catch_warnings():
+        # an empty body is only a warning to loadtxt
+        warnings.simplefilter("error", UserWarning)
+        try:
+            rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                              ndmin=2)
+        except (ValueError, UserWarning):
+            return None
+    if len(rows) == 0 or rows.shape[1] != 3 or not np.isfinite(rows).all():
+        return None
+    try:
+        return FtSeries(samples=rows)
+    except ValueError:
+        return None
+
+
+def _read_log_lines(path) -> FtSeries:
+    """Reference parser: one line at a time, naming the first bad line."""
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise LogFormatError(f"expected header {LOG_HEADER!r}", line=1)
@@ -73,4 +124,5 @@ def write_report(path, data: dict) -> None:
 
 
 def format_report(data: dict) -> str:
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    return yaml.dump(data, Dumper=_REPORT_DUMPER, sort_keys=True,
+                     default_flow_style=False)

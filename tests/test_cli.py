@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from screwbench import analysis, cli, logio
-from screwbench.errors import LogFormatError
+from screwbench.errors import LogFormatError, ScrewbenchError
 from screwbench.sim import FtSample
 
 SCENARIO_TEXT = """\
@@ -91,6 +92,125 @@ class TestSimulate:
                        "--report", tmp_path / "r.yaml") == 0
 
 
+@pytest.fixture
+def no_line_scan(monkeypatch):
+    """Make the line scan fail, so a read that succeeds took the fast
+    path."""
+    def line_scan(path):
+        raise AssertionError(f"line scan used for {path}")
+    monkeypatch.setattr(logio, "_read_log_lines", line_scan)
+
+
+def columns(series):
+    return np.stack([series.times(), series.channel("fz"),
+                     series.channel("mz")]).tobytes()
+
+
+def reference_read_log(path):
+    """The line-by-line parser `read_log` falls back to, as a copy: every
+    log it accepts must read to the same bits, and every log it rejects
+    must fail with the same error."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != logio.LOG_HEADER:
+        raise LogFormatError(f"expected header {logio.LOG_HEADER!r}", line=1)
+    samples = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise LogFormatError("expected 3 comma-separated values",
+                                 line=lineno)
+        try:
+            row = tuple(float(p) for p in parts)
+        except ValueError:
+            raise LogFormatError(f"non-numeric value in {line!r}",
+                                 line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise LogFormatError(f"non-finite value in {line!r}", line=lineno)
+        samples.append(row)
+    if not samples:
+        raise LogFormatError("log contains no samples")
+    try:
+        return analysis.FtSeries(samples=samples)
+    except ValueError as exc:
+        raise LogFormatError(str(exc)) from exc
+
+
+def read_outcome(read, path):
+    try:
+        return columns(read(path))
+    except ScrewbenchError as exc:
+        return type(exc), str(exc)
+
+
+# The bytes `write_log` emits plus the ones it never does: line breaks that
+# `str.splitlines` honours and loadtxt may not, blanks, `_` (which `float`
+# accepts between digits), `nan` and `inf`.
+_LOG_PIECES = (list("0123456789+-.eE,") +
+               ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " ",
+                "\t", "_", "nan", "inf", "\x85", "\u2028"])
+_junk = st.lists(st.sampled_from(_LOG_PIECES), max_size=12).map("".join)
+_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -0.0, 2.2250738585072014e-308,
+                     1.7976931348623157e+308, 1e-05])).map(repr)
+_bad_fields = st.one_of(
+    _junk, st.floats().map(repr),
+    st.sampled_from(["1e999", "-1e999", "1" + "0" * 400]),  # overflow to inf
+    st.sampled_from(["", "1_0", "+.5", "1.", ".e1", "1E5", "00.5", "--1"]))
+_bad_lines = st.one_of(
+    st.sampled_from(["", " ", "\t", " \t ", "\x0c", "0.01,1,\x0c2"]),
+    st.lists(_bad_fields, min_size=2, max_size=4).map(",".join),
+    st.lists(_values, min_size=2, max_size=4).map(",".join),
+    _junk)
+_bad_breaks = st.sampled_from(["", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                               "\x1e", "\x85", "\u2028", "\n\n", "\n \n"])
+_bad_headers = st.sampled_from([" t_s,fz_n,mz_nm", "t_s,fz_n,mz_nm\r",
+                                "t_s,fz_n", "time,force,torque", ""])
+
+
+@st.composite
+def log_files(draw):
+    """A log as `write_log` writes it, 0 to 8 rows, with up to three
+    damages: a field, row, line break or header replaced, or a non-UTF-8
+    byte inserted. Accepted logs, rejected logs and logs the fast path
+    declines all occur."""
+    header = logio.LOG_HEADER
+    rows = [[repr((i + 1) * 0.01), draw(_values), draw(_values)]
+            for i in range(draw(st.integers(0, 8)))]
+    lines = [None] * len(rows)  # a replaced row
+    breaks = ["\n"] * (len(rows) + 1)
+    byte_at = None
+    for _ in range(draw(st.integers(0, 3))):
+        damage = draw(st.sampled_from(["field", "row", "break", "header",
+                                       "byte"]))
+        if damage in ("field", "row") and rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            if damage == "field":
+                rows[k][draw(st.integers(0, 2))] = draw(_bad_fields)
+            else:
+                lines[k] = draw(_bad_lines)
+        elif damage == "break":
+            breaks[draw(st.integers(0, len(rows)))] = draw(_bad_breaks)
+        elif damage == "header":
+            header = draw(_bad_headers)
+        elif damage == "byte":
+            byte_at = draw(st.floats(0, 1))
+    text = header + breaks[0] + "".join(
+        (",".join(row) if line is None else line) + brk
+        for row, line, brk in zip(rows, lines, breaks[1:]))
+    data = text.encode()
+    if byte_at is not None:
+        at = int(byte_at * len(data))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
 class TestLogIo:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -127,6 +247,41 @@ class TestLogIo:
         path.write_text("time,force,torque\n0.01,1.0,0.1\n")
         with pytest.raises(LogFormatError, match="line 1"):
             logio.read_log(path)
+
+    def test_round_trip_extreme_floats_bit_exact(self, tmp_path, no_line_scan):
+        extremes = [5e-324, -0.0, 2.2250738585072014e-308,
+                    1.7976931348623157e+308, 1e-05]
+        samples = [FtSample((i + 1) * 0.01, v, -v)
+                   for i, v in enumerate(extremes)]
+        path = tmp_path / "log.csv"
+        logio.write_log(path, samples)
+        assert columns(logio.read_log(path)) == np.array(samples).T.tobytes()
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(log_files(), st.sampled_from(
+        [b"", b"t_s,fz_n,mz_nm", b"t_s,fz_n,mz_nm\n", b"t_s,fz_n,mz_nm\n\n",
+         b"t_s,fz_n,mz_nm\n0.01,1,\x0c2\n", b"t_s,fz_n,mz_nm\n0.01,1e999,1\n",
+         b"t_s,fz_n,mz_nm\n0.01,1\n",
+         b"t_s,fz_n,mz_nm\n0.01,1,2,3\n0.02,1,2,3\n"])))
+    def test_matches_line_scan(self, tmp_path, data):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        assert read_outcome(logio.read_log, path) == \
+            read_outcome(reference_read_log, path)
+
+    def test_fast_path_reads_writer_logs(self, tmp_path, monkeypatch,
+                                         no_line_scan):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import fixtures
+        session = tmp_path / "session.csv"
+        session.write_text(fixtures.session_log(0))
+        written = tmp_path / "written.csv"
+        write_line_log(written)
+        for path in (session, written):
+            assert columns(logio.read_log(path)) == \
+                columns(reference_read_log(path))
 
 
 @pytest.mark.parametrize("case", ["analyze_missing_log",
@@ -333,6 +488,65 @@ class TestCompare:
         (tmp_path / "a").mkdir()
         self.make_group(tmp_path / "b", [100.0])
         assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 1
+
+    def test_malformed_row_names_log(self, tmp_path, capsys):
+        self.make_group(tmp_path / "a", [100.0, 110.0])
+        self.make_group(tmp_path / "b", [100.0, 110.0, 120.0])
+        bad = tmp_path / "b" / "run1.csv"
+        lines = bad.read_text().splitlines(keepends=True)
+        lines[4] = "0.05,abc,1\n"
+        bad.write_text("".join(lines))
+        assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 5: non-numeric value in '0.05,abc,1'\n")
+
+    def test_degenerate_fit_names_log(self, tmp_path, capsys):
+        self.make_group(tmp_path / "a", [100.0, 110.0])
+        self.make_group(tmp_path / "b", [100.0, 110.0])
+        flat = tmp_path / "b" / "run2.csv"
+        logio.write_log(flat, [FtSample(i * 0.01, 1.0, 0.1)
+                               for i in range(1, 100)])
+        assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 1
+        assert capsys.readouterr().err == (
+            f"error: {flat}: torque has zero variance\n")
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML built without libyaml")
+def test_report_emitters_agree(tmp_path, scenario_file, monkeypatch):
+    """libyaml's emitter writes every report byte for byte as PyYAML's
+    pure-Python one does."""
+    reports = []
+    format_report = logio.format_report
+
+    def recording(data):
+        reports.append(data)
+        return format_report(data)
+
+    monkeypatch.setattr(logio, "format_report", recording)
+    log = tmp_path / "run.csv"
+    assert run_cli("simulate", scenario_file, "--out", log,
+                   "--report", tmp_path / "r.yaml") == 0
+    assert run_cli("analyze", log) == 0
+    for group in ("a", "b"):
+        (tmp_path / group).mkdir()
+        for i, nu in enumerate((100.0, 110.0, 120.0)):
+            write_line_log(tmp_path / group / f"run{i}.csv", nu=nu, n=200)
+    assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 0
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,0.1\n1,5\n2,9.7\n")
+    assert run_cli("calibrate", pairs) == 0
+    assert len(reports) == 4
+    reports.append({"none": None, "nan": float("nan"), "inf": float("inf"),
+                    "minus_inf": float("-inf"), "minus_zero": -0.0,
+                    "tiny": 1e-300, "empty": [],
+                    "nested": {"values": [None, -0.0, 1e-300], "empty": []}})
+    for data in reports:
+        pure = yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True,
+                         default_flow_style=False)
+        assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True,
+                         default_flow_style=False) == pure
+        assert format_report(data) == pure
 
 
 class TestCalibrate:
