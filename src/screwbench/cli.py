@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, control, logio, runner
-from .errors import ScrewbenchError, UndefinedFrequencyError
+from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
+                     UndefinedFrequencyError)
 from .scenario import load_scenario
 
 SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
@@ -112,8 +113,8 @@ def _group_nus(directory: Path) -> list:
     for log in logs:
         try:
             nus.append(analysis.estimate_nu(logio.read_log(log)).nu)
-        except ScrewbenchError as exc:
-            # one bad log among many: say which
+        except (LogFormatError, DegenerateFitError) as exc:
+            # one bad log among many: say which (a read error already does)
             raise ScrewbenchError(f"{log}: {exc}") from exc
     return nus
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -82,8 +83,8 @@ class ControllerConfig:
             raise ValueError("theta_slip must be in (0, 1)")
         if self.f_min > self.f_max:
             raise ValueError("f_min must be <= f_max")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
+        if not 2 <= self.window <= sys.maxsize:
+            raise ValueError(f"window must be in [2, {sys.maxsize}]")
         if self.tau_stop <= self.noise_floor:
             raise ValueError("tau_stop must exceed noise_floor")
 
@@ -119,11 +120,11 @@ def target_force(tau_filtered: float, cfg: ControllerConfig) -> float:
 def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
     """Sharp torque drop: latest below theta_slip of the window maximum,
     with the maximum above the noise floor."""
-    w = list(torque_window)
-    if len(w) < 2:
+    if len(torque_window) < 2:
         raise ValueError("window length must be >= 2")
-    peak = max(w)
-    return peak > cfg.noise_floor and w[-1] < cfg.theta_slip * peak
+    peak = max(torque_window)
+    return (peak > cfg.noise_floor
+            and torque_window[-1] < cfg.theta_slip * peak)
 
 
 def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
@@ -136,20 +137,19 @@ def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
     return (peak > cfg.noise_floor) & (mz < cfg.theta_slip * peak)
 
 
-def detect_terminal(torque_window, direction: Direction,
-                    cfg: ControllerConfig,
+def detect_terminal(torque_window, cfg: ControllerConfig,
                     engaged: bool = True) -> Phase | None:
     """Completion detection: the phase to enter (SEATED or FREE), or None.
 
-    Screwing: seated when a sustained rise crosses tau_stop (latest at or
-    above the threshold with the window tail strictly rising). Unscrewing:
-    free when the whole window sits below the noise floor; `engaged` must
-    say the torque has previously exceeded the floor.
+    Screwing (`cfg.direction`): seated when a sustained rise crosses
+    tau_stop (latest at or above the threshold with the window tail strictly
+    rising). Unscrewing: free when the whole window sits below the noise
+    floor; `engaged` must say the torque has previously exceeded the floor.
     """
-    w = list(torque_window)
+    w = torque_window
     if len(w) < 2:
         raise ValueError("window length must be >= 2")
-    if direction == Direction.SCREWING:
+    if cfg.direction == Direction.SCREWING:
         if w[-1] < cfg.tau_stop:
             return None
         tail = min(3, len(w) - 1)  # rising steps required
@@ -162,16 +162,15 @@ def detect_terminal(torque_window, direction: Direction,
 
 
 def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
-                   dt: float, cfg: ControllerConfig) -> float:
-    """One PID + feed-forward step.
+                   cfg: ControllerConfig) -> float:
+    """One PID + feed-forward step over the sample period `SimParams.dt`.
 
     Returns the carriage offset from the estimated contact position:
     kp*e + ki*int(e) + kd*de/dt + f_target/k_spring_est, clamped to the
     travel limit. The integrator is held (anti-windup) whenever the
     unclamped command would exceed the travel limit.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    dt = SimParams.dt
     e = f_target - f_meas
     de = (e - state.prev_error) / dt
     integ = state.integrator + e * dt
@@ -191,7 +190,8 @@ def _enter(state: ControllerState, phase: Phase) -> None:
 
 
 def _slew_force_target(state: ControllerState, camout: bool,
-                       goal: float, dt: float, cfg: ControllerConfig) -> None:
+                       goal: float, cfg: ControllerConfig) -> None:
+    dt = SimParams.dt
     if camout:
         state.slip_count += 1
         if not state.camout_prev:
@@ -206,13 +206,14 @@ def _slew_force_target(state: ControllerState, camout: bool,
     state.camout_prev = camout
 
 
-def update(state: ControllerState, sample: FtSample, dt: float,
-           cfg: ControllerConfig):
-    """Full state-machine step: (state, sample) -> (state, command).
+def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
+    """Full state-machine step over one sample period `SimParams.dt`:
+    (state, sample) -> (state, command).
 
     Mutates and returns `state`. Fault is the error channel; in-band sensor
     values never raise.
     """
+    dt = SimParams.dt
     state.time_in_phase += dt
     hold = ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
     if state.phase in (Phase.DONE, Phase.FAULT):
@@ -242,7 +243,7 @@ def update(state: ControllerState, sample: FtSample, dt: float,
     if state.phase in (Phase.ENGAGE, Phase.DRIVE):
         camout = len(w) >= 2 and detect_camout(w, cfg)
         tau_f = max(w)  # moving-window maximum: the torque envelope
-        _slew_force_target(state, camout, target_force(tau_f, cfg), dt, cfg)
+        _slew_force_target(state, camout, target_force(tau_f, cfg), cfg)
 
         # at most one phase transition per step
         if state.phase == Phase.ENGAGE and tau_f > cfg.noise_floor:
@@ -252,7 +253,7 @@ def update(state: ControllerState, sample: FtSample, dt: float,
                 _enter(state, Phase.FAULT)
             elif len(w) >= 2:
                 window_full = len(w) == cfg.window
-                term = detect_terminal(w, cfg.direction, cfg,
+                term = detect_terminal(w, cfg,
                                        engaged=state.torque_seen and window_full)
                 if term is not None:
                     _enter(state, term)
@@ -267,7 +268,7 @@ def update(state: ControllerState, sample: FtSample, dt: float,
     if state.phase in (Phase.DONE, Phase.FAULT):
         return state, hold
 
-    offset = pid_force_step(state, sample.fz, state.force_target, dt, cfg)
+    offset = pid_force_step(state, sample.fz, state.force_target, cfg)
     state.z_cmd = state.contact_z_est + offset
     sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
     spindle = 0.0 if state.phase == Phase.SEATED else sign * cfg.spindle_speed

@@ -41,7 +41,6 @@ class RunResult:
     world: sim.WorldState
     controller: control.ControllerState
     slip_times: list  # ground-truth cam-out onset times (s)
-    phase_entry_times: dict  # phase value -> first entry time (s)
     completion_time: float  # s; run duration if not completed
     peak_torque: float  # N·m, max sensed torque
     final_force: float  # N, last sensed force
@@ -69,12 +68,10 @@ def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
     cfg = scenario.controller
     state = control.new_controller_state(cfg)
     cmd = control.ToolCommand(z_cmd=0.0, spindle_speed=0.0)
-    dt = scenario.sim.dt
-    n_steps = int(round(scenario.duration / dt))
+    n_steps = int(round(scenario.duration / scenario.sim.dt))
 
     samples = []
     slip_times = []
-    phase_entry = {state.phase.value: 0.0}
     was_slipping = False
     completion = scenario.duration
     outcome = Outcome.TIMEOUT
@@ -89,10 +86,7 @@ def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
         sensed = sim.read_sensors(truth, scenario.sim, rng)
         samples.append(sensed)
 
-        prev_phase = state.phase
-        state, cmd = control.update(state, sensed, dt, cfg)
-        if state.phase != prev_phase:
-            phase_entry.setdefault(state.phase.value, world.time)
+        state, cmd = control.update(state, sensed, cfg)
         if rows is not None:
             rows.append((world.time, state.phase.value, world.slipping,
                          truth.fz, sim.required_torque(
@@ -117,8 +111,7 @@ def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
 
     return RunResult(
         outcome=outcome, samples=samples, world=world, controller=state,
-        slip_times=slip_times, phase_entry_times=phase_entry,
-        completion_time=completion,
+        slip_times=slip_times, completion_time=completion,
         peak_torque=max(s.mz for s in samples) if samples else 0.0,
         final_force=samples[-1].fz if samples else 0.0,
         trace=step_trace)

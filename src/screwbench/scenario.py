@@ -34,8 +34,10 @@ class Scenario:
     contact_z: float = CONTACT_Z  # m, where the tool meets the screw head
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ScenarioError("duration: must be > 0")
+        if self.duration < SimParams.dt:
+            raise ScenarioError(
+                f"duration: must be at least one sample period "
+                f"({SimParams.dt} s)")
 
 
 # Field annotations (strings under postponed evaluation) that take a number;
@@ -93,9 +95,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     substrate = _build(SubstrateSpec, "substrate", data.get("substrate", {}))
     sim = _build(SimParams, "sim", data.get("sim", {}))
 
-    ctrl_data = dict(data.get("controller", {}))
-    ctrl_data.setdefault("direction", direction.value)
-    ctrl_data.setdefault("nu", screw.nu_char)
+    ctrl_data = data.get("controller", {})
+    if not isinstance(ctrl_data, dict):
+        raise ScenarioError("controller: expected a mapping")
+    ctrl_data = {"direction": direction.value, "nu": screw.nu_char,
+                 **ctrl_data}
     controller = _build(ControllerConfig, "controller", ctrl_data)
 
     duration = data.get("duration", 40.0)

@@ -121,9 +121,7 @@ class WorldState:
     engaged_depth: float = 0.0  # m of thread in the substrate
     seated: bool = False
     seat_angle: float = 0.0  # rad at first head contact
-    tool_z: float = 0.0  # m, commanded carriage position
     contact_z: float = 0.0  # m, position where the spring starts compressing
-    spring_deflection: float = 0.0  # m
     slipping: bool = False
     slip_time_left: float = 0.0  # s
     time: float = 0.0  # s
@@ -187,9 +185,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
         raise ValueError("non-finite tool command")
     dt = params.dt
 
-    world.tool_z = cmd.z_cmd
-    deflection = max(0.0, world.tool_z - world.contact_z)
-    world.spring_deflection = deflection
+    deflection = max(0.0, cmd.z_cmd - world.contact_z)
     force = params.k_spring * deflection
 
     direction = (Direction.SCREWING if cmd.spindle_speed >= 0.0

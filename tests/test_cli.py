@@ -510,6 +510,16 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"error: {flat}: torque has zero variance\n")
 
+    def test_unreadable_log_named_once(self, tmp_path, capsys):
+        self.make_group(tmp_path / "a", [100.0, 110.0])
+        self.make_group(tmp_path / "b", [100.0, 110.0])
+        bad = tmp_path / "b" / "x.csv"
+        bad.write_bytes(b"\xff\xfe")
+        assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ")
+        assert err.count(str(bad)) == 1
+
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
                     reason="PyYAML built without libyaml")

@@ -73,29 +73,25 @@ class TestCamoutFlags:
 
 class TestDetectTerminal:
     def test_seating_rise(self):
-        cfg = cfg_with(tau_stop=0.2)
-        term = control.detect_terminal([0.10, 0.16, 0.24],
-                                       sim.Direction.SCREWING, cfg)
+        cfg = cfg_with(direction="screwing", tau_stop=0.2)
+        term = control.detect_terminal([0.10, 0.16, 0.24], cfg)
         assert term == Phase.SEATED
 
     def test_unscrewed_free(self):
-        cfg = cfg_with(noise_floor=0.01)
-        term = control.detect_terminal([0.004, 0.003, 0.005],
-                                       sim.Direction.UNSCREWING, cfg,
+        cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
+        term = control.detect_terminal([0.004, 0.003, 0.005], cfg,
                                        engaged=True)
         assert term == Phase.FREE
 
     def test_free_requires_prior_engagement(self):
-        cfg = cfg_with(noise_floor=0.01)
-        term = control.detect_terminal([0.004, 0.003, 0.005],
-                                       sim.Direction.UNSCREWING, cfg,
+        cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
+        term = control.detect_terminal([0.004, 0.003, 0.005], cfg,
                                        engaged=False)
         assert term is None
 
     def test_slip_spike_is_not_seating(self):
-        cfg = cfg_with(tau_stop=0.2)
-        term = control.detect_terminal([0.10, 0.25, 0.05],
-                                       sim.Direction.SCREWING, cfg)
+        cfg = cfg_with(direction="screwing", tau_stop=0.2)
+        term = control.detect_terminal([0.10, 0.25, 0.05], cfg)
         assert term is None
 
     def test_no_false_seating_during_induced_high_torque_slips(self):
@@ -116,7 +112,7 @@ class TestPidForceStep:
     def test_steady_state_is_feedforward_only(self):
         cfg = cfg_with()
         state = control.new_controller_state(cfg)
-        u = control.pid_force_step(state, 10.0, 10.0, 0.01, cfg)
+        u = control.pid_force_step(state, 10.0, 10.0, cfg)
         assert u == pytest.approx(10.0 / cfg.k_spring_est)
 
     def test_step_response_settles_within_one_second(self):
@@ -127,7 +123,7 @@ class TestPidForceStep:
         f = 0.0
         history = []
         for _ in range(100):
-            u = control.pid_force_step(state, f, 10.0, 0.01, cfg)
+            u = control.pid_force_step(state, f, 10.0, cfg)
             f = k * u
             history.append(f)
         assert history[-1] == pytest.approx(10.0, rel=0.05)
@@ -137,7 +133,7 @@ class TestPidForceStep:
         state = control.new_controller_state(cfg)
         f = 0.0
         for _ in range(100):
-            u = control.pid_force_step(state, f, 10.0, 0.01, cfg)
+            u = control.pid_force_step(state, f, 10.0, cfg)
             f = 5000.0 * u
         assert f == pytest.approx(10.0, rel=0.05)
 
@@ -145,7 +141,7 @@ class TestPidForceStep:
         cfg = cfg_with()
         state = control.new_controller_state(cfg)
         for _ in range(10_000):
-            control.pid_force_step(state, 0.0, 1e6, 0.01, cfg)
+            control.pid_force_step(state, 0.0, 1e6, cfg)
             assert abs(state.integrator) <= cfg.integrator_limit
 
 
@@ -166,7 +162,7 @@ class TestUpdate:
         targets = []
         for i in range(10):
             sample = sim.FtSample(t=i * dt, fz=5.0, mz=0.15)
-            state, _ = control.update(state, sample, dt, cfg)
+            state, _ = control.update(state, sample, cfg)
             targets.append(state.force_target)
         rates = np.diff(targets) / dt
         assert np.allclose(rates, cfg.base_ramp)
@@ -177,10 +173,10 @@ class TestUpdate:
         dt = 0.01
         for i in range(5):
             state, _ = control.update(
-                state, sim.FtSample(i * dt, 20.0, 0.15), dt, cfg)
+                state, sim.FtSample(i * dt, 20.0, 0.15), cfg)
         before = state.force_target
         state, _ = control.update(
-            state, sim.FtSample(0.05, 20.0, 0.002), dt, cfg)  # sharp drop
+            state, sim.FtSample(0.05, 20.0, 0.002), cfg)  # sharp drop
         assert state.force_target > before
         assert (state.force_target - before) == pytest.approx(
             cfg.slip_ramp * dt)
@@ -193,7 +189,7 @@ class TestUpdate:
         for i in range(500):
             sample = sim.FtSample(i * 0.01, rng.uniform(0, 100),
                                   rng.uniform(0, 0.3))
-            state, _ = control.update(state, sample, 0.01, cfg)
+            state, _ = control.update(state, sample, cfg)
             if state.phase in (Phase.DONE, Phase.FAULT):
                 break
             assert cfg.f_min <= state.force_target <= cfg.f_max
@@ -202,8 +198,7 @@ class TestUpdate:
         cfg = cfg_with(direction="screwing")
         state = drive_state(cfg)
         state, _ = control.update(
-            state, sim.FtSample(0.0, 10.0, cfg.overload_torque + 0.01),
-            0.01, cfg)
+            state, sim.FtSample(0.0, 10.0, cfg.overload_torque + 0.01), cfg)
         assert state.phase == Phase.FAULT
 
     def test_done_and_fault_absorbing(self):
@@ -213,7 +208,7 @@ class TestUpdate:
             state.phase = terminal
             for i in range(20):
                 state, cmd = control.update(
-                    state, sim.FtSample(i * 0.01, 50.0, 0.3), 0.01, cfg)
+                    state, sim.FtSample(i * 0.01, 50.0, 0.3), cfg)
                 assert state.phase == terminal
                 assert cmd.spindle_speed == 0.0
 
@@ -239,7 +234,7 @@ class TestUpdate:
         prev = state.phase
         for i, (fz, mz) in enumerate(stream):
             state, _ = control.update(
-                state, sim.FtSample(i * 0.01, fz, mz), 0.01, cfg)
+                state, sim.FtSample(i * 0.01, fz, mz), cfg)
             assert state.phase in control.ALLOWED_TRANSITIONS[prev]
             prev = state.phase
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from screwbench import control, scenario, sim
 from screwbench.errors import ScenarioError
@@ -120,7 +121,7 @@ class TestStepWorld:
         self.params = sim.SimParams()
 
     def test_free_spin_in_air(self):
-        world = make_world(engaged_depth=0.004, contact_z=0.005, tool_z=0.0)
+        world = make_world(engaged_depth=0.004, contact_z=0.005)
         rng = np.random.default_rng(0)
         cmd = control.ToolCommand(z_cmd=0.001, spindle_speed=5.0)
         truth = sim.step_world(world, cmd, self.screw, self.sub,
@@ -140,9 +141,10 @@ class TestStepWorld:
         rng = np.random.default_rng(1)
         for z in (0.0052, 0.0061, 0.0083):
             cmd = control.ToolCommand(z_cmd=z, spindle_speed=3.0)
+            deflection = max(0.0, z - world.contact_z)
             truth = sim.step_world(world, cmd, self.screw, self.sub,
                                    self.params, rng)
-            assert truth.fz == self.params.k_spring * world.spring_deflection
+            assert truth.fz == self.params.k_spring * deflection
 
     def test_rejects_non_finite_command(self):
         world = make_world()
@@ -264,10 +266,67 @@ def test_invalid_specs_raise():
     ({"controller": {"margin": float("inf")}}, r"controller\.margin"),
     ({"controller": {"margin": True}}, r"controller\.margin"),
     ({"controller": {"window": 30.5}}, r"controller\.window"),
+    ({"controller": {"window": 2 ** 63}}, "controller: window"),
+    ({"controller": None}, "controller: expected a mapping"),
+    ({"controller": [1]}, "controller: expected a mapping"),
+    ({"duration": 0.004}, "duration"),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
 def test_invalid_scenario_value_names_field(overrides, field):
     with pytest.raises(ScenarioError, match=field):
         scenario.scenario_from_dict({"seed": 1, **overrides})
+
+
+# Values of every kind a YAML file can hold: numbers finite, huge and
+# non-finite, integers beyond 64 bits, bools, strings, null, lists and
+# mappings. Half the draws are plausible field values (small positive
+# numbers, enum names), so that many drawn scenarios are valid.
+_plausible_values = st.one_of(
+    st.floats(0.01, 10.0), st.integers(2, 100),
+    st.sampled_from(["screwing", "unscrewing", "phillips", "internal_hex",
+                     "nut", "plastic_hole"]))
+_other_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.004, 1e308, -1e308, 2 ** 63, 2 ** 64]),
+    st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+# (one_of would flatten the two into a dozen equal branches)
+_yaml_values = st.booleans().flatmap(
+    lambda plausible: _plausible_values if plausible else _other_values)
+
+
+def _section(cls):
+    # a few keys per section, so that many drawn scenarios are valid
+    keys = st.sampled_from([f.name for f in dataclasses.fields(cls)])
+    return st.one_of(st.dictionaries(keys, _yaml_values, max_size=3),
+                     _yaml_values)
+
+
+_scenario_dicts = st.fixed_dictionaries({
+    "seed": st.one_of(st.integers(0, 2 ** 70), _yaml_values),
+}, optional={
+    "direction": st.one_of(st.sampled_from(["screwing", "unscrewing"]),
+                           _yaml_values),
+    "duration": _yaml_values,
+    "contact_z": _yaml_values,
+    "screw": _section(sim.ScrewSpec),
+    "substrate": _section(sim.SubstrateSpec),
+    "sim": _section(sim.SimParams),
+    "controller": _section(control.ControllerConfig),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_scenario_dicts)
+def test_any_mapping_gives_scenario_or_scenario_error(data):
+    """A mapping either fails with a `ScenarioError` or gives a scenario
+    whose controller state and start world build."""
+    try:
+        scen = scenario.scenario_from_dict(data)
+    except ScenarioError:
+        return
+    control.new_controller_state(scen.controller)
+    sim.initial_world(scen.screw, scen.direction, contact_z=scen.contact_z)
 
 
 def test_integer_literals_are_numbers():
