@@ -10,6 +10,10 @@ Validation failures exit nonzero; physical outcomes (fault, timeout) are
 recorded in the report and exit zero. Bare scenario names are resolved
 against --scenario-dir, the SCREWBENCH_SCENARIO_DIR environment variable,
 or ./scenarios, in that order.
+
+Imports at the point of use: YAML, the analysis pipeline and log I/O load
+inside the subcommands that use them, so `import screwbench.cli` costs only
+what the closed loop needs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, control, logio, runner
+from . import control, runner
 from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
                      UndefinedFrequencyError)
 from .scenario import load_scenario
@@ -45,6 +49,7 @@ def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    from . import logio
     scenario_path = _resolve_scenario(args.scenario, args.scenario_dir)
     scenario = load_scenario(scenario_path)
     if args.seed is not None:
@@ -69,9 +74,12 @@ def _count_slip_flags(mz: np.ndarray) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, logio
     if args.envelope_points < 0:
         raise ScrewbenchError("--envelope-points: must be >= 0")
-    if not (math.isfinite(args.min_separation) and args.min_separation >= 0):
+    min_separation = (analysis.DEFAULT_SEPARATION
+                      if args.min_separation is None else args.min_separation)
+    if not (math.isfinite(min_separation) and min_separation >= 0):
         raise ScrewbenchError("--min-separation: must be a finite number >= 0")
     series = logio.read_log(args.log)
     est = analysis.estimate_nu(series)
@@ -84,7 +92,7 @@ def cmd_analyze(args) -> int:
     peaks = analysis.local_maxima(
         series, "mz",
         min_prominence=analysis.DEFAULT_PROMINENCE["mz"],
-        min_separation=args.min_separation)
+        min_separation=min_separation)
     report["peak_count"] = len(peaks)
     report["peak_times"] = [float(t) for t in peaks.times]
     report["peak_values"] = [float(v) for v in peaks.values]
@@ -106,6 +114,7 @@ def cmd_analyze(args) -> int:
 
 
 def _group_nus(directory: Path) -> list:
+    from . import analysis, logio
     logs = sorted(directory.glob("*.csv"))
     if not logs:
         raise ScrewbenchError(f"no CSV logs in {directory}")
@@ -120,6 +129,7 @@ def _group_nus(directory: Path) -> list:
 
 
 def cmd_compare(args) -> int:
+    from . import analysis, logio
     nus_a = _group_nus(Path(args.group_a))
     nus_b = _group_nus(Path(args.group_b))
     result = analysis.mann_whitney_u(nus_a, nus_b)
@@ -142,6 +152,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import logio
     path = Path(args.pairs)
     lines = logio.read_text(path).splitlines()
     pairs = []
@@ -194,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="analyze a CSV log")
     p_an.add_argument("log")
     p_an.add_argument("--report", default=None, help="also write the report")
-    p_an.add_argument("--min-separation", type=float,
-                      default=analysis.DEFAULT_SEPARATION,
+    p_an.add_argument("--min-separation", type=float, default=None,
                       help="minimum peak separation in seconds")
     p_an.add_argument("--envelope-points", type=int, default=50)
     p_an.set_defaults(func=cmd_analyze)

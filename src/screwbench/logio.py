@@ -13,7 +13,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .analysis import FtSeries
 from .errors import LogFormatError, ScrewbenchError
@@ -26,10 +25,6 @@ LOG_HEADER = "t_s,fz_n,mz_nm"
 # blanks, `\r` and the other characters `splitlines` breaks at, `_`, `nan`,
 # non-ASCII.
 _WRITER_BODY_BYTES = b"0123456789+-.eE,\n"
-
-# libyaml's emitter when PyYAML was built with it: the same bytes as the
-# pure-Python one, about four times faster on an `analyze` report.
-_REPORT_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def read_text(path) -> str:
@@ -124,5 +119,9 @@ def write_report(path, data: dict) -> None:
 
 
 def format_report(data: dict) -> str:
-    return yaml.dump(data, Dumper=_REPORT_DUMPER, sort_keys=True,
+    import yaml
+    # libyaml's emitter when PyYAML was built with it: the same bytes as the
+    # pure-Python one, about four times faster on an `analyze` report.
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    return yaml.dump(data, Dumper=dumper, sort_keys=True,
                      default_flow_style=False)

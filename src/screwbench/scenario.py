@@ -15,8 +15,6 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .control import ControllerConfig
 from .errors import ScenarioError
 from .sim import CONTACT_Z, Direction, ScrewSpec, SimParams, SubstrateSpec
@@ -38,6 +36,10 @@ class Scenario:
             raise ScenarioError(
                 f"duration: must be at least one sample period "
                 f"({SimParams.dt} s)")
+        if not math.isfinite(self.duration / SimParams.dt):
+            raise ScenarioError(
+                f"duration: too large to count in sample periods, "
+                f"got {self.duration!r}")
 
 
 # Field annotations (strings under postponed evaluation) that take a number;
@@ -117,6 +119,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    import yaml
     path = Path(path)
     try:
         text = path.read_text()

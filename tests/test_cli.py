@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -559,6 +560,26 @@ def test_report_emitters_agree(tmp_path, scenario_file, monkeypatch):
         assert format_report(data) == pure
 
 
+# Rows of a pairs file. Three in four are plausible readings, so that many
+# drawn files fit; the rest mix any float written by repr (nan, inf,
+# subnormal, near the float limit), header words, odd spellings and short
+# arbitrary text.
+_plausible_fields = st.one_of(st.floats(-100.0, 100.0).map(repr),
+                              st.integers(-1000, 1000).map(str))
+_odd_fields = st.one_of(
+    _plausible_fields,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "pot_reading", "ref_force", "1e308", "-1e308",
+                     "5e-324", "1_0", " 2 ", "NaN", "-inf"]),
+    st.text(max_size=4))
+_plausible_rows = st.tuples(_plausible_fields, _plausible_fields).map(",".join)
+_odd_rows = st.one_of(st.tuples(_odd_fields, _odd_fields).map(",".join),
+                      st.text(max_size=6))
+_pair_lines = st.integers(0, 3).flatmap(
+    lambda k: _plausible_rows if k else _odd_rows)
+pairs_texts = st.lists(_pair_lines, max_size=8).map("\n".join)
+
+
 class TestCalibrate:
     def test_two_exact_points(self, tmp_path, capsys):
         path = tmp_path / "pairs.csv"
@@ -611,15 +632,50 @@ class TestCalibrate:
         assert captured.err.startswith("error: calibration fit is degenerate")
         assert captured.err.count("\n") == 1
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs_texts)
+    def test_any_pairs_text_fits_or_fails_with_one_error(
+            self, tmp_path, capsys, text):
+        """Finite gain, offset and residual on exit 0; otherwise exit 1
+        with one `error:` line and nothing on stdout."""
+        path = tmp_path / "pairs.csv"
+        path.write_text(text, encoding="utf-8")
+        code = run_cli("calibrate", path)
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.err == ""
+            report = yaml.safe_load(captured.out)
+            for key in ("gain", "offset", "residual_rms"):
+                assert isinstance(report[key], float), key
+                assert math.isfinite(report[key]), key
+            assert not re.search("nan|inf", captured.out, re.IGNORECASE)
+        else:
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
+
 
 def test_no_command_loads_scipy(tmp_path):
-    """The package runs on numpy alone; scipy is a test-only reference."""
+    """The package runs on numpy alone; scipy is a test-only reference.
+    Importing the cli and running the closed loop load neither YAML nor
+    the analysis pipeline nor log I/O."""
     src = Path(cli.__file__).resolve().parents[1]
     scenarios = src.parent / "scenarios"
     code = textwrap.dedent(f"""
         import sys
         from pathlib import Path
         from screwbench import cli
+
+        def unused_loaded():
+            return [k for k in ("yaml", "screwbench.analysis",
+                                "screwbench.logio") if k in sys.modules]
+
+        assert not unused_loaded(), unused_loaded()
+        from screwbench import runner, scenario
+        runner.run_scenario(scenario.default_scenario("screwing", seed=0))
+        assert not unused_loaded(), unused_loaded()
 
         tmp = Path({str(tmp_path)!r})
         for group, name in (("a", "screw_phillips_plastic"),

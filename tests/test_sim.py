@@ -270,6 +270,7 @@ def test_invalid_specs_raise():
     ({"controller": None}, "controller: expected a mapping"),
     ({"controller": [1]}, "controller: expected a mapping"),
     ({"duration": 0.004}, "duration"),
+    ({"duration": 1.0e308}, "duration"),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
 def test_invalid_scenario_value_names_field(overrides, field):
     with pytest.raises(ScenarioError, match=field):
