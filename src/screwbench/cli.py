@@ -6,14 +6,16 @@ Subcommands:
   compare    Mann-Whitney U test of per-log ratios between two directories
   calibrate  least-squares force calibration from (pot_reading, ref_force) CSV
 
-Validation failures exit nonzero; physical outcomes (fault, timeout) are
-recorded in the report and exit zero. Bare scenario names are resolved
-against --scenario-dir, the SCREWBENCH_SCENARIO_DIR environment variable,
-or ./scenarios, in that order.
+Validation failures, bad arguments included, print one `error:` line and
+exit 1; physical outcomes (fault, timeout) are recorded in the report and
+exit zero. Bare scenario names are resolved against --scenario-dir, the
+SCREWBENCH_SCENARIO_DIR environment variable, or ./scenarios, in that
+order.
 
-Imports at the point of use: YAML, the analysis pipeline and log I/O load
-inside the subcommands that use them, so `import screwbench.cli` costs only
-what the closed loop needs.
+Imports at the point of use: YAML, numpy, the analysis pipeline and log
+I/O load inside the subcommands and functions that use them, so
+`import screwbench.cli` and `simulate` cost only what the closed loop
+needs, which is the standard library.
 """
 
 from __future__ import annotations
@@ -23,15 +25,18 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import control, runner
 from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
                      UndefinedFrequencyError)
 from .scenario import load_scenario
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
+ENVELOPE_POINTS = 50  # default envelope grid size in the `analyze` report
 
 
 def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
@@ -68,20 +73,30 @@ def cmd_simulate(args) -> int:
 def _count_slip_flags(mz: np.ndarray) -> int:
     """Rising edges of the controller's cam-out detector over a torque log,
     with the ControllerConfig defaults."""
+    import numpy as np
     flags = control.camout_flags(mz, control.ControllerConfig())
     # flag 0 is False under the defaults, so edges start at index 1
     return int(np.count_nonzero(flags[1:] & ~flags[:-1]))
 
 
 def cmd_analyze(args) -> int:
+    import numpy as np
+
     from . import analysis, logio
-    if args.envelope_points < 0:
+    if args.envelope_points is not None and args.envelope_points < 0:
         raise ScrewbenchError("--envelope-points: must be >= 0")
     min_separation = (analysis.DEFAULT_SEPARATION
                       if args.min_separation is None else args.min_separation)
     if not (math.isfinite(min_separation) and min_separation >= 0):
         raise ScrewbenchError("--min-separation: must be a finite number >= 0")
     series = logio.read_log(args.log)
+    n_samples = len(series.times())
+    points = args.envelope_points
+    if points is None:
+        points = ENVELOPE_POINTS
+    elif points > n_samples:
+        raise ScrewbenchError(f"--envelope-points: must be at most the "
+                              f"log's {n_samples} samples")
     est = analysis.estimate_nu(series)
     report = {
         "n": est.n,
@@ -102,7 +117,7 @@ def cmd_analyze(args) -> int:
         report["regrasp_frequency_hz"] = None
     if len(peaks) >= 2:
         env = analysis.fit_envelope(peaks)
-        grid = np.linspace(env.t_min, env.t_max, args.envelope_points)
+        grid = np.linspace(env.t_min, env.t_max, points)
         report["envelope_t"] = [float(t) for t in grid]
         report["envelope_mz"] = [float(v) for v in env(grid)]
     report["slip_events"] = _count_slip_flags(series.channel("mz"))
@@ -184,8 +199,16 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a `ScrewbenchError`, so that `main` reports it
+    as one `error:` line like any other bad input."""
+
+    def error(self, message):
+        raise ScrewbenchError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="screwbench",
         description="screw fastening/unfastening simulation workbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -207,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--report", default=None, help="also write the report")
     p_an.add_argument("--min-separation", type=float, default=None,
                       help="minimum peak separation in seconds")
-    p_an.add_argument("--envelope-points", type=int, default=50)
+    p_an.add_argument("--envelope-points", type=int, default=None,
+                      help=f"envelope grid size (default {ENVELOPE_POINTS};"
+                           " at most the log's sample count)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare",
@@ -224,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ScrewbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,12 +15,14 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateFitError, degenerate_on_warning
 from .sim import (NU_CHAR_DEFAULTS, TWO_PI, Direction, FtSample, HeadType,
                   SimParams)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Phase(str, enum.Enum):
@@ -130,6 +132,7 @@ def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
 def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
     """`detect_camout` at every sample i >= 1 of a torque record, over the
     trailing window mz[max(0, i - window + 1):i + 1] the controller holds."""
+    import numpy as np
     mz = np.asarray(mz, dtype=float)
     padded = np.concatenate([np.full(cfg.window - 1, -np.inf), mz])
     windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)
@@ -284,6 +287,7 @@ class CalibrationResult:
 
 def calibrate_force(pairs) -> CalibrationResult:
     """Least-squares line ref_force ~ gain * pot_reading + offset."""
+    import numpy as np
     pairs = list(pairs)
     if len(pairs) < 2:
         raise DegenerateFitError("need at least 2 calibration pairs")

@@ -3,6 +3,8 @@
 Logs are plain CSV with header ``t_s,fz_n,mz_nm`` at 100 Hz, values in SI
 units written with full precision so write/load round-trips bit-exactly.
 Reports are flat YAML key/value documents with deterministic key order.
+Only the read path loads numpy and the analysis module; writing a log or
+a report needs neither.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ import io
 import math
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analysis import FtSeries
 from .errors import LogFormatError, ScrewbenchError
+
+if TYPE_CHECKING:
+    from .analysis import FtSeries
 
 LOG_HEADER = "t_s,fz_n,mz_nm"
 
@@ -60,6 +63,9 @@ def read_log(path) -> FtSeries:
 def _read_log_fast(path) -> FtSeries | None:
     """The log parsed by one `np.loadtxt` call, or None wherever the line
     scan might decide differently: then the caller falls back to it."""
+    import numpy as np
+
+    from .analysis import FtSeries
     try:
         data = Path(path).read_bytes()
     except OSError:
@@ -87,6 +93,7 @@ def _read_log_fast(path) -> FtSeries | None:
 
 def _read_log_lines(path) -> FtSeries:
     """Reference parser: one line at a time, naming the first bad line."""
+    from .analysis import FtSeries
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise LogFormatError(f"expected header {LOG_HEADER!r}", line=1)

@@ -1,18 +1,23 @@
 """Closed-loop run orchestration: simulator and controller stepped together.
 
 One run owns its world state, controller state and RNG, so identical
-(scenario, seed) pairs produce identical sample streams and reports.
+(scenario, seed) pairs produce identical sample streams and reports. The
+RNG is one `random.Random(seed)` stream (MT19937), drawn three times per
+step (see `sim`); numpy loads only when a run is traced.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import numpy as np
+import random
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import control, sim
 from .scenario import Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Outcome(str, enum.Enum):
@@ -62,7 +67,7 @@ class RunResult:
 
 
 def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
-    rng = np.random.default_rng(scenario.seed)
+    rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
     cfg = scenario.controller
@@ -101,6 +106,7 @@ def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
 
     step_trace = None
     if rows is not None:
+        import numpy as np
         cols = list(zip(*rows))
         step_trace = StepTrace(
             t=np.asarray(cols[0]), phase=list(cols[1]),
@@ -121,7 +127,7 @@ def run_open_loop(scenario: Scenario, force: float,
                   n_steps: int) -> tuple[list, list, sim.WorldState]:
     """Spin at the scenario speed while holding a constant axial force by
     tracking the contact point. Returns (truth, sensed) streams."""
-    rng = np.random.default_rng(scenario.seed)
+    rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
     sign = 1.0 if scenario.direction == sim.Direction.SCREWING else -1.0

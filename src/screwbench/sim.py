@@ -5,6 +5,12 @@ maps to axial force through the spring constant. Running torque is Coulomb
 friction, affine in the engaged thread length and independent of rotation
 speed. Cam-out (tip slippage) is a per-step Bernoulli event whose probability
 is logistic in the ratio of applied force to the slippage-threshold force.
+
+Randomness comes from the caller's `rng`, which needs only a `random()`
+method giving uniforms in [0, 1) (a `random.Random`). Each step draws
+exactly three of them, in a fixed order whatever the run's state: one in
+`step_world` for the slip event, then two in `read_sensors` for one
+Box-Muller pair of sensor noise.
 """
 
 from __future__ import annotations
@@ -183,6 +189,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
     """
     if not (math.isfinite(cmd.z_cmd) and math.isfinite(cmd.spindle_speed)):
         raise ValueError("non-finite tool command")
+    u = rng.random()  # drawn every step, used only when a slip can occur
     dt = params.dt
 
     deflection = max(0.0, cmd.z_cmd - world.contact_z)
@@ -204,7 +211,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
             world.slip_time_left = 0.0
     elif engaged:
         p = slip_probability(force, tau_req, screw, params)
-        if p > 0.0 and rng.random() < p:
+        if p > 0.0 and u < p:
             # tip skips one recess lobe; screw does not move this dwell
             world.slipping = True
             world.slip_time_left = params.slip_dwell
@@ -241,7 +248,13 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
 
 
 def read_sensors(truth: FtSample, params: SimParams, rng) -> FtSample:
-    """Add zero-mean Gaussian sensor noise, then rectify to absolute value."""
-    fz = abs(truth.fz + rng.normal(0.0, params.force_noise_std))
-    mz = abs(truth.mz + rng.normal(0.0, params.torque_noise_std))
+    """Add zero-mean Gaussian sensor noise, then rectify to absolute value.
+
+    The two normals are one Box-Muller pair from two uniforms, so the draw
+    uses only `rng.random()`, whose sequence Python keeps across versions.
+    """
+    r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))  # 1 - u is in (0, 1]
+    a = TWO_PI * rng.random()
+    fz = abs(truth.fz + params.force_noise_std * r * math.cos(a))
+    mz = abs(truth.mz + params.torque_noise_std * r * math.sin(a))
     return FtSample(t=truth.t, fz=fz, mz=mz)

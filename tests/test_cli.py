@@ -408,6 +408,22 @@ class TestAnalyze:
         report = yaml.safe_load(rep.read_text())
         assert report["envelope_t"] == report["envelope_mz"] == []
 
+    @pytest.mark.parametrize("points", [601, 10**11, 10**12])
+    def test_envelope_points_above_sample_count_rejected(self, tmp_path,
+                                                         capsys, points):
+        log = tmp_path / "line.csv"
+        write_line_log(log, n=600)
+        assert run_cli("analyze", log, "--envelope-points", points) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --envelope-points: must be at most the log's 600 "
+            "samples\n")
+        rep = tmp_path / "an.yaml"
+        assert run_cli("analyze", log, "--envelope-points", 600,
+                       "--report", rep) == 0
+        assert len(yaml.safe_load(rep.read_text())["envelope_t"]) == 600
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
     def test_bad_min_separation_rejected(self, tmp_path, capsys, value):
         log = tmp_path / "line.csv"
@@ -657,10 +673,95 @@ class TestCalibrate:
             assert captured.err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """One valid input of each kind, a path that does not exist, and the
+    files `simulate` writes."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "scenario.yaml").write_text(
+        "direction: screwing\nduration: 3.0\nseed: 7\n")
+    write_line_log(root / "run.csv")
+    (root / "group").mkdir()
+    for i, nu in enumerate((100.0, 110.0, 120.0)):
+        write_line_log(root / "group" / f"run{i}.csv", nu=nu, n=200)
+    (root / "pairs.csv").write_text("pot_reading,ref_force\n0,0.1\n1,5\n")
+    return {"scenario": root / "scenario.yaml", "log": root / "run.csv",
+            "group": root / "group", "pairs": root / "pairs.csv",
+            "missing": root / "missing", "out": root / "out.csv",
+            "report": root / "out.yaml"}
+
+
+# Each subcommand with the kinds of its positional operands, and its
+# options. An argv draws mostly the subcommand's own options, valid
+# operands three times in four, and each option value from one list.
+_OPERANDS = {"simulate": ("scenario",), "analyze": ("log",),
+             "compare": ("group", "group"), "calibrate": ("pairs",)}
+_OWN_OPTIONS = {"simulate": ["--seed"],
+                "analyze": ["--min-separation", "--envelope-points"],
+                "compare": [], "calibrate": []}
+_OPTIONS = ["--seed", "--min-separation", "--envelope-points"]
+_OPTION_VALUES = ["-1", "0", "2", "50", "1e308", "nan", "inf"]
+
+
+@st.composite
+def argv_draws(draw):
+    command = draw(st.sampled_from(sorted(_OPERANDS)))
+    operands = [draw(st.sampled_from([kind] * 3 + ["missing"]))
+                for kind in _OPERANDS[command]]
+    flags = st.sampled_from(_OWN_OPTIONS[command] * 6 + _OPTIONS)
+    options = []
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        flag = draw(flags)
+        values = _OPTION_VALUES + (
+            [str(10**12)] if flag == "--envelope-points" else [])
+        options += [flag, draw(st.sampled_from(values))]
+    return command, operands, options
+
+
+def floats_in(data):
+    """Every float in a parsed YAML report, nested lists and maps
+    included."""
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        for item in data:
+            yield from floats_in(item)
+    elif isinstance(data, float):
+        yield data
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv_draws())
+def test_main_exits_cleanly_on_any_argv(argv_files, capsys, draw):
+    """Any argv from the grammar exits 0 with finite results, or exits 1
+    with one `error:` line; `main` never raises."""
+    command, operands, options = draw
+    argv = [command] + [str(argv_files[kind]) for kind in operands]
+    if command == "simulate":
+        argv += ["--out", str(argv_files["out"]),
+                 "--report", str(argv_files["report"])]
+    argv += options
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+        text = (argv_files["report"].read_text() if command == "simulate"
+                else captured.out)
+        values = list(floats_in(yaml.safe_load(text)))
+        assert values and all(map(math.isfinite, values)), text
+    else:
+        assert code == 1, argv
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+
+
 def test_no_command_loads_scipy(tmp_path):
     """The package runs on numpy alone; scipy is a test-only reference.
-    Importing the cli and running the closed loop load neither YAML nor
-    the analysis pipeline nor log I/O."""
+    Importing the cli and running the closed loop load neither numpy nor
+    YAML nor the analysis pipeline nor log I/O, and `simulate` loads no
+    numpy; `compare`, `analyze` and `calibrate` load numpy where they use
+    it."""
     src = Path(cli.__file__).resolve().parents[1]
     scenarios = src.parent / "scenarios"
     code = textwrap.dedent(f"""
@@ -669,7 +770,7 @@ def test_no_command_loads_scipy(tmp_path):
         from screwbench import cli
 
         def unused_loaded():
-            return [k for k in ("yaml", "screwbench.analysis",
+            return [k for k in ("numpy", "yaml", "screwbench.analysis",
                                 "screwbench.logio") if k in sys.modules]
 
         assert not unused_loaded(), unused_loaded()
@@ -687,6 +788,7 @@ def test_no_command_loads_scipy(tmp_path):
                     "--scenario-dir", {str(scenarios)!r},
                     "--out", str(tmp / group / f"{{seed}}.csv"),
                     "--report", str(tmp / "r.yaml")]) == 0
+        assert "numpy" not in sys.modules
         assert cli.main(["compare", str(tmp / "a"), str(tmp / "b")]) == 0
         loaded = [k for k in sys.modules if k.startswith("scipy")]
         assert not loaded, loaded

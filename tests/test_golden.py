@@ -21,29 +21,29 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # analyze stdout for that log)
 GOLDEN = {
     ("screw_phillips_plastic", 0): (
-        "99be36871ef54d4c1b8b134f6405b1e6b9d4eef8ce9e6296ce4af1b613790de8",
-        "0569a513d815f5cb661a259c489bab09aee6ab9a8bd84be920283640a57f6785",
-        "2cb821768f1b9c8afb8c53d1b721340a6e67455e15542de27560b915a3bb4c2d"),
+        "5dfdfa34493ad9ead4c151a0195669b4732df7e808b71486dd7495917becd6a4",
+        "f89e17d375b5e870408c03b3cb7b233677e0962f5798728b1f1c76f99833a8a6",
+        "39158c383900bdbfe649db0076f54e7763958b9d6572be00ce63ceefdd784ce6"),
     ("screw_phillips_plastic", 5): (
-        "25b2c4296e87c53a1908f3877af9819a4116a1adf5fe809d860fe5fdddf8b245",
-        "3f95d118957644b1c756c5d3219b5eb6797468bbdb4da5f327fadd241e4638af",
-        "3387c53afae80f8955a92bd31c2cee92d8ef7c9d5eacf1ccc15ca346ff3d5ba5"),
+        "1a75e45eb27b8c099df38247b540f51a1e2e40b6e4601c47921ae87ea2b9b64a",
+        "a1c14b80844ad780a868fc7635119c02e2694a4b068be60452984a9c8d2a5883",
+        "5bc25f77331f1e9a1715242990fa1478f5e5fa00833fddd50e1b92d772a3bb94"),
     ("screw_phillips_plastic", 42): (
-        "351c42e0bccef38151314bbdb20d77dbcd16ff0e7c443fc8c5eeb5df441edb49",
-        "4596c8519e0449d926283497cf513db253719417cd457d16c6e677ba89f79510",
-        "c97b79d8cc800e627cd093289e11d27423b5dc60f44c671544a1b29bf47d8a33"),
+        "043d58ff1f81aba45b0f9c277611468f1fb473072f050ff6ee7de86b11d38194",
+        "598524295b1c8b4ca51320f3ba88dce67e5cda6a9d8a5c0a1d7947d7aa67467e",
+        "95e66f13fb9c3f79fbf3e27e03ca17e0ab0fd9fb504b66f5faeba0b05713f09d"),
     ("unscrew_phillips_plastic", 0): (
-        "e0940ddfbf71ee0a902c8a4e2f47e2b413ebc7edb75871f8ccab37d944986c96",
-        "afa8be50944e5486659ca932fff8632d8a614c9a1af9c747d88c472eb31b552c",
-        "c4c45c4215955a20355454af5f66453e43e31cf36d512a9db2ca746a03babe86"),
+        "7c035dfee3c5c75fbef5a8ebe85088eb4e5633ca4e0343ea7949fbe45218d66e",
+        "3e6fd7dde583352c6562e92ad26cbe636ec959ef4399048d7be7722678ac1f47",
+        "7480f01b9f6a4da782d35610b1936cf0808d289d0dbfdc616331ccfd282956f6"),
     ("unscrew_phillips_plastic", 5): (
-        "ee110177ed55195a333452cb6bdcc3853481741e43581824546a3c20c347fcae",
-        "7ab4885d1e8e5cff8f650a09b6261b7bd9a798ad58f794c0f6fbc2f7f0f5c2a1",
-        "87be17b4c65fa5059fc989c86edfe851de154d7fd34ea2357247894e20652696"),
+        "3806b341244b5f6de4ff0382faa5a1b5ead9666b56ef065933cccd082805ff5b",
+        "18b3b7918e6ec17e75850373b04b8d57664749cf9485b45c13ab9667b7ebc682",
+        "6d52ba1c3844cd32b055174a9db0dd52c96f90089dd217643e0bb4ae9cf565bf"),
     ("unscrew_phillips_plastic", 42): (
-        "71cdcea28ffd37e932b58c3d6aa63a8c27bba4c0a52d2b35f35655234bc8f8a2",
-        "359973a8f9dfea3b96fc76b94b4d1f882ab0b48ba2c2e8180054d18f344b3da0",
-        "365340463c10408146674bd6852edcbf36fb6e582a5158705fad2330bdac7028"),
+        "fa18726327799aca71e5e3b83cf26ec3a037b67d8b0afeab0f10ce51b1e0e219",
+        "d2b6ff33fc4235f37036776d48132bc3c52188d704728b1230d650f80286043c",
+        "4add926c29f3e2ee423fcbd8ba10f003375d69b947be03786bddd7f1cbd9105d"),
 }
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import random
 import re
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,82 @@ class TestReadSensors:
         for _ in range(1000):
             out = sim.read_sensors(truth, params, rng)
             assert out.fz >= 0.0 and out.mz >= 0.0
+
+
+class CountingRng:
+    """An rng of the one method the stream contract allows: it returns the
+    given uniforms in turn, cycling, and counts the draws."""
+
+    def __init__(self, *draws):
+        self.draws = draws or (0.5,)
+        self.calls = 0
+
+    def random(self):
+        u = self.draws[self.calls % len(self.draws)]
+        self.calls += 1
+        return u
+
+
+class TestStreamContract:
+    """One `random.Random(seed)` stream: `step_world` draws one uniform and
+    `read_sensors` two, every step, whatever the state."""
+
+    def setup_method(self):
+        self.screw = sim.ScrewSpec()
+        self.sub = sim.SubstrateSpec()
+        self.params = sim.SimParams()
+        self.pressed = control.ToolCommand(z_cmd=0.0051,
+                                           spindle_speed=2 * math.pi)
+
+    def step(self, world, cmd, u):
+        rng = CountingRng(u)
+        sim.step_world(world, cmd, self.screw, self.sub, self.params, rng)
+        return rng.calls
+
+    def test_not_engaged_draws_once(self):
+        world = make_world(engaged_depth=0.004, contact_z=0.005)
+        cmd = control.ToolCommand(z_cmd=0.001, spindle_speed=5.0)
+        assert self.step(world, cmd, u=0.0) == 1
+        assert not world.slipping
+
+    def test_engaged_without_slip_draws_once(self):
+        world = make_world(engaged_depth=0.004, contact_z=0.005)
+        # u at or above p_max never slips
+        assert self.step(world, self.pressed, u=self.params.p_max) == 1
+        assert not world.slipping and world.screw_angle > 0.0
+
+    def test_slip_onset_and_dwell_draw_once_per_step(self):
+        world = make_world(engaged_depth=0.004, contact_z=0.005)
+        assert self.step(world, self.pressed, u=0.0) == 1
+        assert world.slipping
+        for _ in range(round(self.params.slip_dwell / self.params.dt)):
+            assert self.step(world, self.pressed, u=0.0) == 1
+            assert world.slipping
+
+    def test_read_sensors_draws_one_box_muller_pair(self):
+        """u1 = 1 - exp(-1/2) gives radius 1; u2 = 1/4 gives angle pi/2,
+        so the whole unit of noise goes to torque."""
+        rng = CountingRng(1.0 - math.exp(-0.5), 0.25)
+        out = sim.read_sensors(sim.FtSample(t=0.0, fz=10.0, mz=1.0),
+                               self.params, rng)
+        assert rng.calls == 2
+        assert out.fz == pytest.approx(10.0, abs=1e-15)
+        assert out.mz == pytest.approx(1.0 + self.params.torque_noise_std,
+                                       rel=1e-14)
+
+    def test_noise_moments(self):
+        """Far from zero, where rectification does not act, the noise has
+        the configured mean and spread."""
+        params = self.params
+        rng = random.Random(2024)
+        truth = sim.FtSample(t=0.0, fz=10.0, mz=1.0)
+        n = 20_000
+        out = [sim.read_sensors(truth, params, rng) for _ in range(n)]
+        for values, true, std in (
+                ([s.fz for s in out], truth.fz, params.force_noise_std),
+                ([s.mz for s in out], truth.mz, params.torque_noise_std)):
+            assert abs(statistics.fmean(values) - true) < 3 * std / math.sqrt(n)
+            assert statistics.stdev(values) == pytest.approx(std, rel=0.02)
 
 
 def test_nu_char_ordering_across_heads():
