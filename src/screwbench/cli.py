@@ -63,7 +63,8 @@ def cmd_simulate(args) -> int:
         scenario.seed = args.seed
     result = runner.run_scenario(scenario)
     logio.write_log(args.out, result.samples)
-    logio.write_report(args.report, result.report(scenario))
+    logio.write_text(args.report,
+                     logio.format_report(result.report(scenario)))
     print(f"outcome: {result.outcome.value}  "
           f"slip_events: {len(result.slip_times)}  "
           f"log: {args.out}  report: {args.report}")

@@ -3,7 +3,7 @@
 Force law: the axial-force setpoint tracks the running torque times a
 human-derived force/torque ratio (with a safety margin), slew-rate limited
 so the force builds gradually. A detected cam-out (sharp torque drop)
-switches to the faster escalation rate. Position commands come from a PID
+switches to the faster escalation rate. Position commands come from a PI
 force loop with a spring feed-forward term. Pure step function: the caller
 owns the loop and the state.
 """
@@ -55,14 +55,13 @@ class ToolCommand:
 
 @dataclass
 class ControllerConfig:
-    direction: Direction = Direction.UNSCREWING
+    direction: Direction = Direction.UNSCREWING  # the run's one direction
     nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
     margin: float = 2.0  # multiplier on nu
     f_min: float = 1.0  # N
     f_max: float = 50.0  # N
     kp: float = 1.0e-4  # m/N
     ki: float = 5.0e-3  # m/(N·s)
-    kd: float = 0.0  # m·s/N
     theta_slip: float = 0.5  # torque-drop fraction for cam-out detection
     tau_stop: float = 0.25  # N·m, seating threshold
     noise_floor: float = 0.01  # N·m, torque treated as zero below this
@@ -95,7 +94,6 @@ class ControllerConfig:
 class ControllerState:
     phase: Phase = Phase.APPROACH
     integrator: float = 0.0  # N·s
-    prev_error: float = 0.0  # N
     torque_window: deque = field(default_factory=deque)
     force_target: float = 0.0  # N
     slip_count: int = 0  # slip-detected steps
@@ -166,24 +164,23 @@ def detect_terminal(torque_window, cfg: ControllerConfig,
 
 def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
                    cfg: ControllerConfig) -> float:
-    """One PID + feed-forward step over the sample period `SimParams.dt`.
+    """One PI + feed-forward step over the sample period `SimParams.dt`.
 
     Returns the carriage offset from the estimated contact position:
-    kp*e + ki*int(e) + kd*de/dt + f_target/k_spring_est, clamped to the
-    travel limit. The integrator is held (anti-windup) whenever the
-    unclamped command would exceed the travel limit.
+    kp*e + ki*int(e) + f_target/k_spring_est, clamped to the travel limit.
+    The integrator is held (anti-windup) whenever the unclamped command
+    would exceed the travel limit. The name is kept for the benchmark's
+    per-layer traces.
     """
     dt = SimParams.dt
     e = f_target - f_meas
-    de = (e - state.prev_error) / dt
     integ = state.integrator + e * dt
     integ = min(cfg.integrator_limit, max(-cfg.integrator_limit, integ))
-    u = cfg.kp * e + cfg.ki * integ + cfg.kd * de + f_target / cfg.k_spring_est
+    u = cfg.kp * e + cfg.ki * integ + f_target / cfg.k_spring_est
     if -cfg.travel_limit <= u <= cfg.travel_limit:
         state.integrator = integ
     else:
         u = min(cfg.travel_limit, max(-cfg.travel_limit, u))
-    state.prev_error = e
     return u
 
 
@@ -238,7 +235,6 @@ def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
             state.contact_z_est = state.z_cmd - sample.fz / cfg.k_spring_est
             state.force_target = cfg.f_min
             state.integrator = 0.0
-            state.prev_error = 0.0
             _enter(state, Phase.ENGAGE)
         return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
@@ -261,8 +257,7 @@ def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
                 if term is not None:
                     _enter(state, term)
     elif state.phase == Phase.SEATED:
-        if state.time_in_phase >= dt:
-            _enter(state, Phase.DONE)
+        _enter(state, Phase.DONE)  # one step after seating
     elif state.phase == Phase.FREE:
         # keep spinning briefly so the last threads fully disengage
         if state.time_in_phase >= cfg.free_spin_time:

@@ -121,10 +121,6 @@ def _read_log_lines(path) -> FtSeries:
         raise LogFormatError(str(exc)) from exc
 
 
-def write_report(path, data: dict) -> None:
-    write_text(path, format_report(data))
-
-
 def format_report(data: dict) -> str:
     import yaml
     # libyaml's emitter when PyYAML was built with it: the same bytes as the

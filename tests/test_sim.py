@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from screwbench import control, scenario, sim
 from screwbench.errors import ScenarioError
@@ -397,13 +397,17 @@ _scenario_dicts = st.fixed_dictionaries({
 
 @settings(max_examples=300, deadline=None)
 @given(data=_scenario_dicts)
+@example(data={"seed": 0, "controller": {"direction": "screwing"}})
 def test_any_mapping_gives_scenario_or_scenario_error(data):
     """A mapping either fails with a `ScenarioError` or gives a scenario
-    whose controller state and start world build."""
+    whose controller state and start world build, with the mapping's one
+    top-level direction."""
     try:
         scen = scenario.scenario_from_dict(data)
     except ScenarioError:
         return
+    direction = data.get("direction", control.ControllerConfig.direction)
+    assert scen.direction == scen.controller.direction == direction
     control.new_controller_state(scen.controller)
     sim.initial_world(scen.screw, scen.direction, contact_z=scen.contact_z)
 
@@ -421,10 +425,20 @@ def test_integer_literals_are_numbers():
     ("sim", "dt", 0.005),
     ("screw", "cam_geometry_angle", 1.0),
     ("substrate", "orientation", "vertical"),
-], ids=["sim.dt", "screw.cam_geometry_angle", "substrate.orientation"])
+    ("controller", "direction", "screwing"),
+    ("controller", "kd", 0.1),
+], ids=["sim.dt", "screw.cam_geometry_angle", "substrate.orientation",
+        "controller.direction", "controller.kd"])
 def test_removed_setting_is_not_a_scenario_field(section, key, value):
     with pytest.raises(ScenarioError, match=rf"{section}\.{key}: unknown"):
         scenario.scenario_from_dict({"seed": 1, section: {key: value}})
+
+
+def test_scenario_built_in_code_rejects_negative_seed():
+    """`random.Random(-1)` gives seed 1's stream, so a negative seed is
+    refused wherever the scenario is built, not only in a file."""
+    with pytest.raises(ScenarioError, match="seed: must be >= 0"):
+        dataclasses.replace(scenario.default_scenario("screwing"), seed=-1)
 
 
 @pytest.mark.parametrize("text", [
