@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DegenerateFitError, degenerate_on_warning
 from .sim import (NU_CHAR_DEFAULTS, TWO_PI, Direction, FtSample, HeadType,
-                  SimParams)
+                  SimParams, check_numbers)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,6 +79,7 @@ class ControllerConfig:
     free_spin_time: float = 2.0  # s extra spin to fully withdraw the screw
 
     def __post_init__(self):
+        check_numbers(self)
         self.direction = Direction(self.direction)
         if not 0.0 < self.theta_slip < 1.0:
             raise ValueError("theta_slip must be in (0, 1)")

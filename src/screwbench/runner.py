@@ -58,9 +58,8 @@ class RunResult:
             "completion_time": float(self.completion_time),
             "peak_torque": float(self.peak_torque),
             "final_force": float(self.final_force),
-            "nu_applied": float(scenario.controller.margin
-                                * scenario.controller.nu),
-            "seed": int(scenario.seed),
+            "nu_applied": scenario.controller.margin * scenario.controller.nu,
+            "seed": scenario.seed,
             "direction": scenario.direction.value,
             "engaged_depth_final": float(self.world.engaged_depth),
         }

@@ -3,23 +3,25 @@
 A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
 Any field left out takes the documented default, so a minimal file only
-needs to say what differs. The controller's nu gain defaults to the screw's
-characteristic ratio (the human-derived value for that head type). The
-top-level `direction` is stored once, in `ControllerConfig.direction`, so
-`controller.direction` is not a file field.
+needs to say what differs. `scenario_from_dict` and `default_scenario` give
+the controller the screw's characteristic ratio as its nu gain (the
+human-derived value for that head type); a `ControllerConfig()` built in
+code keeps its own default (Phillips, 106/m). The top-level `direction` is
+stored once, in `ControllerConfig.direction`, so `controller.direction` is
+not a file field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 from .control import ControllerConfig
 from .errors import ScenarioError
-from .sim import CONTACT_Z, Direction, ScrewSpec, SimParams, SubstrateSpec
+from .sim import (CONTACT_Z, Direction, ScrewSpec, SimParams, SubstrateSpec,
+                  check_numbers)
 
 
 @dataclass
@@ -33,9 +35,7 @@ class Scenario:
     contact_z: float = CONTACT_Z  # m, where the tool meets the screw head
 
     def __post_init__(self):
-        self.seed = int(self.seed)
-        self.duration = float(self.duration)
-        self.contact_z = float(self.contact_z)
+        check_numbers(self)
         if self.seed < 0:
             raise ScenarioError("seed: must be >= 0")
         if self.duration < SimParams.dt:
@@ -52,42 +52,22 @@ class Scenario:
         return self.controller.direction
 
 
-# Field annotations (strings under postponed evaluation) that take a number;
-# "float | None" also takes null.
-_NUMERIC = {"float": numbers.Real, "int": numbers.Integral}
-
-
-def _check_number(name: str, value, kind) -> None:
-    """Reject anything but a finite number of `kind`; a bool is not one."""
-    try:
-        ok = (isinstance(value, kind) and not isinstance(value, bool)
-              and (kind is numbers.Integral or math.isfinite(value)))
-    except OverflowError:  # an int too large to be a float
-        ok = False
-    if not ok:
-        what = "an integer" if kind is numbers.Integral else "a finite number"
-        raise ScenarioError(f"{name}: expected {what}, got {value!r}")
-
-
 def _build(cls, section: str | None, data: dict, **given):
     """`cls` from the mapping `data` of a file `section` (None: the top
-    level) plus the `given` fields, which a file cannot set."""
+    level) plus the `given` fields, which a file cannot set. `cls` checks
+    the values, and its field errors get the section's prefix."""
     where = section or "scenario"
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: expected a mapping")
     prefix = f"{section}." if section else ""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in data.items():
-        if key not in fields or key in given:
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names or key in given:
             raise ScenarioError(f"{prefix}{key}: unknown field")
-        annotation = fields[key].type
-        if value is None and annotation.endswith(" | None"):
-            continue
-        kind = _NUMERIC.get(annotation.removesuffix(" | None"))
-        if kind is not None:
-            _check_number(prefix + key, value, kind)
     try:
         return cls(**data, **given)
+    except ScenarioError as exc:  # a field's number rule
+        raise ScenarioError(f"{prefix}{exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 

@@ -16,9 +16,13 @@ Box-Muller pair of sensor noise.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
+
+from .errors import ScenarioError
 
 if TYPE_CHECKING:
     from .control import ToolCommand
@@ -51,6 +55,36 @@ NU_CHAR_DEFAULTS = {
 }
 
 
+# Numeric field annotations (strings under postponed evaluation).
+_NUMBER_KINDS = {"float": float, "float | None": float, "int": int}
+
+
+@functools.cache
+def _number_fields(cls) -> tuple:
+    return tuple((f.name, f.type, f.default) for f in fields(cls)
+                 if f.type in _NUMBER_KINDS)
+
+
+def check_numbers(obj) -> None:
+    """The number rule of a settings dataclass: a `float` field holds a finite
+    real, stored as a float, an `int` field an integer, stored as an int, and
+    neither a bool. Fields at their (known-good) class default are skipped."""
+    for name, annotation, default in _number_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is default or value is None and annotation == "float | None":
+            continue
+        kind = _NUMBER_KINDS[annotation]
+        try:
+            ok = (isinstance(value, numbers.Integral) if kind is int else
+                  isinstance(value, numbers.Real) and math.isfinite(value))
+        except OverflowError:  # an int too large to be a float
+            ok = False
+        if not ok or isinstance(value, bool):
+            what = "an integer" if kind is int else "a finite number"
+            raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+        setattr(obj, name, kind(value))
+
+
 @dataclass
 class ScrewSpec:
     """Fastener geometry and head/driver pairing (M3 x 8 mm defaults)."""
@@ -61,6 +95,7 @@ class ScrewSpec:
     nu_char: float | None = None  # 1/m; default depends on head_type
 
     def __post_init__(self):
+        check_numbers(self)
         self.head_type = HeadType(self.head_type)
         if self.nu_char is None:
             self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
@@ -87,6 +122,7 @@ class SubstrateSpec:
     k_seat: float = 0.05  # N·m/rad, head-seating torsional stiffness
 
     def __post_init__(self):
+        check_numbers(self)
         self.kind = SubstrateKind(self.kind)
         if min(self.tau_cut, self.k_depth, self.tau_run_nut) < 0:
             raise ValueError("torque constants must be >= 0")
@@ -105,6 +141,7 @@ class SimParams:
     dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
 
     def __post_init__(self):
+        check_numbers(self)
         if self.k_spring <= 0:
             raise ValueError("k_spring must be > 0")
         if not 0.0 < self.p_max <= 1.0:

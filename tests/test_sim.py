@@ -408,6 +408,14 @@ def test_any_mapping_gives_scenario_or_scenario_error(data):
         return
     direction = data.get("direction", control.ControllerConfig.direction)
     assert scen.direction == scen.controller.direction == direction
+    for settings_obj in (scen, scen.screw, scen.substrate, scen.sim,
+                         scen.controller):
+        for f in dataclasses.fields(settings_obj):
+            value = getattr(settings_obj, f.name)
+            if f.type in ("float", "float | None"):
+                assert type(value) is float and math.isfinite(value), f.name
+            elif f.type == "int":
+                assert type(value) is int, f.name
     control.new_controller_state(scen.controller)
     sim.initial_world(scen.screw, scen.direction, contact_z=scen.contact_z)
 
@@ -439,6 +447,26 @@ def test_scenario_built_in_code_rejects_negative_seed():
     refused wherever the scenario is built, not only in a file."""
     with pytest.raises(ScenarioError, match="seed: must be >= 0"):
         dataclasses.replace(scenario.default_scenario("screwing"), seed=-1)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: sim.ScrewSpec(thread_pitch=math.nan), "thread_pitch"),
+    (lambda: sim.SubstrateSpec(k_seat=math.inf), "k_seat"),
+    (lambda: sim.SimParams(p_max=True), "p_max"),
+    (lambda: control.ControllerConfig(margin=math.nan), "margin"),
+    (lambda: control.ControllerConfig(window=30.5), "window"),
+    (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
+                                 contact_z=math.nan), "contact_z"),
+    (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
+                                 duration=math.nan),
+     "duration: expected a finite number"),
+], ids=["thread_pitch", "k_seat", "p_max", "margin", "window", "contact_z",
+        "duration"])
+def test_settings_built_in_code_follow_the_number_rule(build, field):
+    """Settings built in code obey the number rule a scenario file obeys,
+    so no run starts from a non-finite or mistyped setting."""
+    with pytest.raises(ScenarioError, match=rf"^{field}"):
+        build()
 
 
 @pytest.mark.parametrize("text", [
