@@ -12,10 +12,10 @@ exit zero. Bare scenario names are resolved against --scenario-dir, the
 SCREWBENCH_SCENARIO_DIR environment variable, or ./scenarios, in that
 order.
 
-Imports at the point of use: YAML, numpy, the analysis pipeline and log
-I/O load inside the subcommands and functions that use them, so
-`import screwbench.cli` and `simulate` cost only what the closed loop
-needs, which is the standard library.
+Imports at the point of use: `import screwbench.cli` loads only the
+scenario loader and the model (`sim`); each subcommand loads the rest
+where it uses it. Only `simulate` loads the closed loop (`runner`), and
+`compare` does not load the controller (`control`) either.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import control, runner
 from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
                      UndefinedFrequencyError)
 from .scenario import load_scenario
@@ -54,7 +53,7 @@ def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    from . import logio
+    from . import logio, runner
     scenario_path = _resolve_scenario(args.scenario, args.scenario_dir)
     scenario = load_scenario(scenario_path)
     if args.seed is not None:
@@ -75,6 +74,8 @@ def _count_slip_flags(mz: np.ndarray) -> int:
     """Rising edges of the controller's cam-out detector over a torque log,
     with the ControllerConfig defaults."""
     import numpy as np
+
+    from . import control
     flags = control.camout_flags(mz, control.ControllerConfig())
     # flag 0 is False under the defaults, so edges start at index 1
     return int(np.count_nonzero(flags[1:] & ~flags[:-1]))
@@ -168,7 +169,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from . import logio
+    from . import control, logio
     path = Path(args.pairs)
     lines = logio.read_text(path).splitlines()
     pairs = []

@@ -85,6 +85,9 @@ class ControllerConfig:
             raise ValueError("theta_slip must be in (0, 1)")
         if self.f_min > self.f_max:
             raise ValueError("f_min must be <= f_max")
+        if not math.isfinite(self.margin * self.nu):
+            raise ValueError(f"margin * nu must be finite, got "
+                             f"{self.margin!r} * {self.nu!r}")
         if not 2 <= self.window <= sys.maxsize:
             raise ValueError(f"window must be in [2, {sys.maxsize}]")
         if self.tau_stop <= self.noise_floor:
@@ -216,19 +219,18 @@ def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
     """
     dt = SimParams.dt
     state.time_in_phase += dt
-    hold = ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
     if state.phase in (Phase.DONE, Phase.FAULT):
-        return state, hold
+        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
     if not (math.isfinite(sample.fz) and math.isfinite(sample.mz)):
         _enter(state, Phase.FAULT)
-        return state, hold
+        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     state.torque_window.append(sample.mz)
     if sample.mz > cfg.noise_floor:
         state.torque_seen = True
     if sample.mz > cfg.overload_torque:
         _enter(state, Phase.FAULT)
-        return state, hold
+        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     if state.phase == Phase.APPROACH:
         state.z_cmd += cfg.approach_speed * dt
@@ -265,7 +267,7 @@ def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
             _enter(state, Phase.DONE)
 
     if state.phase in (Phase.DONE, Phase.FAULT):
-        return state, hold
+        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     offset = pid_force_step(state, sample.fz, state.force_target, cfg)
     state.z_cmd = state.contact_z_est + offset

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import control, sim
-from .scenario import Scenario
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .scenario import Scenario
 
 
 class Outcome(str, enum.Enum):

@@ -8,7 +8,8 @@ the controller the screw's characteristic ratio as its nu gain (the
 human-derived value for that head type); a `ControllerConfig()` built in
 code keeps its own default (Phillips, 106/m). The top-level `direction` is
 stored once, in `ControllerConfig.direction`, so `controller.direction` is
-not a file field.
+not a file field. The controller module (`control`) loads with the first
+scenario built, so `import screwbench.scenario` does not load it.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .control import ControllerConfig
 from .errors import ScenarioError
 from .sim import (CONTACT_Z, Direction, ScrewSpec, SimParams, SubstrateSpec,
                   check_numbers)
+
+if TYPE_CHECKING:
+    from .control import ControllerConfig
 
 
 @dataclass
@@ -73,6 +77,7 @@ def _build(cls, section: str | None, data: dict, **given):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    from .control import ControllerConfig
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a mapping at top level")
     if "seed" not in data:
@@ -112,8 +117,9 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(data or {})
 
 
-def default_scenario(direction=ControllerConfig.direction, seed: int = 0,
+def default_scenario(direction=None, seed: int = 0,
                      **overrides) -> Scenario:
-    """Convenience builder used by tests and the bundled examples."""
-    return scenario_from_dict({"direction": direction, "seed": seed,
-                               **overrides})
+    """Convenience builder used by tests and the bundled examples. A
+    `direction` of None is left out, as in a file that sets none."""
+    given = {} if direction is None else {"direction": direction}
+    return scenario_from_dict({**given, "seed": seed, **overrides})

@@ -72,6 +72,19 @@ class TestSimulate:
                        "--report", tmp_path / "r.yaml") == 1
         assert "direction" in capsys.readouterr().err
 
+    def test_overflowing_force_gain_rejected(self, tmp_path, capsys):
+        """margin * nu past the float range is refused before the run, not
+        reported as `nu_applied: .inf`."""
+        scen = tmp_path / "gain.yaml"
+        scen.write_text("controller: {margin: 1.0e+200, nu: 1.0e+200}\n"
+                        "seed: 1\nduration: 1.0\n")
+        assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: controller: margin * nu must be "
+                              "finite") and err.count("\n") == 1, err
+        assert not (tmp_path / "r.yaml").exists()
+
     def test_missing_seed_rejected(self, tmp_path, capsys):
         scen = tmp_path / "noseed.yaml"
         scen.write_text("direction: screwing\n")
@@ -801,4 +814,40 @@ def test_no_command_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                           text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_compare_and_analyze_load_no_closed_loop(tmp_path):
+    """Only `simulate` runs the closed loop: in a fresh process, importing
+    the cli and running `compare` load neither `runner` nor `control`, and
+    `analyze` loads no `runner`; `simulate` still works after them."""
+    for group, nus in (("a", (95.0, 100.0)), ("b", (50.0, 55.0))):
+        (tmp_path / group).mkdir()
+        for i, nu in enumerate(nus):
+            write_line_log(tmp_path / group / f"{i}.csv", nu=nu, n=400)
+    (tmp_path / "s.yaml").write_text(SCENARIO_TEXT)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = textwrap.dedent(f"""
+        import sys
+        from pathlib import Path
+        from screwbench import cli
+
+        def loaded(*names):
+            return [k for k in names if k in sys.modules]
+
+        closed_loop = ("screwbench.runner", "screwbench.control")
+        assert not loaded(*closed_loop), loaded(*closed_loop)
+        tmp = Path({str(tmp_path)!r})
+        assert cli.main(["compare", str(tmp / "a"), str(tmp / "b")]) == 0
+        assert not loaded(*closed_loop), loaded(*closed_loop)
+        assert cli.main(["analyze", str(tmp / "a" / "0.csv")]) == 0
+        assert not loaded("screwbench.runner")
+        assert cli.main(["simulate", str(tmp / "s.yaml"),
+                         "--out", str(tmp / "o.csv"),
+                         "--report", str(tmp / "r.yaml")]) == 0
+        assert loaded(*closed_loop) == list(closed_loop)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -26,6 +26,14 @@ class TestTargetForce:
         cfg = cfg_with(nu=106.0, margin=2.0, f_max=30.0)
         assert control.target_force(0.19, cfg) == 30.0
 
+    def test_overflowing_gain_rejected(self):
+        """margin * nu = inf would give inf * 0 = nan at zero torque."""
+        with pytest.raises(ValueError, match=r"margin \* nu must be finite"):
+            cfg_with(margin=1e200, nu=1e200)
+        cfg = cfg_with(margin=1e150, nu=1e150)
+        assert control.target_force(0.0, cfg) == cfg.f_min
+        assert control.target_force(0.1, cfg) == cfg.f_max
+
     @given(tau=st.floats(0, 1), c=st.floats(0.1, 10))
     def test_pre_clamp_scaling(self, tau, c):
         cfg = cfg_with(f_min=0.0, f_max=1e9)

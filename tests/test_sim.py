@@ -344,6 +344,8 @@ def test_invalid_specs_raise():
     ({"controller": {"margin": float("inf")}}, r"controller\.margin"),
     ({"controller": {"margin": True}}, r"controller\.margin"),
     ({"controller": {"window": 30.5}}, r"controller\.window"),
+    ({"controller": {"margin": 1e200, "nu": 1e200}},
+     r"controller: margin \* nu"),
     ({"controller": {"window": 2 ** 63}}, "controller: window"),
     ({"controller": None}, "controller: expected a mapping"),
     ({"controller": [1]}, "controller: expected a mapping"),
