@@ -17,19 +17,19 @@ _EXPORTS = {
         "local_maxima", "mann_whitney_u", "regrasp_frequency",
         "summarize_conditions"), "analysis"),
     **dict.fromkeys((
-        "CalibrationResult", "ControllerConfig", "ControllerState", "Phase",
-        "ToolCommand", "calibrate_force", "detect_camout", "detect_terminal",
+        "CalibrationResult", "ControllerState", "Phase", "ToolCommand",
+        "calibrate_force", "detect_camout", "detect_terminal",
         "new_controller_state", "pid_force_step", "target_force", "update"),
         "control"),
     **dict.fromkeys((
         "Outcome", "RunResult", "run_open_loop", "run_scenario"), "runner"),
     **dict.fromkeys((
-        "Scenario", "default_scenario", "load_scenario"), "scenario"),
+        "ControllerConfig", "Direction", "HeadType", "Scenario", "ScrewSpec",
+        "SimParams", "SubstrateKind", "SubstrateSpec", "default_scenario",
+        "load_scenario"), "scenario"),
     **dict.fromkeys((
-        "Direction", "FtSample", "HeadType", "ScrewSpec", "SimParams",
-        "SubstrateKind", "SubstrateSpec", "WorldState", "initial_world",
-        "read_sensors", "required_torque", "slip_probability", "step_world"),
-        "sim"),
+        "FtSample", "WorldState", "initial_world", "read_sensors",
+        "required_torque", "slip_probability", "step_world"), "sim"),
 }
 
 __all__ = list(_EXPORTS)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DegenerateFitError, UndefinedFrequencyError,
                      degenerate_on_warning)
-from .sim import SimParams
+from .scenario import SimParams
 
 # Default peak filter of `analyze` and `regrasp_frequency`: a prominence
 # of 3x the channel's sensor noise std and a 0.2 s separation.

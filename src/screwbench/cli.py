@@ -12,15 +12,15 @@ exit zero. Bare scenario names are resolved against --scenario-dir, the
 SCREWBENCH_SCENARIO_DIR environment variable, or ./scenarios, in that
 order.
 
-Imports at the point of use: `import screwbench.cli` loads only the
-scenario loader and the model (`sim`); each subcommand loads the rest
-where it uses it. Only `simulate` loads the closed loop (`runner`), and
+Imports at the point of use: `import screwbench.cli` loads only the run
+settings and scenario loader (`scenario`), not even `argparse`, which
+loads when `main` builds the parser; each subcommand loads the rest where
+it uses it. Only `simulate` loads the closed loop (`runner`, `sim`), and
 `compare` does not load the controller (`control`) either.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -29,9 +29,11 @@ from typing import TYPE_CHECKING
 
 from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
                      UndefinedFrequencyError)
-from .scenario import load_scenario
+from .scenario import ControllerConfig, load_scenario
 
 if TYPE_CHECKING:
+    import argparse
+
     import numpy as np
 
 SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
@@ -76,7 +78,7 @@ def _count_slip_flags(mz: np.ndarray) -> int:
     import numpy as np
 
     from . import control
-    flags = control.camout_flags(mz, control.ControllerConfig())
+    flags = control.camout_flags(mz, ControllerConfig())
     # flag 0 is False under the defaults, so edges start at index 1
     return int(np.count_nonzero(flags[1:] & ~flags[:-1]))
 
@@ -201,15 +203,16 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument error is a `ScrewbenchError`, so that `main` reports it
-    as one `error:` line like any other bad input."""
-
-    def error(self, message):
-        raise ScrewbenchError(f"{self.prog}: {message}")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument error is a `ScrewbenchError`, so that `main` reports
+        it as one `error:` line like any other bad input."""
+
+        def error(self, message):
+            raise ScrewbenchError(f"{self.prog}: {message}")
+
     parser = _Parser(
         prog="screwbench",
         description="screw fastening/unfastening simulation workbench")

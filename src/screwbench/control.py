@@ -6,23 +6,28 @@ so the force builds gradually. A detected cam-out (sharp torque drop)
 switches to the faster escalation rate. Position commands come from a PI
 force loop with a spring feed-forward term. Pure step function: the caller
 owns the loop and the state.
+
+This module holds the phases (`Phase`), the command and state types, the
+step functions and `calibrate_force`. The settings they read
+(`ControllerConfig`) live in `scenario`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateFitError, degenerate_on_warning
-from .sim import (NU_CHAR_DEFAULTS, TWO_PI, Direction, FtSample, HeadType,
-                  SimParams, check_numbers)
+from .scenario import Direction, SimParams
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .scenario import ControllerConfig
+    from .sim import FtSample
 
 
 class Phase(str, enum.Enum):
@@ -49,53 +54,16 @@ ALLOWED_TRANSITIONS = {
 
 @dataclass
 class ToolCommand:
+    """Carriage position and spindle speed for the next step."""
+
     z_cmd: float  # m, carriage position
     spindle_speed: float  # rad/s, signed (positive = screwing)
 
 
 @dataclass
-class ControllerConfig:
-    direction: Direction = Direction.UNSCREWING  # the run's one direction
-    nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
-    margin: float = 2.0  # multiplier on nu
-    f_min: float = 1.0  # N
-    f_max: float = 50.0  # N
-    kp: float = 1.0e-4  # m/N
-    ki: float = 5.0e-3  # m/(N·s)
-    theta_slip: float = 0.5  # torque-drop fraction for cam-out detection
-    tau_stop: float = 0.25  # N·m, seating threshold
-    noise_floor: float = 0.01  # N·m, torque treated as zero below this
-    window: int = 30  # samples in the torque moving window
-    base_ramp: float = 3.0  # N/s, force-target slew rate
-    slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
-    k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
-    spindle_speed: float = TWO_PI  # rad/s magnitude while driving
-    approach_speed: float = 0.005  # m/s carriage advance before contact
-    contact_threshold: float = 0.5  # N, force that marks contact
-    travel_limit: float = 0.02  # m, carriage offset limit around contact
-    integrator_limit: float = 4.0  # N·s anti-windup clamp
-    overload_torque: float = 0.4  # N·m, fault threshold
-    slip_limit: int = 2000  # fault after this many slip-detected steps
-    free_spin_time: float = 2.0  # s extra spin to fully withdraw the screw
-
-    def __post_init__(self):
-        check_numbers(self)
-        self.direction = Direction(self.direction)
-        if not 0.0 < self.theta_slip < 1.0:
-            raise ValueError("theta_slip must be in (0, 1)")
-        if self.f_min > self.f_max:
-            raise ValueError("f_min must be <= f_max")
-        if not math.isfinite(self.margin * self.nu):
-            raise ValueError(f"margin * nu must be finite, got "
-                             f"{self.margin!r} * {self.nu!r}")
-        if not 2 <= self.window <= sys.maxsize:
-            raise ValueError(f"window must be in [2, {sys.maxsize}]")
-        if self.tau_stop <= self.noise_floor:
-            raise ValueError("tau_stop must exceed noise_floor")
-
-
-@dataclass
 class ControllerState:
+    """Phase, force loop and detector state carried between steps."""
+
     phase: Phase = Phase.APPROACH
     integrator: float = 0.0  # N·s
     torque_window: deque = field(default_factory=deque)
@@ -278,6 +246,8 @@ def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
 
 @dataclass
 class CalibrationResult:
+    """Fitted force calibration line and its residual."""
+
     gain: float  # N per potentiometer unit
     offset: float  # N
     residual_rms: float  # N

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import control, sim
+from .scenario import Direction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,6 +43,8 @@ class StepTrace:
 
 @dataclass
 class RunResult:
+    """Outcome, sensed samples, final states and summary of one run."""
+
     outcome: Outcome
     samples: list  # sensed FtSample stream, 100 Hz
     world: sim.WorldState
@@ -130,7 +133,7 @@ def run_open_loop(scenario: Scenario, force: float,
     rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
-    sign = 1.0 if scenario.direction == sim.Direction.SCREWING else -1.0
+    sign = 1.0 if scenario.direction == Direction.SCREWING else -1.0
     speed = sign * scenario.controller.spindle_speed
     deflection = force / scenario.sim.k_spring
     truth_samples, sensed_samples = [], []

@@ -1,4 +1,5 @@
-"""Scenario files: the machine-readable description of one run.
+"""Run settings: the screw, substrate, model and controller settings of one
+run, their number rule, and the scenario files that describe them.
 
 A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
@@ -8,28 +9,218 @@ the controller the screw's characteristic ratio as its nu gain (the
 human-derived value for that head type); a `ControllerConfig()` built in
 code keeps its own default (Phillips, 106/m). The top-level `direction` is
 stored once, in `ControllerConfig.direction`, so `controller.direction` is
-not a file field. The controller module (`control`) loads with the first
-scenario built, so `import screwbench.scenario` does not load it.
+not a file field.
+
+Every settings class lives here, so building a scenario loads neither the
+model (`sim`) nor the controller (`control`); they load with the first run.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import enum
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import ClassVar
 
 from .errors import ScenarioError
-from .sim import (CONTACT_Z, Direction, ScrewSpec, SimParams, SubstrateSpec,
-                  check_numbers)
 
-if TYPE_CHECKING:
-    from .control import ControllerConfig
+TWO_PI = 2.0 * math.pi
+CONTACT_Z = 0.005  # m, default carriage position at first head contact
+
+
+class HeadType(str, enum.Enum):
+    PHILLIPS = "phillips"
+    INTERNAL_HEX = "internal_hex"
+    MISMATCHED_DRIVER = "mismatched_driver"
+
+
+class SubstrateKind(str, enum.Enum):
+    PLASTIC_HOLE = "plastic_hole"
+    NUT = "nut"
+
+
+class Direction(str, enum.Enum):
+    SCREWING = "screwing"
+    UNSCREWING = "unscrewing"
+
+
+# Slippage-threshold force/torque ratios (1/m), per driver/recess pairing.
+NU_CHAR_DEFAULTS = {
+    HeadType.PHILLIPS: 106.0,
+    HeadType.INTERNAL_HEX: 57.0,
+    HeadType.MISMATCHED_DRIVER: 300.0,
+}
+
+
+# Numeric field annotations (strings under postponed evaluation).
+_NUMBER_KINDS = {"float": float, "float | None": float, "int": int}
+
+
+@functools.cache
+def _number_fields(cls) -> tuple:
+    return tuple((f.name, f.type, f.default) for f in fields(cls)
+                 if f.type in _NUMBER_KINDS)
+
+
+@functools.cache
+def _field_names(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
+def check_numbers(obj) -> None:
+    """The number rule of a settings dataclass: a `float` field holds a finite
+    real, stored as a float, an `int` field an integer, stored as an int, and
+    neither a bool. Fields at their (known-good) class default are skipped."""
+    for name, annotation, default in _number_fields(type(obj)):
+        value = getattr(obj, name)
+        if value is default or value is None and annotation == "float | None":
+            continue
+        kind = _NUMBER_KINDS[annotation]
+        try:
+            ok = (isinstance(value, numbers.Integral) if kind is int else
+                  isinstance(value, numbers.Real) and math.isfinite(value))
+        except OverflowError:  # an int too large to be a float
+            ok = False
+        if not ok or isinstance(value, bool):
+            what = "an integer" if kind is int else "a finite number"
+            raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+        setattr(obj, name, kind(value))
+
+
+@dataclass
+class ScrewSpec:
+    """Fastener geometry and head/driver pairing (M3 x 8 mm defaults)."""
+
+    head_type: HeadType = HeadType.PHILLIPS
+    thread_pitch: float = 0.0005  # m per revolution
+    shank_length: float = 0.008  # m
+    nu_char: float | None = None  # 1/m; default depends on head_type
+
+    def __post_init__(self):
+        check_numbers(self)
+        self.head_type = HeadType(self.head_type)
+        if self.nu_char is None:
+            self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
+        if self.thread_pitch <= 0:
+            raise ValueError("thread_pitch must be > 0")
+        if self.shank_length <= 0:
+            raise ValueError("shank_length must be > 0")
+        if self.nu_char <= 0:
+            raise ValueError("nu_char must be > 0")
+
+
+@dataclass
+class SubstrateSpec:
+    """Environment the screw threads into.
+
+    k_depth defaults to 0.19 N·m of running torque at full 8 mm engagement.
+    tau_run_nut defaults below the 0.003 N·m torque noise amplitude.
+    """
+
+    kind: SubstrateKind = SubstrateKind.PLASTIC_HOLE
+    tau_cut: float = 0.03  # N·m, thread-cutting torque (screwing only)
+    k_depth: float = 0.19 / 0.008  # N·m per m of engaged thread
+    tau_run_nut: float = 0.002  # N·m, running torque in a nut
+    k_seat: float = 0.05  # N·m/rad, head-seating torsional stiffness
+
+    def __post_init__(self):
+        check_numbers(self)
+        self.kind = SubstrateKind(self.kind)
+        if min(self.tau_cut, self.k_depth, self.tau_run_nut) < 0:
+            raise ValueError("torque constants must be >= 0")
+        if self.k_seat <= 0:
+            raise ValueError("k_seat must be > 0")
+
+
+@dataclass
+class SimParams:
+    """Mount spring, sensor noise and cam-out model of the world stepper."""
+
+    k_spring: float = 5000.0  # N/m, compliant mount spring constant
+    force_noise_std: float = 0.1  # N
+    torque_noise_std: float = 0.003  # N·m
+    p_max: float = 0.1  # peak per-step slip probability
+    slip_sharpness: float = 6.0  # logistic steepness
+    slip_dwell: float = 0.1  # s, duration of one cam-out
+    dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
+
+    def __post_init__(self):
+        check_numbers(self)
+        if self.k_spring <= 0:
+            raise ValueError("k_spring must be > 0")
+        if not 0.0 < self.p_max <= 1.0:
+            raise ValueError("p_max must be in (0, 1]")
+        if self.force_noise_std < 0 or self.torque_noise_std < 0:
+            raise ValueError("noise stds must be >= 0")
+
+
+# Controller settings that must be > 0 and >= 0; slip_limit must be >= 1.
+_POSITIVE = ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
+             "spindle_speed", "approach_speed", "contact_threshold",
+             "travel_limit", "overload_torque")
+_NON_NEGATIVE = ("f_min", "kp", "ki", "integrator_limit", "noise_floor",
+                 "free_spin_time")
+
+
+@dataclass
+class ControllerConfig:
+    """Force law, PI loop, detector and phase-machine settings of a run."""
+
+    direction: Direction = Direction.UNSCREWING  # the run's one direction
+    nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
+    margin: float = 2.0  # multiplier on nu
+    f_min: float = 1.0  # N
+    f_max: float = 50.0  # N
+    kp: float = 1.0e-4  # m/N
+    ki: float = 5.0e-3  # m/(N·s)
+    theta_slip: float = 0.5  # torque-drop fraction for cam-out detection
+    tau_stop: float = 0.25  # N·m, seating threshold
+    noise_floor: float = 0.01  # N·m, torque treated as zero below this
+    window: int = 30  # samples in the torque moving window
+    base_ramp: float = 3.0  # N/s, force-target slew rate
+    slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
+    k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
+    spindle_speed: float = TWO_PI  # rad/s magnitude while driving
+    approach_speed: float = 0.005  # m/s carriage advance before contact
+    contact_threshold: float = 0.5  # N, force that marks contact
+    travel_limit: float = 0.02  # m, carriage offset limit around contact
+    integrator_limit: float = 4.0  # N·s anti-windup clamp
+    overload_torque: float = 0.4  # N·m, fault threshold
+    slip_limit: int = 2000  # fault after this many slip-detected steps
+    free_spin_time: float = 2.0  # s extra spin to fully withdraw the screw
+
+    def __post_init__(self):
+        check_numbers(self)
+        self.direction = Direction(self.direction)
+        for name in _POSITIVE:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.slip_limit < 1:
+            raise ValueError("slip_limit must be >= 1")
+        if not 0.0 < self.theta_slip < 1.0:
+            raise ValueError("theta_slip must be in (0, 1)")
+        if self.f_min > self.f_max:
+            raise ValueError("f_min must be <= f_max")
+        if not math.isfinite(self.margin * self.nu):
+            raise ValueError(f"margin * nu must be finite, got "
+                             f"{self.margin!r} * {self.nu!r}")
+        if not 2 <= self.window <= sys.maxsize:
+            raise ValueError(f"window must be in [2, {sys.maxsize}]")
+        if self.tau_stop <= self.noise_floor:
+            raise ValueError("tau_stop must exceed noise_floor")
 
 
 @dataclass
 class Scenario:
+    """One run: its settings, seed, duration and contact position."""
+
     screw: ScrewSpec
     substrate: SubstrateSpec
     sim: SimParams
@@ -64,7 +255,7 @@ def _build(cls, section: str | None, data: dict, **given):
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: expected a mapping")
     prefix = f"{section}." if section else ""
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = _field_names(cls)
     for key in data:
         if key not in names or key in given:
             raise ScenarioError(f"{prefix}{key}: unknown field")
@@ -77,7 +268,6 @@ def _build(cls, section: str | None, data: dict, **given):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    from .control import ControllerConfig
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a mapping at top level")
     if "seed" not in data:

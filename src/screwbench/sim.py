@@ -1,4 +1,7 @@
-"""Fixed-step physical model of a screwdriver/screw/substrate system.
+"""Fixed-step physical model of a screwdriver/screw/substrate system: the
+world state (`WorldState`), the sample type (`FtSample`) and the step
+functions. The settings they read (`ScrewSpec`, `SubstrateSpec`,
+`SimParams`) live in `scenario`.
 
 The tool is carried on a spring-compliant mount: commanded carriage position
 maps to axial force through the spring constant. Running torque is Coulomb
@@ -15,139 +18,15 @@ Box-Muller pair of sensor noise.
 
 from __future__ import annotations
 
-import enum
-import functools
 import math
-import numbers
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, ClassVar, NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ScenarioError
+from .scenario import CONTACT_Z, TWO_PI, Direction, SubstrateKind
 
 if TYPE_CHECKING:
     from .control import ToolCommand
-
-TWO_PI = 2.0 * math.pi
-CONTACT_Z = 0.005  # m, default carriage position at first head contact
-
-
-class HeadType(str, enum.Enum):
-    PHILLIPS = "phillips"
-    INTERNAL_HEX = "internal_hex"
-    MISMATCHED_DRIVER = "mismatched_driver"
-
-
-class SubstrateKind(str, enum.Enum):
-    PLASTIC_HOLE = "plastic_hole"
-    NUT = "nut"
-
-
-class Direction(str, enum.Enum):
-    SCREWING = "screwing"
-    UNSCREWING = "unscrewing"
-
-
-# Slippage-threshold force/torque ratios (1/m), per driver/recess pairing.
-NU_CHAR_DEFAULTS = {
-    HeadType.PHILLIPS: 106.0,
-    HeadType.INTERNAL_HEX: 57.0,
-    HeadType.MISMATCHED_DRIVER: 300.0,
-}
-
-
-# Numeric field annotations (strings under postponed evaluation).
-_NUMBER_KINDS = {"float": float, "float | None": float, "int": int}
-
-
-@functools.cache
-def _number_fields(cls) -> tuple:
-    return tuple((f.name, f.type, f.default) for f in fields(cls)
-                 if f.type in _NUMBER_KINDS)
-
-
-def check_numbers(obj) -> None:
-    """The number rule of a settings dataclass: a `float` field holds a finite
-    real, stored as a float, an `int` field an integer, stored as an int, and
-    neither a bool. Fields at their (known-good) class default are skipped."""
-    for name, annotation, default in _number_fields(type(obj)):
-        value = getattr(obj, name)
-        if value is default or value is None and annotation == "float | None":
-            continue
-        kind = _NUMBER_KINDS[annotation]
-        try:
-            ok = (isinstance(value, numbers.Integral) if kind is int else
-                  isinstance(value, numbers.Real) and math.isfinite(value))
-        except OverflowError:  # an int too large to be a float
-            ok = False
-        if not ok or isinstance(value, bool):
-            what = "an integer" if kind is int else "a finite number"
-            raise ScenarioError(f"{name}: expected {what}, got {value!r}")
-        setattr(obj, name, kind(value))
-
-
-@dataclass
-class ScrewSpec:
-    """Fastener geometry and head/driver pairing (M3 x 8 mm defaults)."""
-
-    head_type: HeadType = HeadType.PHILLIPS
-    thread_pitch: float = 0.0005  # m per revolution
-    shank_length: float = 0.008  # m
-    nu_char: float | None = None  # 1/m; default depends on head_type
-
-    def __post_init__(self):
-        check_numbers(self)
-        self.head_type = HeadType(self.head_type)
-        if self.nu_char is None:
-            self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
-        if self.thread_pitch <= 0:
-            raise ValueError("thread_pitch must be > 0")
-        if self.shank_length <= 0:
-            raise ValueError("shank_length must be > 0")
-        if self.nu_char <= 0:
-            raise ValueError("nu_char must be > 0")
-
-
-@dataclass
-class SubstrateSpec:
-    """Environment the screw threads into.
-
-    k_depth defaults to 0.19 N·m of running torque at full 8 mm engagement.
-    tau_run_nut defaults below the 0.003 N·m torque noise amplitude.
-    """
-
-    kind: SubstrateKind = SubstrateKind.PLASTIC_HOLE
-    tau_cut: float = 0.03  # N·m, thread-cutting torque (screwing only)
-    k_depth: float = 0.19 / 0.008  # N·m per m of engaged thread
-    tau_run_nut: float = 0.002  # N·m, running torque in a nut
-    k_seat: float = 0.05  # N·m/rad, head-seating torsional stiffness
-
-    def __post_init__(self):
-        check_numbers(self)
-        self.kind = SubstrateKind(self.kind)
-        if min(self.tau_cut, self.k_depth, self.tau_run_nut) < 0:
-            raise ValueError("torque constants must be >= 0")
-        if self.k_seat <= 0:
-            raise ValueError("k_seat must be > 0")
-
-
-@dataclass
-class SimParams:
-    k_spring: float = 5000.0  # N/m, compliant mount spring constant
-    force_noise_std: float = 0.1  # N
-    torque_noise_std: float = 0.003  # N·m
-    p_max: float = 0.1  # peak per-step slip probability
-    slip_sharpness: float = 6.0  # logistic steepness
-    slip_dwell: float = 0.1  # s, duration of one cam-out
-    dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
-
-    def __post_init__(self):
-        check_numbers(self)
-        if self.k_spring <= 0:
-            raise ValueError("k_spring must be > 0")
-        if not 0.0 < self.p_max <= 1.0:
-            raise ValueError("p_max must be in (0, 1]")
-        if self.force_noise_std < 0 or self.torque_noise_std < 0:
-            raise ValueError("noise stds must be >= 0")
+    from .scenario import ScrewSpec, SimParams, SubstrateSpec
 
 
 class FtSample(NamedTuple):
@@ -160,6 +39,8 @@ class FtSample(NamedTuple):
 
 @dataclass
 class WorldState:
+    """The screw's rotation, engagement and cam-out state, and the clock."""
+
     screw_angle: float = 0.0  # rad, cumulative rotation
     engaged_depth: float = 0.0  # m of thread in the substrate
     seated: bool = False

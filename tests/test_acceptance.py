@@ -24,22 +24,22 @@ def report_line(number, name, ok):
 def test_1_speed_invariance():
     """Required torque at a given depth is identical across spindle speeds."""
     t0 = time.perf_counter()
-    screw, sub = sim.ScrewSpec(), sim.SubstrateSpec()
-    params = sim.SimParams(p_max=1e-15)
+    screw, sub = scenario.ScrewSpec(), scenario.SubstrateSpec()
+    params = scenario.SimParams(p_max=1e-15)
     curves = {}
     for deg in (22.5, 90.0, 180.0, 360.0):
         speed = math.radians(deg)
         rng = np.random.default_rng(0)
-        world = sim.initial_world(screw, sim.Direction.UNSCREWING)
+        world = sim.initial_world(screw, scenario.Direction.UNSCREWING)
         depths, taus = [], []
-        n = int(round(4.0 * sim.TWO_PI / (speed * params.dt)))
+        n = int(round(4.0 * scenario.TWO_PI / (speed * params.dt)))
         for _ in range(n):
             cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
                                       spindle_speed=-speed)
             sim.step_world(world, cmd, screw, sub, params, rng)
             depths.append(world.engaged_depth)
             taus.append(sim.required_torque(world, screw, sub,
-                                            sim.Direction.UNSCREWING))
+                                            scenario.Direction.UNSCREWING))
         # reverse so depth is increasing for interpolation
         curves[deg] = (np.asarray(depths)[::-1], np.asarray(taus)[::-1])
     grid = np.linspace(0.0045, 0.0075, 50)
@@ -195,7 +195,7 @@ def test_7_controller_safety_properties():
     ok = True
     for _ in range(10_000):
         direction = "screwing" if rng.random() < 0.5 else "unscrewing"
-        cfg = control.ControllerConfig(direction=direction)
+        cfg = scenario.ControllerConfig(direction=direction)
         state = control.new_controller_state(cfg)
         prev_phase = state.phase
         n = int(rng.integers(5, 40))

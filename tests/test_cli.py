@@ -85,6 +85,19 @@ class TestSimulate:
                               "finite") and err.count("\n") == 1, err
         assert not (tmp_path / "r.yaml").exists()
 
+    def test_zero_spring_estimate_rejected(self, tmp_path, capsys):
+        """`k_spring_est` divides the measured force, so zero is refused
+        before the run, not raised from inside the controller step."""
+        scen = tmp_path / "spring.yaml"
+        scen.write_text("controller: {k_spring_est: 0}\n"
+                        "seed: 1\nduration: 5.0\n")
+        assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: controller: k_spring_est must be > 0")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "r.yaml").exists()
+
     def test_missing_seed_rejected(self, tmp_path, capsys):
         scen = tmp_path / "noseed.yaml"
         scen.write_text("direction: screwing\n")
@@ -814,6 +827,30 @@ def test_no_command_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                           text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_building_a_scenario_loads_no_model_controller_or_argparse():
+    """The run settings live in `scenario`: importing the cli and building
+    a scenario load neither the model (`sim`), the controller (`control`),
+    the closed loop (`runner`) nor `argparse`; a run still works after."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import sys
+        import screwbench.cli
+        from screwbench import scenario
+
+        scen = scenario.default_scenario("screwing")
+        unused = ("screwbench.sim", "screwbench.control",
+                  "screwbench.runner", "argparse")
+        loaded = [k for k in unused if k in sys.modules]
+        assert not loaded, loaded
+        from screwbench import runner
+        assert runner.run_scenario(scen).outcome.value == "done"
+    """)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,7 +10,7 @@ from screwbench.errors import DegenerateFitError
 
 
 def cfg_with(**kw):
-    return control.ControllerConfig(**kw)
+    return scenario.ControllerConfig(**kw)
 
 
 class TestTargetForce:

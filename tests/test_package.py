@@ -13,9 +13,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.mark.parametrize("name", screwbench.__all__)
 def test_reexport_is_the_submodule_attribute(name):
-    module = importlib.import_module(
-        f"screwbench.{screwbench._EXPORTS[name]}")
-    assert getattr(screwbench, name) is getattr(module, name)
+    """Each public name is re-exported from the one submodule that defines
+    it, not from a module that imports it."""
+    home = f"screwbench.{screwbench._EXPORTS[name]}"
+    obj = getattr(screwbench, name)
+    assert obj is getattr(importlib.import_module(home), name)
+    assert obj.__module__ == home
 
 
 def test_unknown_name_raises_attribute_error():

@@ -21,67 +21,69 @@ def make_world(**kw):
 class TestRequiredTorque:
     def test_disengaged_unscrewing_is_free(self):
         w = make_world(engaged_depth=0.0)
-        tau = sim.required_torque(w, sim.ScrewSpec(), sim.SubstrateSpec(),
-                                  sim.Direction.UNSCREWING)
+        tau = sim.required_torque(w, scenario.ScrewSpec(),
+                                  scenario.SubstrateSpec(),
+                                  scenario.Direction.UNSCREWING)
         assert tau == 0.0
 
     def test_full_engagement_unscrewing_matches_calibration(self):
         # default plastic calibration: 0.19 N·m at full 8 mm engagement
         w = make_world(engaged_depth=0.008)
-        tau = sim.required_torque(w, sim.ScrewSpec(), sim.SubstrateSpec(),
-                                  sim.Direction.UNSCREWING)
+        tau = sim.required_torque(w, scenario.ScrewSpec(),
+                                  scenario.SubstrateSpec(),
+                                  scenario.Direction.UNSCREWING)
         assert tau == pytest.approx(0.19, rel=1e-12)
 
     def test_screwing_adds_thread_cutting_torque(self):
         w = make_world(engaged_depth=0.004)
-        sub = sim.SubstrateSpec()
-        tau_in = sim.required_torque(w, sim.ScrewSpec(), sub,
-                                     sim.Direction.SCREWING)
-        tau_out = sim.required_torque(w, sim.ScrewSpec(), sub,
-                                      sim.Direction.UNSCREWING)
+        sub = scenario.SubstrateSpec()
+        tau_in = sim.required_torque(w, scenario.ScrewSpec(), sub,
+                                     scenario.Direction.SCREWING)
+        tau_out = sim.required_torque(w, scenario.ScrewSpec(), sub,
+                                      scenario.Direction.UNSCREWING)
         assert tau_in == pytest.approx(tau_out + sub.tau_cut)
 
     def test_seating_term(self):
-        sub = sim.SubstrateSpec()
+        sub = scenario.SubstrateSpec()
         w = make_world(engaged_depth=0.008, seated=True, seat_angle=10.0,
                        screw_angle=12.0)
-        tau = sim.required_torque(w, sim.ScrewSpec(), sub,
-                                  sim.Direction.SCREWING)
+        tau = sim.required_torque(w, scenario.ScrewSpec(), sub,
+                                  scenario.Direction.SCREWING)
         expected = sub.tau_cut + sub.k_depth * 0.008 + sub.k_seat * 2.0
         assert tau == pytest.approx(expected)
 
     def test_nut_running_torque_below_noise(self):
-        sub = sim.SubstrateSpec(kind="nut")
-        params = sim.SimParams()
+        sub = scenario.SubstrateSpec(kind="nut")
+        params = scenario.SimParams()
         w = make_world(engaged_depth=0.004)
-        tau = sim.required_torque(w, sim.ScrewSpec(), sub,
-                                  sim.Direction.SCREWING)
+        tau = sim.required_torque(w, scenario.ScrewSpec(), sub,
+                                  scenario.Direction.SCREWING)
         assert 0.0 < tau < params.torque_noise_std
 
     def test_same_state_same_torque_regardless_of_speed_history(self):
         # torque depends on state only; two speed histories, same state
-        screw, sub = sim.ScrewSpec(), sim.SubstrateSpec()
-        params = sim.SimParams(p_max=1e-15)
+        screw, sub = scenario.ScrewSpec(), scenario.SubstrateSpec()
+        params = scenario.SimParams(p_max=1e-15)
         taus = {}
         for speed in (math.radians(22.5), math.radians(360.0)):
             rng = np.random.default_rng(0)
-            world = sim.initial_world(screw, sim.Direction.UNSCREWING)
+            world = sim.initial_world(screw, scenario.Direction.UNSCREWING)
             # rotate by exactly two revolutions at each speed
-            n = int(round(2.0 * sim.TWO_PI / (speed * params.dt)))
+            n = int(round(2.0 * scenario.TWO_PI / (speed * params.dt)))
             for _ in range(n):
                 cmd = control.ToolCommand(
                     z_cmd=world.contact_z + 0.006, spindle_speed=-speed)
                 sim.step_world(world, cmd, screw, sub, params, rng)
             taus[speed] = sim.required_torque(world, screw, sub,
-                                              sim.Direction.UNSCREWING)
+                                              scenario.Direction.UNSCREWING)
         vals = list(taus.values())
         assert vals[0] == pytest.approx(vals[1], rel=1e-9)
 
 
 class TestSlipProbability:
     def setup_method(self):
-        self.screw = sim.ScrewSpec()
-        self.params = sim.SimParams()
+        self.screw = scenario.ScrewSpec()
+        self.params = scenario.SimParams()
 
     def test_large_force_suppresses_slip(self):
         p = sim.slip_probability(1e6, 0.19, self.screw, self.params)
@@ -118,9 +120,9 @@ class TestSlipProbability:
 
 class TestStepWorld:
     def setup_method(self):
-        self.screw = sim.ScrewSpec()
-        self.sub = sim.SubstrateSpec()
-        self.params = sim.SimParams()
+        self.screw = scenario.ScrewSpec()
+        self.sub = scenario.SubstrateSpec()
+        self.params = scenario.SimParams()
 
     def test_free_spin_in_air(self):
         world = make_world(engaged_depth=0.004, contact_z=0.005)
@@ -157,7 +159,7 @@ class TestStepWorld:
 
     def test_engagement_round_trip(self):
         # screwing then unscrewing the same angle restores engaged depth
-        params = sim.SimParams(p_max=1e-15)
+        params = scenario.SimParams(p_max=1e-15)
         world = make_world(engaged_depth=0.002, contact_z=0.005)
         rng = np.random.default_rng(0)
         start = world.engaged_depth
@@ -167,12 +169,12 @@ class TestStepWorld:
                 cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
                                           spindle_speed=sign * speed)
                 sim.step_world(world, cmd, self.screw, self.sub, params, rng)
-        quantum = self.screw.thread_pitch * speed * params.dt / sim.TWO_PI
+        quantum = self.screw.thread_pitch * speed * params.dt / scenario.TWO_PI
         assert abs(world.engaged_depth - start) <= quantum
 
     def test_slip_freezes_screw_and_torque(self):
         # barely-loaded contact: slip probability is effectively p_max = 1
-        params = sim.SimParams(p_max=1.0, slip_sharpness=50.0)
+        params = scenario.SimParams(p_max=1.0, slip_sharpness=50.0)
         world = make_world(engaged_depth=0.004, contact_z=0.005)
         rng = np.random.default_rng(0)
         cmd = control.ToolCommand(z_cmd=0.0050001, spindle_speed=2 * math.pi)
@@ -184,7 +186,7 @@ class TestStepWorld:
         assert world.screw_angle == angle_before
 
     def test_seating_clamps_depth(self):
-        params = sim.SimParams(p_max=1e-15)
+        params = scenario.SimParams(p_max=1e-15)
         world = make_world(engaged_depth=0.0079, contact_z=0.005)
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -197,7 +199,8 @@ class TestStepWorld:
     def test_deterministic_stream(self):
         def run():
             rng = np.random.default_rng(123)
-            world = sim.initial_world(self.screw, sim.Direction.UNSCREWING)
+            world = sim.initial_world(self.screw,
+                                      scenario.Direction.UNSCREWING)
             out = []
             for _ in range(500):
                 cmd = control.ToolCommand(z_cmd=world.contact_z + 0.004,
@@ -214,14 +217,14 @@ class TestStepWorld:
 
 class TestReadSensors:
     def test_zero_noise_is_identity(self):
-        params = sim.SimParams(force_noise_std=0.0, torque_noise_std=0.0)
+        params = scenario.SimParams(force_noise_std=0.0, torque_noise_std=0.0)
         rng = np.random.default_rng(0)
         truth = sim.FtSample(t=1.0, fz=3.0, mz=0.1)
         out = sim.read_sensors(truth, params, rng)
         assert (out.t, out.fz, out.mz) == (1.0, 3.0, 0.1)
 
     def test_noise_std_recovered(self):
-        params = sim.SimParams()
+        params = scenario.SimParams()
         rng = np.random.default_rng(5)
         truth = sim.FtSample(t=0.0, fz=50.0, mz=0.0)
         fzs = np.array([sim.read_sensors(truth, params, rng).fz
@@ -230,7 +233,7 @@ class TestReadSensors:
         assert np.std(fzs - 50.0) == pytest.approx(0.1, rel=0.10)
 
     def test_rectified_non_negative(self):
-        params = sim.SimParams()
+        params = scenario.SimParams()
         rng = np.random.default_rng(7)
         truth = sim.FtSample(t=0.0, fz=0.0, mz=0.0)
         for _ in range(1000):
@@ -257,9 +260,9 @@ class TestStreamContract:
     `read_sensors` two, every step, whatever the state."""
 
     def setup_method(self):
-        self.screw = sim.ScrewSpec()
-        self.sub = sim.SubstrateSpec()
-        self.params = sim.SimParams()
+        self.screw = scenario.ScrewSpec()
+        self.sub = scenario.SubstrateSpec()
+        self.params = scenario.SimParams()
         self.pressed = control.ToolCommand(z_cmd=0.0051,
                                            spindle_speed=2 * math.pi)
 
@@ -315,21 +318,21 @@ class TestStreamContract:
 
 
 def test_nu_char_ordering_across_heads():
-    hex_nu = sim.ScrewSpec(head_type="internal_hex").nu_char
-    phil_nu = sim.ScrewSpec(head_type="phillips").nu_char
-    bad_nu = sim.ScrewSpec(head_type="mismatched_driver").nu_char
+    hex_nu = scenario.ScrewSpec(head_type="internal_hex").nu_char
+    phil_nu = scenario.ScrewSpec(head_type="phillips").nu_char
+    bad_nu = scenario.ScrewSpec(head_type="mismatched_driver").nu_char
     assert hex_nu < phil_nu < bad_nu
 
 
 def test_invalid_specs_raise():
     with pytest.raises(ValueError):
-        sim.ScrewSpec(thread_pitch=0.0)
+        scenario.ScrewSpec(thread_pitch=0.0)
     with pytest.raises(ValueError):
-        sim.SubstrateSpec(k_seat=0.0)
+        scenario.SubstrateSpec(k_seat=0.0)
     with pytest.raises(ValueError):
-        sim.SimParams(p_max=0.0)
+        scenario.SimParams(p_max=0.0)
     with pytest.raises(TypeError):
-        sim.SimParams(dt=-0.01)
+        scenario.SimParams(dt=-0.01)
 
 
 @pytest.mark.parametrize("overrides, field", [
@@ -351,6 +354,15 @@ def test_invalid_specs_raise():
     ({"controller": [1]}, "controller: expected a mapping"),
     ({"duration": 0.004}, "duration"),
     ({"duration": 1.0e308}, "duration"),
+    *[({"controller": {name: 0}}, rf"controller: {name} must be > 0")
+      for name in ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
+                   "spindle_speed", "approach_speed", "contact_threshold",
+                   "travel_limit", "overload_torque")],
+    ({"controller": {"approach_speed": -0.005}}, "controller: approach_speed"),
+    *[({"controller": {name: -1}}, rf"controller: {name} must be >= 0")
+      for name in ("f_min", "kp", "ki", "integrator_limit", "noise_floor",
+                   "free_spin_time")],
+    ({"controller": {"slip_limit": 0}}, "controller: slip_limit must be >= 1"),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
 def test_invalid_scenario_value_names_field(overrides, field):
     with pytest.raises(ScenarioError, match=field):
@@ -390,10 +402,10 @@ _scenario_dicts = st.fixed_dictionaries({
                            _yaml_values),
     "duration": _yaml_values,
     "contact_z": _yaml_values,
-    "screw": _section(sim.ScrewSpec),
-    "substrate": _section(sim.SubstrateSpec),
-    "sim": _section(sim.SimParams),
-    "controller": _section(control.ControllerConfig),
+    "screw": _section(scenario.ScrewSpec),
+    "substrate": _section(scenario.SubstrateSpec),
+    "sim": _section(scenario.SimParams),
+    "controller": _section(scenario.ControllerConfig),
 })
 
 
@@ -408,7 +420,7 @@ def test_any_mapping_gives_scenario_or_scenario_error(data):
         scen = scenario.scenario_from_dict(data)
     except ScenarioError:
         return
-    direction = data.get("direction", control.ControllerConfig.direction)
+    direction = data.get("direction", scenario.ControllerConfig.direction)
     assert scen.direction == scen.controller.direction == direction
     for settings_obj in (scen, scen.screw, scen.substrate, scen.sim,
                          scen.controller):
@@ -452,11 +464,11 @@ def test_scenario_built_in_code_rejects_negative_seed():
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda: sim.ScrewSpec(thread_pitch=math.nan), "thread_pitch"),
-    (lambda: sim.SubstrateSpec(k_seat=math.inf), "k_seat"),
-    (lambda: sim.SimParams(p_max=True), "p_max"),
-    (lambda: control.ControllerConfig(margin=math.nan), "margin"),
-    (lambda: control.ControllerConfig(window=30.5), "window"),
+    (lambda: scenario.ScrewSpec(thread_pitch=math.nan), "thread_pitch"),
+    (lambda: scenario.SubstrateSpec(k_seat=math.inf), "k_seat"),
+    (lambda: scenario.SimParams(p_max=True), "p_max"),
+    (lambda: scenario.ControllerConfig(margin=math.nan), "margin"),
+    (lambda: scenario.ControllerConfig(window=30.5), "window"),
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  contact_z=math.nan), "contact_z"),
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
