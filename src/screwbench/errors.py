@@ -8,7 +8,7 @@ class ScrewbenchError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ScenarioError(ScrewbenchError):
+class ScenarioError(ScrewbenchError, ValueError):
     """Scenario file failed to parse or validate. Message names the field."""
 
 

@@ -1,5 +1,9 @@
 """Run settings: the screw, substrate, model and controller settings of one
-run, their number rule, and the scenario files that describe them.
+run, their field rules, and the scenario files that describe them.
+
+Each settings class lists its sign rules in the class tuples `positive`
+(> 0) and `non_negative` (>= 0); a bad setting, in a file or in code, is a
+`ScenarioError` naming the field (`substrate.tau_cut: must be >= 0, ...`).
 
 A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
@@ -56,14 +60,19 @@ NU_CHAR_DEFAULTS = {
 }
 
 
-# Numeric field annotations (strings under postponed evaluation).
-_NUMBER_KINDS = {"float": float, "float | None": float, "int": int}
+# Checked field annotations (strings under postponed evaluation).
+_KINDS = {"float": float, "float | None": float, "int": int,
+          "HeadType": HeadType, "SubstrateKind": SubstrateKind,
+          "Direction": Direction}
 
 
 @functools.cache
-def _number_fields(cls) -> tuple:
-    return tuple((f.name, f.type, f.default) for f in fields(cls)
-                 if f.type in _NUMBER_KINDS)
+def _checked_fields(cls) -> tuple:
+    """(name, annotation, default, sign) of each number or enum field."""
+    signs = {**dict.fromkeys(cls.non_negative, ">="),
+             **dict.fromkeys(cls.positive, ">")}
+    return tuple((f.name, f.type, f.default, signs.get(f.name))
+                 for f in fields(cls) if f.type in _KINDS)
 
 
 @functools.cache
@@ -71,15 +80,27 @@ def _field_names(cls) -> frozenset:
     return frozenset(f.name for f in fields(cls))
 
 
+def _member(kind, name: str, value):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ScenarioError(f"{name}: expected one of {', '.join(kind)}, "
+                            f"got {value!r}") from None
+
+
 def check_numbers(obj) -> None:
-    """The number rule of a settings dataclass: a `float` field holds a finite
+    """The field rules of a settings dataclass: a `float` field holds a finite
     real, stored as a float, an `int` field an integer, stored as an int, and
-    neither a bool. Fields at their (known-good) class default are skipped."""
-    for name, annotation, default in _number_fields(type(obj)):
+    neither a bool, and obeys the class's sign tables; an enum field holds a
+    member. Fields at their (known-good) class default are skipped."""
+    for name, annotation, default, sign in _checked_fields(type(obj)):
         value = getattr(obj, name)
         if value is default or value is None and annotation == "float | None":
             continue
-        kind = _NUMBER_KINDS[annotation]
+        kind = _KINDS[annotation]
+        if issubclass(kind, enum.Enum):
+            setattr(obj, name, _member(kind, name, value))
+            continue
         try:
             ok = (isinstance(value, numbers.Integral) if kind is int else
                   isinstance(value, numbers.Real) and math.isfinite(value))
@@ -88,6 +109,8 @@ def check_numbers(obj) -> None:
         if not ok or isinstance(value, bool):
             what = "an integer" if kind is int else "a finite number"
             raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+        if sign and not (value > 0 if sign == ">" else value >= 0):
+            raise ScenarioError(f"{name}: must be {sign} 0, got {value!r}")
         setattr(obj, name, kind(value))
 
 
@@ -99,18 +122,13 @@ class ScrewSpec:
     thread_pitch: float = 0.0005  # m per revolution
     shank_length: float = 0.008  # m
     nu_char: float | None = None  # 1/m; default depends on head_type
+    positive: ClassVar[tuple] = ("thread_pitch", "shank_length", "nu_char")
+    non_negative: ClassVar[tuple] = ()
 
     def __post_init__(self):
         check_numbers(self)
-        self.head_type = HeadType(self.head_type)
         if self.nu_char is None:
             self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
-        if self.thread_pitch <= 0:
-            raise ValueError("thread_pitch must be > 0")
-        if self.shank_length <= 0:
-            raise ValueError("shank_length must be > 0")
-        if self.nu_char <= 0:
-            raise ValueError("nu_char must be > 0")
 
 
 @dataclass
@@ -126,14 +144,11 @@ class SubstrateSpec:
     k_depth: float = 0.19 / 0.008  # N·m per m of engaged thread
     tau_run_nut: float = 0.002  # N·m, running torque in a nut
     k_seat: float = 0.05  # N·m/rad, head-seating torsional stiffness
+    positive: ClassVar[tuple] = ("k_seat",)
+    non_negative: ClassVar[tuple] = ("tau_cut", "k_depth", "tau_run_nut")
 
     def __post_init__(self):
         check_numbers(self)
-        self.kind = SubstrateKind(self.kind)
-        if min(self.tau_cut, self.k_depth, self.tau_run_nut) < 0:
-            raise ValueError("torque constants must be >= 0")
-        if self.k_seat <= 0:
-            raise ValueError("k_seat must be > 0")
 
 
 @dataclass
@@ -147,23 +162,14 @@ class SimParams:
     slip_sharpness: float = 6.0  # logistic steepness
     slip_dwell: float = 0.1  # s, duration of one cam-out
     dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
+    positive: ClassVar[tuple] = ("k_spring", "p_max", "slip_sharpness")
+    non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std",
+                                     "slip_dwell")
 
     def __post_init__(self):
         check_numbers(self)
-        if self.k_spring <= 0:
-            raise ValueError("k_spring must be > 0")
-        if not 0.0 < self.p_max <= 1.0:
-            raise ValueError("p_max must be in (0, 1]")
-        if self.force_noise_std < 0 or self.torque_noise_std < 0:
-            raise ValueError("noise stds must be >= 0")
-
-
-# Controller settings that must be > 0 and >= 0; slip_limit must be >= 1.
-_POSITIVE = ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
-             "spindle_speed", "approach_speed", "contact_threshold",
-             "travel_limit", "overload_torque")
-_NON_NEGATIVE = ("f_min", "kp", "ki", "integrator_limit", "noise_floor",
-                 "free_spin_time")
+        if self.p_max > 1.0:
+            raise ScenarioError("p_max: must be <= 1")
 
 
 @dataclass
@@ -192,29 +198,26 @@ class ControllerConfig:
     overload_torque: float = 0.4  # N·m, fault threshold
     slip_limit: int = 2000  # fault after this many slip-detected steps
     free_spin_time: float = 2.0  # s extra spin to fully withdraw the screw
+    positive: ClassVar[tuple] = (
+        "nu", "margin", "theta_slip", "base_ramp", "slip_ramp", "k_spring_est",
+        "spindle_speed", "approach_speed", "contact_threshold", "travel_limit",
+        "overload_torque", "slip_limit")
+    non_negative: ClassVar[tuple] = ("f_min", "kp", "ki", "noise_floor",
+                                     "integrator_limit", "free_spin_time")
 
     def __post_init__(self):
         check_numbers(self)
-        self.direction = Direction(self.direction)
-        for name in _POSITIVE:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in _NON_NEGATIVE:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.slip_limit < 1:
-            raise ValueError("slip_limit must be >= 1")
-        if not 0.0 < self.theta_slip < 1.0:
-            raise ValueError("theta_slip must be in (0, 1)")
+        if self.theta_slip >= 1.0:
+            raise ScenarioError("theta_slip: must be < 1")
         if self.f_min > self.f_max:
-            raise ValueError("f_min must be <= f_max")
+            raise ScenarioError("f_min: must be <= f_max")
         if not math.isfinite(self.margin * self.nu):
-            raise ValueError(f"margin * nu must be finite, got "
-                             f"{self.margin!r} * {self.nu!r}")
+            raise ScenarioError(f"margin: margin * nu must be finite, got "
+                                f"{self.margin!r} * {self.nu!r}")
         if not 2 <= self.window <= sys.maxsize:
-            raise ValueError(f"window must be in [2, {sys.maxsize}]")
+            raise ScenarioError(f"window: must be in [2, {sys.maxsize}]")
         if self.tau_stop <= self.noise_floor:
-            raise ValueError("tau_stop must exceed noise_floor")
+            raise ScenarioError("tau_stop: must be > noise_floor")
 
 
 @dataclass
@@ -228,11 +231,11 @@ class Scenario:
     seed: int
     duration: float = 40.0  # s
     contact_z: float = CONTACT_Z  # m, where the tool meets the screw head
+    positive: ClassVar[tuple] = ()
+    non_negative: ClassVar[tuple] = ("seed",)
 
     def __post_init__(self):
         check_numbers(self)
-        if self.seed < 0:
-            raise ScenarioError("seed: must be >= 0")
         if self.duration < SimParams.dt:
             raise ScenarioError(
                 f"duration: must be at least one sample period "
@@ -251,9 +254,8 @@ def _build(cls, section: str | None, data: dict, **given):
     """`cls` from the mapping `data` of a file `section` (None: the top
     level) plus the `given` fields, which a file cannot set. `cls` checks
     the values, and its field errors get the section's prefix."""
-    where = section or "scenario"
     if not isinstance(data, dict):
-        raise ScenarioError(f"{where}: expected a mapping")
+        raise ScenarioError(f"{section or 'scenario'}: expected a mapping")
     prefix = f"{section}." if section else ""
     names = _field_names(cls)
     for key in data:
@@ -261,10 +263,8 @@ def _build(cls, section: str | None, data: dict, **given):
             raise ScenarioError(f"{prefix}{key}: unknown field")
     try:
         return cls(**data, **given)
-    except ScenarioError as exc:  # a field's number rule
+    except ScenarioError as exc:  # names the field
         raise ScenarioError(f"{prefix}{exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -273,11 +273,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if "seed" not in data:
         raise ScenarioError("seed: required for reproducibility")
     data = dict(data)  # each key is popped where it is built
-    try:
-        direction = Direction(data.pop("direction",
-                                       ControllerConfig.direction))
-    except ValueError as exc:
-        raise ScenarioError(f"direction: {exc}") from exc
+    direction = _member(Direction, "direction",
+                        data.pop("direction", ControllerConfig.direction))
 
     screw = _build(ScrewSpec, "screw", data.pop("screw", {}))
     substrate = _build(SubstrateSpec, "substrate", data.pop("substrate", {}))

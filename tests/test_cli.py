@@ -81,8 +81,8 @@ class TestSimulate:
         assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: controller: margin * nu must be "
-                              "finite") and err.count("\n") == 1, err
+        assert err.startswith("error: controller.margin: margin * nu must "
+                              "be finite") and err.count("\n") == 1, err
         assert not (tmp_path / "r.yaml").exists()
 
     def test_zero_spring_estimate_rejected(self, tmp_path, capsys):
@@ -94,7 +94,8 @@ class TestSimulate:
         assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: controller: k_spring_est must be > 0")
+        assert err.startswith(
+            "error: controller.k_spring_est: must be > 0, got 0")
         assert err.count("\n") == 1, err
         assert not (tmp_path / "r.yaml").exists()
 

@@ -335,6 +335,17 @@ def test_invalid_specs_raise():
         scenario.SimParams(dt=-0.01)
 
 
+def _sign_rows(section, positive, non_negative):
+    """A row per sign rule of a section: each `positive` field at 0, each
+    `non_negative` field at -1."""
+    return ([({section: {name: 0}},
+              rf"{section}\.{name}: must be > 0, got 0$")
+             for name in positive]
+            + [({section: {name: -1}},
+                rf"{section}\.{name}: must be >= 0, got -1$")
+               for name in non_negative])
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"duration": float("nan")}, "duration"),
     ({"duration": float("inf")}, "duration"),
@@ -348,25 +359,73 @@ def test_invalid_specs_raise():
     ({"controller": {"margin": True}}, r"controller\.margin"),
     ({"controller": {"window": 30.5}}, r"controller\.window"),
     ({"controller": {"margin": 1e200, "nu": 1e200}},
-     r"controller: margin \* nu"),
-    ({"controller": {"window": 2 ** 63}}, "controller: window"),
+     r"controller\.margin: margin \* nu must be finite, got 1e\+200 \*"),
+    ({"controller": {"window": 2 ** 63}},
+     r"controller\.window: must be in \[2, \d+\]$"),
     ({"controller": None}, "controller: expected a mapping"),
     ({"controller": [1]}, "controller: expected a mapping"),
     ({"duration": 0.004}, "duration"),
     ({"duration": 1.0e308}, "duration"),
-    *[({"controller": {name: 0}}, rf"controller: {name} must be > 0")
-      for name in ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
-                   "spindle_speed", "approach_speed", "contact_threshold",
-                   "travel_limit", "overload_torque")],
-    ({"controller": {"approach_speed": -0.005}}, "controller: approach_speed"),
-    *[({"controller": {name: -1}}, rf"controller: {name} must be >= 0")
-      for name in ("f_min", "kp", "ki", "integrator_limit", "noise_floor",
-                   "free_spin_time")],
-    ({"controller": {"slip_limit": 0}}, "controller: slip_limit must be >= 1"),
+    *_sign_rows("controller",
+                ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
+                 "spindle_speed", "approach_speed", "contact_threshold",
+                 "travel_limit", "overload_torque"), ()),
+    ({"controller": {"approach_speed": -0.005}},
+     r"controller\.approach_speed: must be > 0, got -0\.005$"),
+    *_sign_rows("controller", (),
+                ("f_min", "kp", "ki", "integrator_limit", "noise_floor",
+                 "free_spin_time")),
+    *_sign_rows("controller", ("slip_limit", "theta_slip"), ()),
+    *_sign_rows("screw", ("thread_pitch", "shank_length", "nu_char"), ()),
+    *_sign_rows("substrate", ("k_seat",), ("tau_cut", "k_depth",
+                                           "tau_run_nut")),
+    *_sign_rows("sim", ("k_spring", "p_max", "slip_sharpness"),
+                ("force_noise_std", "torque_noise_std", "slip_dwell")),
+    ({"seed": -1}, r"seed: must be >= 0, got -1$"),
+    # a negative sharpness inverts the logistic: more force, more cam-outs
+    ({"sim": {"slip_sharpness": -6.0}},
+     r"sim\.slip_sharpness: must be > 0, got -6\.0$"),
+    # cross-field rules name their first field
+    ({"sim": {"p_max": 2}}, r"sim\.p_max: must be <= 1$"),
+    ({"controller": {"theta_slip": 1}},
+     r"controller\.theta_slip: must be < 1$"),
+    ({"controller": {"f_min": 60}}, r"controller\.f_min: must be <= f_max$"),
+    ({"controller": {"window": 1}}, r"controller\.window: must be in \[2, "),
+    ({"controller": {"tau_stop": 0.01}},
+     r"controller\.tau_stop: must be > noise_floor$"),
+    # enum fields
+    ({"screw": {"head_type": "torx"}},
+     r"screw\.head_type: expected one of phillips, .*, got 'torx'$"),
+    ({"substrate": {"kind": [1]}}, r"substrate\.kind: expected one of "),
+    ({"direction": "sideways"}, r"direction: expected one of screwing, "),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
 def test_invalid_scenario_value_names_field(overrides, field):
     with pytest.raises(ScenarioError, match=field):
         scenario.scenario_from_dict({"seed": 1, **overrides})
+
+
+@pytest.mark.parametrize("cls", [
+    scenario.ScrewSpec, scenario.SubstrateSpec, scenario.SimParams,
+    scenario.ControllerConfig, scenario.Scenario], ids=lambda c: c.__name__)
+def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
+    """`check_numbers` skips a field at its class default, so a misspelled
+    name in a rule table, or a default that breaks its own rule, would never
+    be checked."""
+    number_fields = {f.name: f.default for f in dataclasses.fields(cls)
+                     if f.type in ("float", "float | None", "int")}
+    assert set(cls.positive) <= number_fields.keys()
+    assert set(cls.non_negative) <= number_fields.keys()
+    assert not set(cls.positive) & set(cls.non_negative)
+    for names, rule in ((cls.positive, lambda v: v > 0),
+                        (cls.non_negative, lambda v: v >= 0)):
+        for name in names:
+            default = number_fields[name]
+            if default is dataclasses.MISSING:
+                continue
+            # a None default (nu_char) stands for the head type's value
+            values = (scenario.NU_CHAR_DEFAULTS.values() if default is None
+                      else [default])
+            assert all(map(rule, values)), name
 
 
 # Values of every kind a YAML file can hold: numbers finite, huge and
@@ -395,6 +454,19 @@ def _section(cls):
                      _yaml_values)
 
 
+# What a `ScenarioError` message from such a mapping starts with, before
+# ": ": a section, a top-level field, or a section's field (or a key a
+# section does not know).
+_SECTIONS = {"screw": scenario.ScrewSpec,
+             "substrate": scenario.SubstrateSpec,
+             "sim": scenario.SimParams,
+             "controller": scenario.ControllerConfig}
+_ERROR_HEADS = {
+    "scenario", "direction",
+    *(f.name for f in dataclasses.fields(scenario.Scenario)),
+    *(f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+      for f in dataclasses.fields(cls))}
+
 _scenario_dicts = st.fixed_dictionaries({
     "seed": st.one_of(st.integers(0, 2 ** 70), _yaml_values),
 }, optional={
@@ -402,10 +474,7 @@ _scenario_dicts = st.fixed_dictionaries({
                            _yaml_values),
     "duration": _yaml_values,
     "contact_z": _yaml_values,
-    "screw": _section(scenario.ScrewSpec),
-    "substrate": _section(scenario.SubstrateSpec),
-    "sim": _section(scenario.SimParams),
-    "controller": _section(scenario.ControllerConfig),
+    **{section: _section(cls) for section, cls in _SECTIONS.items()},
 })
 
 
@@ -413,12 +482,16 @@ _scenario_dicts = st.fixed_dictionaries({
 @given(data=_scenario_dicts)
 @example(data={"seed": 0, "controller": {"direction": "screwing"}})
 def test_any_mapping_gives_scenario_or_scenario_error(data):
-    """A mapping either fails with a `ScenarioError` or gives a scenario
-    whose controller state and start world build, with the mapping's one
-    top-level direction."""
+    """A mapping either fails with a `ScenarioError` whose message names a
+    section or field, or gives a scenario whose controller state and start
+    world build, with the mapping's one top-level direction."""
     try:
         scen = scenario.scenario_from_dict(data)
-    except ScenarioError:
+    except ScenarioError as exc:
+        heads = _ERROR_HEADS | {
+            f"{section}.{key}" for section in _SECTIONS
+            if isinstance(data.get(section), dict) for key in data[section]}
+        assert any(str(exc).startswith(f"{head}: ") for head in heads), exc
         return
     direction = data.get("direction", scenario.ControllerConfig.direction)
     assert scen.direction == scen.controller.direction == direction
