@@ -3,7 +3,9 @@
 One run owns its world state, controller state and RNG, so identical
 (scenario, seed) pairs produce identical sample streams and reports. The
 RNG is one `random.Random(seed)` stream (MT19937), drawn three times per
-step (see `sim`); numpy loads only when a run is traced.
+step (see `sim`). `closed_loop` is the loop itself: `run_scenario`
+folds it into a `RunResult`, and a caller that needs per-step ground truth
+reads the same generator.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import control, sim
 from .scenario import Direction
 
 if TYPE_CHECKING:
-    import numpy as np
+    from collections.abc import Iterator
 
     from .scenario import Scenario
 
@@ -28,40 +30,35 @@ class Outcome(str, enum.Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass
-class StepTrace:
-    """Per-step ground-truth record, kept only when tracing is requested."""
-
-    t: np.ndarray
-    phase: list
-    slipping: np.ndarray
-    force_true: np.ndarray
-    tau_req: np.ndarray
-    force_target: np.ndarray
-    engaged_depth: np.ndarray
+# Controller phases that end a run, and the outcome each one gives.
+_FINAL = {control.Phase.DONE: Outcome.DONE,
+          control.Phase.FAULT: Outcome.FAULT}
 
 
 @dataclass
 class RunResult:
-    """Outcome, sensed samples, final states and summary of one run."""
+    """Outcome, sensed samples, final states and slip onsets of one run."""
 
     outcome: Outcome
     samples: list  # sensed FtSample stream, 100 Hz
     world: sim.WorldState
     controller: control.ControllerState
     slip_times: list  # ground-truth cam-out onset times (s)
-    completion_time: float  # s; run duration if not completed
-    peak_torque: float  # N·m, max sensed torque
-    final_force: float  # N, last sensed force
-    trace: StepTrace | None = None
+
+    @property
+    def peak_torque(self) -> float:
+        """Max sensed torque (N·m)."""
+        return max(s.mz for s in self.samples)
 
     def report(self, scenario: Scenario) -> dict:
+        completion = (scenario.duration if self.outcome == Outcome.TIMEOUT
+                      else self.world.time)
         return {
             "outcome": self.outcome.value,
             "slip_events": len(self.slip_times),
-            "completion_time": float(self.completion_time),
+            "completion_time": float(completion),
             "peak_torque": float(self.peak_torque),
-            "final_force": float(self.final_force),
+            "final_force": float(self.samples[-1].fz),
             "nu_applied": scenario.controller.margin * scenario.controller.nu,
             "seed": scenario.seed,
             "direction": scenario.direction.value,
@@ -69,79 +66,58 @@ class RunResult:
         }
 
 
-def run_scenario(scenario: Scenario, trace: bool = False) -> RunResult:
+def closed_loop(scenario: Scenario) -> Iterator[tuple]:
+    """Step the world, the sensors and the controller once per sample
+    period and yield `(world, truth, sensed, state)` after each step.
+
+    `world` and `state` are the run's own `WorldState` and
+    `ControllerState`, updated in place by the next step, so read what you
+    need from them before advancing the generator. The loop stops after
+    the step that enters DONE or FAULT, or after `duration / dt` steps.
+    """
     rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
     cfg = scenario.controller
     state = control.new_controller_state(cfg)
     cmd = control.ToolCommand(z_cmd=0.0, spindle_speed=0.0)
-    n_steps = int(round(scenario.duration / scenario.sim.dt))
-
-    samples = []
-    slip_times = []
-    was_slipping = False
-    completion = scenario.duration
-    outcome = Outcome.TIMEOUT
-    rows = [] if trace else None
-
-    for _ in range(n_steps):
+    for _ in range(int(round(scenario.duration / scenario.sim.dt))):
         truth = sim.step_world(world, cmd, scenario.screw,
                                scenario.substrate, scenario.sim, rng)
+        sensed = sim.read_sensors(truth, scenario.sim, rng)
+        state, cmd = control.update(state, sensed, cfg)
+        yield world, truth, sensed, state
+        if state.phase in _FINAL:
+            return
+
+
+def run_scenario(scenario: Scenario) -> RunResult:
+    samples, slip_times = [], []
+    was_slipping = False
+    for world, _, sensed, state in closed_loop(scenario):
+        samples.append(sensed)
         if world.slipping and not was_slipping:
             slip_times.append(world.time)
         was_slipping = world.slipping
-        sensed = sim.read_sensors(truth, scenario.sim, rng)
-        samples.append(sensed)
-
-        state, cmd = control.update(state, sensed, cfg)
-        if rows is not None:
-            rows.append((world.time, state.phase.value, world.slipping,
-                         truth.fz, sim.required_torque(
-                             world, scenario.screw, scenario.substrate,
-                             scenario.direction),
-                         state.force_target, world.engaged_depth))
-        if state.phase in (control.Phase.DONE, control.Phase.FAULT):
-            completion = world.time
-            outcome = (Outcome.DONE if state.phase == control.Phase.DONE
-                       else Outcome.FAULT)
-            break
-
-    step_trace = None
-    if rows is not None:
-        import numpy as np
-        cols = list(zip(*rows))
-        step_trace = StepTrace(
-            t=np.asarray(cols[0]), phase=list(cols[1]),
-            slipping=np.asarray(cols[2], dtype=bool),
-            force_true=np.asarray(cols[3]), tau_req=np.asarray(cols[4]),
-            force_target=np.asarray(cols[5]),
-            engaged_depth=np.asarray(cols[6]))
-
     return RunResult(
-        outcome=outcome, samples=samples, world=world, controller=state,
-        slip_times=slip_times, completion_time=completion,
-        peak_torque=max(s.mz for s in samples) if samples else 0.0,
-        final_force=samples[-1].fz if samples else 0.0,
-        trace=step_trace)
+        outcome=_FINAL.get(state.phase, Outcome.TIMEOUT), samples=samples,
+        world=world, controller=state, slip_times=slip_times)
 
 
-def run_open_loop(scenario: Scenario, force: float,
-                  n_steps: int) -> tuple[list, list, sim.WorldState]:
+def run_open_loop(scenario: Scenario, force: float, n_steps: int) -> list:
     """Spin at the scenario speed while holding a constant axial force by
-    tracking the contact point. Returns (truth, sensed) streams."""
+    tracking the contact point. Returns the sensed stream."""
     rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
     sign = 1.0 if scenario.direction == Direction.SCREWING else -1.0
     speed = sign * scenario.controller.spindle_speed
     deflection = force / scenario.sim.k_spring
-    truth_samples, sensed_samples = [], []
+    sensed = []
     for _ in range(n_steps):
         cmd = control.ToolCommand(z_cmd=world.contact_z + deflection,
                                   spindle_speed=speed)
         truth = sim.step_world(world, cmd, scenario.screw,
                                scenario.substrate, scenario.sim, rng)
-        truth_samples.append(truth)
-        sensed_samples.append(sim.read_sensors(truth, scenario.sim, rng))
-    return truth_samples, sensed_samples, world
+        sensed.append(sim.read_sensors(truth, scenario.sim, rng))
+    return sensed

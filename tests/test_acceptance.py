@@ -59,32 +59,37 @@ def test_2_screwing_force_ramp_reproduction():
     n_runs = 100
     for seed in range(n_runs):
         sc = scenario.default_scenario("screwing", seed=seed)
-        res = runner.run_scenario(sc, trace=True)
-        tr = res.trace
         nu = sc.controller.nu
+        rows, peak_torque = [], 0.0
+        for world, truth, sensed, state in runner.closed_loop(sc):
+            rows.append((world.time, truth.fz,
+                         sim.required_torque(world, sc.screw, sc.substrate,
+                                             sc.direction),
+                         state.phase.value, world.slipping))
+            peak_torque = max(peak_torque, sensed.mz)
+        t, force_true, tau_req, phase, slipping = map(np.asarray, zip(*rows))
+        slips = slipping.astype(int)
+        onsets = np.r_[slips[0], np.diff(slips) == 1].astype(bool)
 
         # (a) at least one slip before the applied force first reaches nu*tau
-        meaningful = tr.tau_req > 0.02
+        meaningful = tau_req > 0.02
         ratio = np.where(meaningful,
-                         tr.force_true / np.maximum(nu * tr.tau_req, 1e-9),
-                         0.0)
+                         force_true / np.maximum(nu * tau_req, 1e-9), 0.0)
         hit = np.nonzero(ratio >= 1.0)[0]
-        t_hit = tr.t[hit[0]] if len(hit) else tr.t[-1]
-        if any(st < t_hit for st in res.slip_times):
+        t_hit = t[hit[0]] if len(hit) else t[-1]
+        if np.any(t[onsets] < t_hit):
             ok_a += 1
 
         # (b) slip onsets per drive-phase quarter, aggregated over runs
-        drive = np.nonzero(np.asarray(tr.phase) == control.Phase.DRIVE.value)[0]
+        drive = np.nonzero(phase == control.Phase.DRIVE.value)[0]
         if len(drive) >= 8:
             q = len(drive) // 4
-            slips = tr.slipping.astype(int)
-            onsets = np.r_[slips[0], np.diff(slips) == 1]
             first_q_slips += int(onsets[drive[:q]].sum())
             last_q_slips += int(onsets[drive[-q:]].sum())
 
         # (c) seated and stopped below the overload limit
-        if (res.outcome == runner.Outcome.DONE and res.world.seated
-                and res.peak_torque <= 0.4):
+        if (state.phase == control.Phase.DONE and world.seated
+                and peak_torque <= 0.4):
             ok_c += 1
     elapsed = time.perf_counter() - t0
     ok = (ok_a == n_runs
@@ -171,7 +176,7 @@ def test_6_envelope_monotonicity():
     ok = True
     for seed in range(50):
         sc = scenario.default_scenario("unscrewing", seed=seed)
-        _, sensed, _ = runner.run_open_loop(sc, force=30.0, n_steps=1500)
+        sensed = runner.run_open_loop(sc, force=30.0, n_steps=1500)
         series = analysis.FtSeries(samples=sensed)
         peaks = analysis.local_maxima(series, "mz", min_prominence=0.009,
                                       min_separation=1.0)

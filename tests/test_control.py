@@ -107,12 +107,10 @@ class TestDetectTerminal:
         sc = scenario.default_scenario(
             "screwing", seed=11,
             sim={"p_max": 0.5, "slip_sharpness": 2.0})
-        result = runner.run_scenario(sc, trace=True)
-        declared = [i for i, p in enumerate(result.trace.phase)
-                    if p == Phase.SEATED.value]
-        if declared:
-            assert (result.trace.engaged_depth[declared[0]]
-                    == sc.screw.shank_length)
+        for world, _, _, state in runner.closed_loop(sc):
+            if state.phase == Phase.SEATED:
+                assert world.engaged_depth == sc.screw.shank_length
+                break
 
 
 class TestPidForceStep:
@@ -244,6 +242,41 @@ class TestUpdate:
                 state, sim.FtSample(i * 0.01, fz, mz), cfg)
             assert state.phase in control.ALLOWED_TRANSITIONS[prev]
             prev = state.phase
+
+
+@pytest.mark.parametrize("fields, outcome, steps", [
+    ({}, runner.Outcome.DONE, 1667),
+    ({"controller": {"overload_torque": 0.05}}, runner.Outcome.FAULT, 137),
+    ({"duration": 1.0}, runner.Outcome.TIMEOUT, 100),
+], ids=["done", "fault", "timeout"])
+def test_run_scenario_folds_the_closed_loop(fields, outcome, steps):
+    """`run_scenario` agrees with one pass of `closed_loop`: its samples,
+    slip onsets, final states and report come from the yielded steps."""
+    sc = scenario.default_scenario("screwing", seed=3, **fields)
+    sensed, times, slipping = [], [], []
+    for world, _, sample, state in runner.closed_loop(sc):
+        sensed.append(sample)
+        times.append(world.time)
+        slipping.append(world.slipping)
+    result = runner.run_scenario(sc)
+
+    assert len(sensed) == steps
+    assert result.samples == sensed
+    assert result.slip_times == [
+        t for t, now, before in zip(times, slipping, [False] + slipping)
+        if now and not before]
+    assert (result.world, result.controller) == (world, state)
+    assert result.outcome == outcome
+    report = result.report(sc)
+    if outcome == runner.Outcome.TIMEOUT:
+        assert state.phase not in (Phase.DONE, Phase.FAULT)
+        assert report["completion_time"] == sc.duration
+    else:
+        assert state.phase.value == outcome.value
+        assert report["completion_time"] == times[-1]
+    assert report["peak_torque"] == result.peak_torque == max(
+        s.mz for s in sensed)
+    assert report["final_force"] == sensed[-1].fz
 
 
 class TestCalibrateForce:
