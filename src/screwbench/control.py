@@ -69,11 +69,10 @@ class ControllerState:
     torque_window: deque = field(default_factory=deque)
     force_target: float = 0.0  # N
     slip_count: int = 0  # slip-detected steps
-    time_in_phase: float = 0.0  # s
+    free_time: float = 0.0  # s spent in FREE
     # loop-keeping fields
     z_cmd: float = 0.0
     contact_z_est: float = 0.0
-    torque_seen: bool = False  # torque has exceeded the noise floor
     camout_events: int = 0  # rising edges of the slip detector
     camout_prev: bool = False
 
@@ -89,14 +88,18 @@ def target_force(tau_filtered: float, cfg: ControllerConfig) -> float:
     return min(cfg.f_max, max(cfg.f_min, cfg.margin * cfg.nu * tau_filtered))
 
 
+def _camout(peak, latest, cfg: ControllerConfig):
+    """The rule of `detect_camout` and `camout_flags`, on floats or numpy
+    arrays alike."""
+    return (peak > cfg.noise_floor) & (latest < cfg.theta_slip * peak)
+
+
 def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
     """Sharp torque drop: latest below theta_slip of the window maximum,
     with the maximum above the noise floor."""
     if len(torque_window) < 2:
         raise ValueError("window length must be >= 2")
-    peak = max(torque_window)
-    return (peak > cfg.noise_floor
-            and torque_window[-1] < cfg.theta_slip * peak)
+    return _camout(max(torque_window), torque_window[-1], cfg)
 
 
 def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
@@ -106,18 +109,16 @@ def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
     mz = np.asarray(mz, dtype=float)
     padded = np.concatenate([np.full(cfg.window - 1, -np.inf), mz])
     windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)
-    peak = windows.max(axis=1)
-    return (peak > cfg.noise_floor) & (mz < cfg.theta_slip * peak)
+    return _camout(windows.max(axis=1), mz, cfg)
 
 
-def detect_terminal(torque_window, cfg: ControllerConfig,
-                    engaged: bool = True) -> Phase | None:
+def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:
     """Completion detection: the phase to enter (SEATED or FREE), or None.
 
     Screwing (`cfg.direction`): seated when a sustained rise crosses
     tau_stop (latest at or above the threshold with the window tail strictly
     rising). Unscrewing: free when the whole window sits below the noise
-    floor; `engaged` must say the torque has previously exceeded the floor.
+    floor. The caller asks only in DRIVE, after torque above the floor.
     """
     w = torque_window
     if len(w) < 2:
@@ -129,7 +130,7 @@ def detect_terminal(torque_window, cfg: ControllerConfig,
         if all(w[-i] > w[-i - 1] for i in range(1, tail + 1)):
             return Phase.SEATED
         return None
-    if engaged and all(v < cfg.noise_floor for v in w):
+    if all(v < cfg.noise_floor for v in w):
         return Phase.FREE
     return None
 
@@ -156,11 +157,6 @@ def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
     return u
 
 
-def _enter(state: ControllerState, phase: Phase) -> None:
-    state.phase = phase
-    state.time_in_phase = 0.0
-
-
 def _slew_force_target(state: ControllerState, camout: bool,
                        goal: float, cfg: ControllerConfig) -> None:
     dt = SimParams.dt
@@ -168,8 +164,7 @@ def _slew_force_target(state: ControllerState, camout: bool,
         state.slip_count += 1
         if not state.camout_prev:
             state.camout_events += 1
-        state.force_target = min(cfg.f_max,
-                                 state.force_target + cfg.slip_ramp * dt)
+        state.force_target += cfg.slip_ramp * dt
     else:
         step = cfg.base_ramp * dt
         delta = goal - state.force_target
@@ -178,36 +173,30 @@ def _slew_force_target(state: ControllerState, camout: bool,
     state.camout_prev = camout
 
 
-def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
-    """Full state-machine step over one sample period `SimParams.dt`:
-    (state, sample) -> (state, command).
+def update(state: ControllerState, sample: FtSample,
+           cfg: ControllerConfig) -> ToolCommand:
+    """Full state-machine step over one sample period `SimParams.dt`.
 
-    Mutates and returns `state`. Fault is the error channel; in-band sensor
-    values never raise.
+    Updates `state` in place and returns the command for the next step.
+    Fault is the error channel: a non-finite sample or a torque above
+    `overload_torque` enters FAULT, and in-band sensor values never raise.
     """
     dt = SimParams.dt
-    state.time_in_phase += dt
     if state.phase in (Phase.DONE, Phase.FAULT):
-        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
-    if not (math.isfinite(sample.fz) and math.isfinite(sample.mz)):
-        _enter(state, Phase.FAULT)
-        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+        return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+    if not (math.isfinite(sample.fz) and math.isfinite(sample.mz)
+            and sample.mz <= cfg.overload_torque):
+        state.phase = Phase.FAULT
+        return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     state.torque_window.append(sample.mz)
-    if sample.mz > cfg.noise_floor:
-        state.torque_seen = True
-    if sample.mz > cfg.overload_torque:
-        _enter(state, Phase.FAULT)
-        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
-
     if state.phase == Phase.APPROACH:
         state.z_cmd += cfg.approach_speed * dt
         if sample.fz > cfg.contact_threshold:
             state.contact_z_est = state.z_cmd - sample.fz / cfg.k_spring_est
             state.force_target = cfg.f_min
-            state.integrator = 0.0
-            _enter(state, Phase.ENGAGE)
-        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+            state.phase = Phase.ENGAGE
+        return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     w = state.torque_window
     if state.phase in (Phase.ENGAGE, Phase.DRIVE):
@@ -217,31 +206,31 @@ def update(state: ControllerState, sample: FtSample, cfg: ControllerConfig):
 
         # at most one phase transition per step
         if state.phase == Phase.ENGAGE and tau_f > cfg.noise_floor:
-            _enter(state, Phase.DRIVE)
+            state.phase = Phase.DRIVE
         elif state.phase == Phase.DRIVE:
             if state.slip_count > cfg.slip_limit:
-                _enter(state, Phase.FAULT)
+                state.phase = Phase.FAULT
             elif len(w) >= 2:
-                window_full = len(w) == cfg.window
-                term = detect_terminal(w, cfg,
-                                       engaged=state.torque_seen and window_full)
+                # DRIVE began above the floor, so a window below it is full
+                term = detect_terminal(w, cfg)
                 if term is not None:
-                    _enter(state, term)
+                    state.phase = term
     elif state.phase == Phase.SEATED:
-        _enter(state, Phase.DONE)  # one step after seating
+        state.phase = Phase.DONE  # one step after seating
     elif state.phase == Phase.FREE:
         # keep spinning briefly so the last threads fully disengage
-        if state.time_in_phase >= cfg.free_spin_time:
-            _enter(state, Phase.DONE)
+        state.free_time += dt
+        if state.free_time >= cfg.free_spin_time:
+            state.phase = Phase.DONE
 
     if state.phase in (Phase.DONE, Phase.FAULT):
-        return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+        return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     offset = pid_force_step(state, sample.fz, state.force_target, cfg)
     state.z_cmd = state.contact_z_est + offset
     sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
     spindle = 0.0 if state.phase == Phase.SEATED else sign * cfg.spindle_speed
-    return state, ToolCommand(z_cmd=state.z_cmd, spindle_speed=spindle)
+    return ToolCommand(z_cmd=state.z_cmd, spindle_speed=spindle)
 
 
 @dataclass

@@ -85,7 +85,7 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
         truth = sim.step_world(world, cmd, scenario.screw,
                                scenario.substrate, scenario.sim, rng)
         sensed = sim.read_sensors(truth, scenario.sim, rng)
-        state, cmd = control.update(state, sensed, cfg)
+        cmd = control.update(state, sensed, cfg)
         yield world, truth, sensed, state
         if state.phase in _FINAL:
             return

@@ -213,8 +213,7 @@ def test_7_controller_safety_properties():
             slip_seen = (in_loop and len(window) >= 2
                          and control.detect_camout(window, cfg))
             before = state.force_target
-            state, _ = control.update(
-                state, FtSample(i * 0.01, fz[i], mz[i]), cfg)
+            control.update(state, FtSample(i * 0.01, fz[i], mz[i]), cfg)
             if state.phase not in control.ALLOWED_TRANSITIONS[prev_phase]:
                 ok = False
             if in_loop and state.phase not in (control.Phase.DONE,

@@ -86,15 +86,8 @@ class TestDetectTerminal:
 
     def test_unscrewed_free(self):
         cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
-        term = control.detect_terminal([0.004, 0.003, 0.005], cfg,
-                                       engaged=True)
+        term = control.detect_terminal([0.004, 0.003, 0.005], cfg)
         assert term == Phase.FREE
-
-    def test_free_requires_prior_engagement(self):
-        cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
-        term = control.detect_terminal([0.004, 0.003, 0.005], cfg,
-                                       engaged=False)
-        assert term is None
 
     def test_slip_spike_is_not_seating(self):
         cfg = cfg_with(direction="screwing", tau_stop=0.2)
@@ -155,7 +148,6 @@ def drive_state(cfg):
     state = control.new_controller_state(cfg)
     state.phase = Phase.DRIVE
     state.force_target = cfg.f_min
-    state.torque_seen = True
     return state
 
 
@@ -167,7 +159,7 @@ class TestUpdate:
         targets = []
         for i in range(10):
             sample = sim.FtSample(t=i * dt, fz=5.0, mz=0.15)
-            state, _ = control.update(state, sample, cfg)
+            control.update(state, sample, cfg)
             targets.append(state.force_target)
         rates = np.diff(targets) / dt
         assert np.allclose(rates, cfg.base_ramp)
@@ -177,10 +169,9 @@ class TestUpdate:
         state = drive_state(cfg)
         dt = 0.01
         for i in range(5):
-            state, _ = control.update(
-                state, sim.FtSample(i * dt, 20.0, 0.15), cfg)
+            control.update(state, sim.FtSample(i * dt, 20.0, 0.15), cfg)
         before = state.force_target
-        state, _ = control.update(
+        control.update(
             state, sim.FtSample(0.05, 20.0, 0.002), cfg)  # sharp drop
         assert state.force_target > before
         assert (state.force_target - before) == pytest.approx(
@@ -194,7 +185,7 @@ class TestUpdate:
         for i in range(500):
             sample = sim.FtSample(i * 0.01, rng.uniform(0, 100),
                                   rng.uniform(0, 0.3))
-            state, _ = control.update(state, sample, cfg)
+            control.update(state, sample, cfg)
             if state.phase in (Phase.DONE, Phase.FAULT):
                 break
             assert cfg.f_min <= state.force_target <= cfg.f_max
@@ -202,9 +193,46 @@ class TestUpdate:
     def test_overload_torque_faults(self):
         cfg = cfg_with(direction="screwing")
         state = drive_state(cfg)
-        state, _ = control.update(
+        control.update(
             state, sim.FtSample(0.0, 10.0, cfg.overload_torque + 0.01), cfg)
         assert state.phase == Phase.FAULT
+
+    @pytest.mark.parametrize("fz, mz", [(float("nan"), 0.15),
+                                        (20.0, float("inf"))],
+                             ids=["nan_force", "inf_torque"])
+    def test_non_finite_sample_faults_and_holds(self, fz, mz):
+        cfg = cfg_with(direction="screwing")
+        state = drive_state(cfg)
+        for i in range(5):
+            cmd = control.update(
+                state, sim.FtSample(i * 0.01, 20.0, 0.15), cfg)
+        z_last = cmd.z_cmd
+        cmd = control.update(state, sim.FtSample(0.05, fz, mz), cfg)
+        assert state.phase == Phase.FAULT
+        assert cmd == control.ToolCommand(z_cmd=z_last, spindle_speed=0.0)
+
+    def test_slip_limit_faults(self):
+        cfg = cfg_with(direction="screwing", slip_limit=1)
+        state = drive_state(cfg)
+        for i in range(5):
+            control.update(state, sim.FtSample(i * 0.01, 20.0, 0.15), cfg)
+        control.update(
+            state, sim.FtSample(0.05, 20.0, 0.002), cfg)  # first cam-out step
+        assert (state.phase, state.slip_count) == (Phase.DRIVE, 1)
+        cmd = control.update(
+            state, sim.FtSample(0.06, 20.0, 0.002), cfg)  # second
+        assert (state.phase, state.slip_count) == (Phase.FAULT, 2)
+        assert cmd.spindle_speed == 0.0
+
+    def test_free_requires_prior_engagement(self):
+        """Contact with no torque never counts as unscrewed: the whole
+        window below the noise floor ends DRIVE only, and DRIVE needs
+        torque above the floor."""
+        cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
+        state = control.new_controller_state(cfg)
+        for i in range(cfg.window + 300):
+            control.update(state, sim.FtSample(i * 0.01, 5.0, 0.0), cfg)
+            assert state.phase in (Phase.APPROACH, Phase.ENGAGE)
 
     def test_done_and_fault_absorbing(self):
         cfg = cfg_with()
@@ -212,7 +240,7 @@ class TestUpdate:
             state = control.new_controller_state(cfg)
             state.phase = terminal
             for i in range(20):
-                state, cmd = control.update(
+                cmd = control.update(
                     state, sim.FtSample(i * 0.01, 50.0, 0.3), cfg)
                 assert state.phase == terminal
                 assert cmd.spindle_speed == 0.0
@@ -238,8 +266,7 @@ class TestUpdate:
         state = control.new_controller_state(cfg)
         prev = state.phase
         for i, (fz, mz) in enumerate(stream):
-            state, _ = control.update(
-                state, sim.FtSample(i * 0.01, fz, mz), cfg)
+            control.update(state, sim.FtSample(i * 0.01, fz, mz), cfg)
             assert state.phase in control.ALLOWED_TRANSITIONS[prev]
             prev = state.phase
 

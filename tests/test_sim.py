@@ -556,6 +556,21 @@ def test_settings_built_in_code_follow_the_number_rule(build, field):
         build()
 
 
+def test_integer_too_large_for_a_float_names_field():
+    """`math.isfinite(10**309)` raises OverflowError; the number rule turns
+    it into the field's own error."""
+    with pytest.raises(ScenarioError,
+                       match=r"^sim\.k_spring: expected a finite number"):
+        scenario.scenario_from_dict({"seed": 1, "sim": {"k_spring": 10**309}})
+
+
+def test_scenario_file_with_a_list_at_top_level_is_refused(tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("- 1\n")
+    with pytest.raises(ScenarioError,
+                       match="^scenario: expected a mapping at top level$"):
+        scenario.load_scenario(path)
+
 @pytest.mark.parametrize("text", [
     b"seed: 1" + b"0" * 5000 + b"\n",  # int beyond Python's digit limit
     b"\xff\xfe seed: 1\n",  # not UTF-8
