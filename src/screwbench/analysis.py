@@ -19,23 +19,23 @@ from enum import Enum
 
 import numpy as np
 
+from . import sensor
 from .errors import (DegenerateFitError, UndefinedFrequencyError,
                      degenerate_on_warning)
-from .scenario import SimParams
 
 # Default peak filter of `analyze` and `regrasp_frequency`: a prominence
 # of 3x the channel's sensor noise std and a 0.2 s separation.
-DEFAULT_PROMINENCE = {"fz": 3.0 * SimParams.force_noise_std,
-                      "mz": 3.0 * SimParams.torque_noise_std}
+DEFAULT_PROMINENCE = {"fz": 3.0 * sensor.FORCE_NOISE_STD,
+                      "mz": 3.0 * sensor.TORQUE_NOISE_STD}
 DEFAULT_SEPARATION = 0.2  # s
 
 
 @dataclass
 class FtSeries:
-    """A force/torque recording sampled every `SimParams.dt`. `samples`
-    are (t, fz, mz) triples, such as `FtSample`s or the rows of an (n, 3)
-    array, copied once into the columns `times()` and `channel()` return
-    (read-only)."""
+    """A force/torque recording sampled every `sensor.DT` (100 Hz, within
+    1%). `samples` are (t, fz, mz) triples, such as `FtSample`s or the rows
+    of an (n, 3) array, copied once into the columns `times()` and
+    `channel()` return (read-only)."""
 
     samples: InitVar[list]
     _columns: dict = field(init=False, repr=False)
@@ -49,8 +49,9 @@ class FtSeries:
         dts = np.diff(columns[0])
         if np.any(dts <= 0):
             raise ValueError("timestamps must be strictly increasing")
-        if np.any(np.abs(dts - SimParams.dt) > 0.01 * SimParams.dt):
-            raise ValueError("sampling must be uniform 100 Hz within 1%")
+        if np.any(np.abs(dts - sensor.DT) > 0.01 * sensor.DT):
+            raise ValueError(f"sampling must be uniform {sensor.SAMPLE_HZ} Hz"
+                             " within 1%")
 
     def times(self) -> np.ndarray:
         return self._columns["t"]

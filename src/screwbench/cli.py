@@ -12,11 +12,14 @@ exit zero. Bare scenario names are resolved against --scenario-dir, the
 SCREWBENCH_SCENARIO_DIR environment variable, or ./scenarios, in that
 order.
 
-Imports at the point of use: `import screwbench.cli` loads only the run
-settings and scenario loader (`scenario`), not even `argparse`, which
-loads when `main` builds the parser; each subcommand loads the rest where
-it uses it. Only `simulate` loads the closed loop (`runner`, `sim`), and
-`compare` does not load the controller (`control`) either.
+Imports at the point of use: `import screwbench.cli` loads only the error
+types (`errors`), not even `argparse`, which loads when `main` builds the
+parser; each subcommand loads the rest where it uses it. Only `simulate`
+loads the closed loop (`runner`, `sim`), `compare` loads neither the
+controller (`control`) nor the run settings (`scenario`), and `analyze`
+loads both for the controller's cam-out detector and its defaults.
+`cli.load_scenario` stays readable as `scenario.load_scenario`, loaded on
+first access.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
                      UndefinedFrequencyError)
-from .scenario import ControllerConfig, load_scenario
 
 if TYPE_CHECKING:
     import argparse
@@ -38,6 +40,15 @@ if TYPE_CHECKING:
 
 SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
 ENVELOPE_POINTS = 50  # default envelope grid size in the `analyze` report
+
+
+def __getattr__(name):
+    # PEP 562: `cli.load_scenario` is the scenario loader, read from its
+    # module on each access so that it loads only when asked for.
+    if name == "load_scenario":
+        from . import scenario
+        return scenario.load_scenario
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
@@ -56,6 +67,7 @@ def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
 
 def cmd_simulate(args) -> int:
     from . import logio, runner
+    from .scenario import load_scenario
     scenario_path = _resolve_scenario(args.scenario, args.scenario_dir)
     scenario = load_scenario(scenario_path)
     if args.seed is not None:
@@ -78,6 +90,7 @@ def _count_slip_flags(mz: np.ndarray) -> int:
     import numpy as np
 
     from . import control
+    from .scenario import ControllerConfig
     flags = control.camout_flags(mz, ControllerConfig())
     # flag 0 is False under the defaults, so edges start at index 1
     return int(np.count_nonzero(flags[1:] & ~flags[:-1]))

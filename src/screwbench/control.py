@@ -200,7 +200,9 @@ def update(state: ControllerState, sample: FtSample,
 
     w = state.torque_window
     if state.phase in (Phase.ENGAGE, Phase.DRIVE):
-        camout = len(w) >= 2 and detect_camout(w, cfg)
+        # ENGAGE follows an APPROACH step's sample and window >= 2, so w
+        # holds at least two samples here
+        camout = detect_camout(w, cfg)
         tau_f = max(w)  # moving-window maximum: the torque envelope
         _slew_force_target(state, camout, target_force(tau_f, cfg), cfg)
 
@@ -210,7 +212,7 @@ def update(state: ControllerState, sample: FtSample,
         elif state.phase == Phase.DRIVE:
             if state.slip_count > cfg.slip_limit:
                 state.phase = Phase.FAULT
-            elif len(w) >= 2:
+            else:
                 # DRIVE began above the floor, so a window below it is full
                 term = detect_terminal(w, cfg)
                 if term is not None:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
+from . import sensor
 from .errors import ScenarioError
 
 TWO_PI = 2.0 * math.pi
@@ -156,12 +157,12 @@ class SimParams:
     """Mount spring, sensor noise and cam-out model of the world stepper."""
 
     k_spring: float = 5000.0  # N/m, compliant mount spring constant
-    force_noise_std: float = 0.1  # N
-    torque_noise_std: float = 0.003  # N·m
+    force_noise_std: float = sensor.FORCE_NOISE_STD  # N
+    torque_noise_std: float = sensor.TORQUE_NOISE_STD  # N·m
     p_max: float = 0.1  # peak per-step slip probability
     slip_sharpness: float = 6.0  # logistic steepness
     slip_dwell: float = 0.1  # s, duration of one cam-out
-    dt: ClassVar[float] = 0.01  # s, the fixed 100 Hz sample period
+    dt: ClassVar[float] = sensor.DT  # s, the fixed 100 Hz sample period
     positive: ClassVar[tuple] = ("k_spring", "p_max", "slip_sharpness")
     non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std",
                                      "slip_dwell")

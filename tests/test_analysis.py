@@ -10,9 +10,10 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from screwbench import analysis, logio
+from screwbench import analysis, logio, sensor
 from screwbench.analysis import FtSeries, UTestMethod
 from screwbench.errors import DegenerateFitError, UndefinedFrequencyError
+from screwbench.scenario import SimParams
 from screwbench.sim import FtSample
 
 
@@ -43,8 +44,21 @@ class TestFtSeries:
     def test_rejects_non_uniform_spacing(self):
         samples = [FtSample(0.0, 0, 0), FtSample(0.01, 0, 0),
                    FtSample(0.05, 0, 0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             FtSeries(samples=samples)
+        assert str(excinfo.value) == \
+            "sampling must be uniform 100 Hz within 1%"
+
+    def test_sample_period_and_noise_defaults_have_one_home(self):
+        """`sensor` holds the sample period and the noise defaults that the
+        model's settings and the default peak filter both use."""
+        assert SimParams.dt == 1 / sensor.SAMPLE_HZ == 0.01
+        params = SimParams()
+        assert params.force_noise_std == sensor.FORCE_NOISE_STD
+        assert params.torque_noise_std == sensor.TORQUE_NOISE_STD
+        assert analysis.DEFAULT_PROMINENCE == {
+            "fz": 3.0 * sensor.FORCE_NOISE_STD,
+            "mz": 3.0 * sensor.TORQUE_NOISE_STD}
 
 
 class TestLocalMaxima:

@@ -857,8 +857,10 @@ def test_building_a_scenario_loads_no_model_controller_or_argparse():
 
 def test_compare_and_analyze_load_no_closed_loop(tmp_path):
     """Only `simulate` runs the closed loop: in a fresh process, importing
-    the cli and running `compare` load neither `runner` nor `control`, and
-    `analyze` loads no `runner`; `simulate` still works after them."""
+    the cli loads only `errors`, running `compare` loads neither `runner`,
+    `control` nor the run settings (`scenario`), and `analyze` loads no
+    `runner`; `simulate` still works after them. `cli.load_scenario` is
+    the scenario loader, and no other missing name resolves."""
     for group, nus in (("a", (95.0, 100.0)), ("b", (50.0, 55.0))):
         (tmp_path / group).mkdir()
         for i, nu in enumerate(nus):
@@ -873,13 +875,25 @@ def test_compare_and_analyze_load_no_closed_loop(tmp_path):
         def loaded(*names):
             return [k for k in names if k in sys.modules]
 
+        own = sorted(k for k in sys.modules if k.startswith("screwbench"))
+        assert own == ["screwbench", "screwbench.cli",
+                       "screwbench.errors"], own
         closed_loop = ("screwbench.runner", "screwbench.control")
-        assert not loaded(*closed_loop), loaded(*closed_loop)
         tmp = Path({str(tmp_path)!r})
         assert cli.main(["compare", str(tmp / "a"), str(tmp / "b")]) == 0
         assert not loaded(*closed_loop), loaded(*closed_loop)
+        assert not loaded("screwbench.scenario")
         assert cli.main(["analyze", str(tmp / "a" / "0.csv")]) == 0
         assert not loaded("screwbench.runner")
+        assert loaded("screwbench.scenario")
+        from screwbench import scenario
+        assert cli.load_scenario is scenario.load_scenario
+        try:
+            cli.ControllerConfig
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("cli.ControllerConfig resolved")
         assert cli.main(["simulate", str(tmp / "s.yaml"),
                          "--out", str(tmp / "o.csv"),
                          "--report", str(tmp / "r.yaml")]) == 0

@@ -144,10 +144,13 @@ class TestPidForceStep:
 
 
 def drive_state(cfg):
-    """Controller state already in the drive phase with a warm window."""
+    """Controller state already in the drive phase with a warm window: it
+    holds one sample at the tests' drive torque, 0.15 N·m, as a run that
+    reached DRIVE holds at least one."""
     state = control.new_controller_state(cfg)
     state.phase = Phase.DRIVE
     state.force_target = cfg.f_min
+    state.torque_window.append(0.15)
     return state
 
 
