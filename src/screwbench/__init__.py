@@ -12,15 +12,14 @@ import importlib
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys((
-        "ConditionSummary", "EnvelopeFit", "FtSeries", "NuEstimate",
-        "PeakSet", "UTestResult", "estimate_nu", "fit_envelope",
-        "local_maxima", "mann_whitney_u", "regrasp_frequency",
-        "summarize_conditions"), "analysis"),
+        "CalibrationResult", "ConditionSummary", "EnvelopeFit", "FtSeries",
+        "NuEstimate", "PeakSet", "UTestResult", "calibrate_force",
+        "estimate_nu", "fit_envelope", "local_maxima", "mann_whitney_u",
+        "regrasp_frequency", "summarize_conditions"), "analysis"),
     **dict.fromkeys((
-        "CalibrationResult", "ControllerState", "Phase", "ToolCommand",
-        "calibrate_force", "detect_camout", "detect_terminal",
-        "new_controller_state", "pid_force_step", "target_force", "update"),
-        "control"),
+        "ControllerState", "Phase", "ToolCommand", "detect_camout",
+        "detect_terminal", "new_controller_state", "pid_force_step",
+        "target_force", "update"), "control"),
     **dict.fromkeys((
         "Outcome", "RunResult", "closed_loop", "run_open_loop",
         "run_scenario"), "runner"),

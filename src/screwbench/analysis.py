@@ -3,7 +3,9 @@
 Covers the pipeline used on 100 Hz recordings: peak picking with a
 prominence filter, a shape-preserving envelope through the peaks, regrasp
 frequency from inter-peak intervals, force/torque ratio estimation by
-least squares, and nonparametric comparison of ratio distributions.
+least squares, and nonparametric comparison of ratio distributions. The
+force sensor's calibration line is the same kind of least-squares fit, so
+it lives here too.
 
 Needs numpy alone. Peak picking and the envelope give the same bits as
 scipy's `find_peaks` and `PchipInterpolator`, which the tests use as
@@ -13,15 +15,16 @@ references.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import sensor
-from .errors import (DegenerateFitError, UndefinedFrequencyError,
-                     degenerate_on_warning)
+from .errors import DegenerateFitError, UndefinedFrequencyError
 
 # Default peak filter of `analyze` and `regrasp_frequency`: a prominence
 # of 3x the channel's sensor noise std and a 0.2 s separation.
@@ -163,6 +166,15 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class CalibrationResult:
+    """Fitted force calibration line and its residual."""
+
+    gain: float  # N per potentiometer unit
+    offset: float  # N
+    residual_rms: float  # N
+
+
+@dataclass
 class NuEstimate:
     nu: float  # 1/m, slope of |F| on |tau|
     intercept: float  # N
@@ -282,6 +294,23 @@ def regrasp_frequency(series: FtSeries, channel: str,
                         min_separation=min_separation).frequency()
 
 
+@contextmanager
+def degenerate_on_warning(what: str):
+    """Turn a numerical warning raised inside the block (a floating-point
+    `RuntimeWarning` such as an overflow, or numpy's `RankWarning`, a
+    `UserWarning`) into a `DegenerateFitError` naming `what`, before it
+    is printed: a least-squares fit on values near the float limit fails
+    cleanly."""
+    numerical = (RuntimeWarning, UserWarning)
+    with warnings.catch_warnings():
+        for category in numerical:
+            warnings.simplefilter("error", category)
+        try:
+            yield
+        except numerical as exc:
+            raise DegenerateFitError(f"{what} is degenerate ({exc})") from None
+
+
 def estimate_nu(series: FtSeries) -> NuEstimate:
     """OLS of |F| on |tau| with intercept; slope is the force/torque ratio."""
     f = series.channel("fz")
@@ -300,6 +329,25 @@ def estimate_nu(series: FtSeries) -> NuEstimate:
     if not all(map(math.isfinite, (slope, intercept, r))):
         raise DegenerateFitError("force/torque fit is not finite")
     return NuEstimate(nu=float(slope), intercept=float(intercept), r=r, n=n)
+
+
+def calibrate_force(pairs) -> CalibrationResult:
+    """Least-squares line ref_force ~ gain * pot_reading + offset."""
+    pairs = list(pairs)
+    if len(pairs) < 2:
+        raise DegenerateFitError("need at least 2 calibration pairs")
+    x = np.asarray([p[0] for p in pairs], dtype=float)
+    y = np.asarray([p[1] for p in pairs], dtype=float)
+    with degenerate_on_warning("calibration fit"):
+        if np.ptp(x) == 0.0:
+            raise DegenerateFitError("potentiometer readings are constant")
+        gain, offset = np.polyfit(x, y, 1)
+        resid = y - (gain * x + offset)
+        rms = float(np.sqrt(np.mean(resid ** 2)))
+    if not all(map(math.isfinite, (gain, offset, rms))):
+        raise DegenerateFitError("calibration fit is not finite")
+    return CalibrationResult(gain=float(gain), offset=float(offset),
+                             residual_rms=rms)
 
 
 def _u_count_polynomial(n: int, m: int) -> list[int]:

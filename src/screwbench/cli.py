@@ -12,10 +12,12 @@ exit zero. Bare scenario names are resolved against --scenario-dir, the
 SCREWBENCH_SCENARIO_DIR environment variable, or ./scenarios, in that
 order.
 
-Imports at the point of use: `import screwbench.cli` loads only the error
-types (`errors`), not even `argparse`, which loads when `main` builds the
-parser; each subcommand loads the rest where it uses it. Only `simulate`
-loads the closed loop (`runner`, `sim`), `compare` loads neither the
+Each subcommand parses its arguments and writes its report; the file
+formats live in `logio` and the fits in `analysis`. Imports at the point
+of use: `import screwbench.cli` loads only the error types (`errors`), not
+even `argparse`, which loads when `main` builds the parser; each
+subcommand loads the rest where it uses it. Only `simulate` loads the
+closed loop (`runner`, `sim`); `compare` and `calibrate` load neither the
 controller (`control`) nor the run settings (`scenario`), and `analyze`
 loads both for the controller's cam-out detector and its defaults.
 `cli.load_scenario` stays readable as `scenario.load_scenario`, loaded on
@@ -97,6 +99,8 @@ def _count_slip_flags(mz: np.ndarray) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from dataclasses import asdict
+
     import numpy as np
 
     from . import analysis, logio
@@ -114,13 +118,7 @@ def cmd_analyze(args) -> int:
     elif points > n_samples:
         raise ScrewbenchError(f"--envelope-points: must be at most the "
                               f"log's {n_samples} samples")
-    est = analysis.estimate_nu(series)
-    report = {
-        "n": est.n,
-        "nu": est.nu,
-        "intercept": est.intercept,
-        "r": est.r,
-    }
+    report = asdict(analysis.estimate_nu(series))
     peaks = analysis.local_maxima(
         series, "mz",
         min_prominence=analysis.DEFAULT_PROMINENCE["mz"],
@@ -161,58 +159,30 @@ def _group_nus(directory: Path) -> list:
 
 
 def cmd_compare(args) -> int:
+    from dataclasses import asdict
+
     from . import analysis, logio
-    nus_a = _group_nus(Path(args.group_a))
-    nus_b = _group_nus(Path(args.group_b))
-    result = analysis.mann_whitney_u(nus_a, nus_b)
-    summaries = analysis.summarize_conditions(
-        {"group_a": nus_a, "group_b": nus_b})
+    groups = {"group_a": _group_nus(Path(args.group_a)),
+              "group_b": _group_nus(Path(args.group_b))}
+    result = analysis.mann_whitney_u(*groups.values())
     report = {
         "u": float(result.u),
         "p": float(result.p),
         "method": result.method.value,
     }
-    for label, s in summaries.items():
-        report[label] = {
-            "n": len(nus_a if label == "group_a" else nus_b),
-            "median": s.median, "q1": s.q1, "q3": s.q3,
-            "whisker_low": s.whisker_low, "whisker_high": s.whisker_high,
-            "outliers": s.outliers,
-        }
+    for label, s in analysis.summarize_conditions(groups).items():
+        report[label] = {**asdict(s), "n": len(groups[label])}
     sys.stdout.write(logio.format_report(report))
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    from . import control, logio
-    path = Path(args.pairs)
-    lines = logio.read_text(path).splitlines()
-    pairs = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ScrewbenchError(
-                f"{path}:{lineno}: expected 2 comma-separated values")
-        try:
-            pair = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise ScrewbenchError(
-                f"{path}:{lineno}: non-numeric pair {line!r}") from None
-        if not all(map(math.isfinite, pair)):
-            raise ScrewbenchError(
-                f"{path}:{lineno}: non-finite pair {line!r}")
-        pairs.append(pair)
-    result = control.calibrate_force(pairs)
-    sys.stdout.write(logio.format_report({
-        "gain": result.gain,
-        "offset": result.offset,
-        "residual_rms": result.residual_rms,
-        "n": len(pairs),
-    }))
+    from dataclasses import asdict
+
+    from . import analysis, logio
+    pairs = logio.read_pairs(args.pairs)
+    result = analysis.calibrate_force(pairs)
+    sys.stdout.write(logio.format_report({**asdict(result), "n": len(pairs)}))
     return 0
 
 

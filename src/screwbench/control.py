@@ -7,9 +7,9 @@ switches to the faster escalation rate. Position commands come from a PI
 force loop with a spring feed-forward term. Pure step function: the caller
 owns the loop and the state.
 
-This module holds the phases (`Phase`), the command and state types, the
-step functions and `calibrate_force`. The settings they read
-(`ControllerConfig`) live in `scenario`.
+This module holds the phases (`Phase`), the command and state types and the
+step functions. The settings they read (`ControllerConfig`) live in
+`scenario`; the sample period is `sensor.DT`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateFitError, degenerate_on_warning
-from .scenario import Direction, SimParams
+from .scenario import Direction
+from .sensor import DT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,7 +137,7 @@ def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:
 
 def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
                    cfg: ControllerConfig) -> float:
-    """One PI + feed-forward step over the sample period `SimParams.dt`.
+    """One PI + feed-forward step over the sample period `sensor.DT`.
 
     Returns the carriage offset from the estimated contact position:
     kp*e + ki*int(e) + f_target/k_spring_est, clamped to the travel limit.
@@ -145,9 +145,8 @@ def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
     would exceed the travel limit. The name is kept for the benchmark's
     per-layer traces.
     """
-    dt = SimParams.dt
     e = f_target - f_meas
-    integ = state.integrator + e * dt
+    integ = state.integrator + e * DT
     integ = min(cfg.integrator_limit, max(-cfg.integrator_limit, integ))
     u = cfg.kp * e + cfg.ki * integ + f_target / cfg.k_spring_est
     if -cfg.travel_limit <= u <= cfg.travel_limit:
@@ -159,14 +158,13 @@ def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
 
 def _slew_force_target(state: ControllerState, camout: bool,
                        goal: float, cfg: ControllerConfig) -> None:
-    dt = SimParams.dt
     if camout:
         state.slip_count += 1
         if not state.camout_prev:
             state.camout_events += 1
-        state.force_target += cfg.slip_ramp * dt
+        state.force_target += cfg.slip_ramp * DT
     else:
-        step = cfg.base_ramp * dt
+        step = cfg.base_ramp * DT
         delta = goal - state.force_target
         state.force_target += min(step, max(-step, delta))
     state.force_target = min(cfg.f_max, max(cfg.f_min, state.force_target))
@@ -175,13 +173,13 @@ def _slew_force_target(state: ControllerState, camout: bool,
 
 def update(state: ControllerState, sample: FtSample,
            cfg: ControllerConfig) -> ToolCommand:
-    """Full state-machine step over one sample period `SimParams.dt`.
+    """Full state-machine step over one sample period `sensor.DT`.
 
     Updates `state` in place and returns the command for the next step.
-    Fault is the error channel: a non-finite sample or a torque above
-    `overload_torque` enters FAULT, and in-band sensor values never raise.
+    Fault is the error channel: a non-finite sample, a torque above
+    `overload_torque` or a command that is not finite enters FAULT, and
+    in-band sensor values never raise.
     """
-    dt = SimParams.dt
     if state.phase in (Phase.DONE, Phase.FAULT):
         return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
     if not (math.isfinite(sample.fz) and math.isfinite(sample.mz)
@@ -191,12 +189,12 @@ def update(state: ControllerState, sample: FtSample,
 
     state.torque_window.append(sample.mz)
     if state.phase == Phase.APPROACH:
-        state.z_cmd += cfg.approach_speed * dt
+        z_cmd = state.z_cmd + cfg.approach_speed * DT
         if sample.fz > cfg.contact_threshold:
-            state.contact_z_est = state.z_cmd - sample.fz / cfg.k_spring_est
+            state.contact_z_est = z_cmd - sample.fz / cfg.k_spring_est
             state.force_target = cfg.f_min
             state.phase = Phase.ENGAGE
-        return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+        return _command(state, z_cmd, 0.0)
 
     w = state.torque_window
     if state.phase in (Phase.ENGAGE, Phase.DRIVE):
@@ -221,7 +219,7 @@ def update(state: ControllerState, sample: FtSample,
         state.phase = Phase.DONE  # one step after seating
     elif state.phase == Phase.FREE:
         # keep spinning briefly so the last threads fully disengage
-        state.free_time += dt
+        state.free_time += DT
         if state.free_time >= cfg.free_spin_time:
             state.phase = Phase.DONE
 
@@ -229,36 +227,17 @@ def update(state: ControllerState, sample: FtSample,
         return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
     offset = pid_force_step(state, sample.fz, state.force_target, cfg)
-    state.z_cmd = state.contact_z_est + offset
     sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
     spindle = 0.0 if state.phase == Phase.SEATED else sign * cfg.spindle_speed
-    return ToolCommand(z_cmd=state.z_cmd, spindle_speed=spindle)
+    return _command(state, state.contact_z_est + offset, spindle)
 
 
-@dataclass
-class CalibrationResult:
-    """Fitted force calibration line and its residual."""
-
-    gain: float  # N per potentiometer unit
-    offset: float  # N
-    residual_rms: float  # N
-
-
-def calibrate_force(pairs) -> CalibrationResult:
-    """Least-squares line ref_force ~ gain * pot_reading + offset."""
-    import numpy as np
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        raise DegenerateFitError("need at least 2 calibration pairs")
-    x = np.asarray([p[0] for p in pairs], dtype=float)
-    y = np.asarray([p[1] for p in pairs], dtype=float)
-    with degenerate_on_warning("calibration fit"):
-        if np.ptp(x) == 0.0:
-            raise DegenerateFitError("potentiometer readings are constant")
-        gain, offset = np.polyfit(x, y, 1)
-        resid = y - (gain * x + offset)
-        rms = float(np.sqrt(np.mean(resid ** 2)))
-    if not all(map(math.isfinite, (gain, offset, rms))):
-        raise DegenerateFitError("calibration fit is not finite")
-    return CalibrationResult(gain=float(gain), offset=float(offset),
-                             residual_rms=rms)
+def _command(state: ControllerState, z_cmd: float,
+             spindle: float) -> ToolCommand:
+    """Move the carriage to `z_cmd`, or, when settings far out of range
+    overflow it, enter FAULT holding the last finite position."""
+    if not math.isfinite(z_cmd):
+        state.phase = Phase.FAULT
+        return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
+    state.z_cmd = z_cmd
+    return ToolCommand(z_cmd=z_cmd, spindle_speed=spindle)

@@ -1,7 +1,4 @@
-"""Exception types shared across the package."""
-
-import warnings
-from contextlib import contextmanager
+"""Exception types shared across the package; imports nothing."""
 
 
 class ScrewbenchError(Exception):
@@ -25,23 +22,6 @@ class LogFormatError(ScrewbenchError):
 class DegenerateFitError(ScrewbenchError):
     """Regression input gives no finite fit: the regressor has zero
     variance, or the values overflow or lose rank near the float limit."""
-
-
-@contextmanager
-def degenerate_on_warning(what: str):
-    """Turn a numerical warning raised inside the block (a floating-point
-    `RuntimeWarning` such as an overflow, or numpy's `RankWarning`, a
-    `UserWarning`) into a `DegenerateFitError` naming `what`, before it
-    is printed: a least-squares fit on values near the float limit fails
-    cleanly."""
-    numerical = (RuntimeWarning, UserWarning)
-    with warnings.catch_warnings():
-        for category in numerical:
-            warnings.simplefilter("error", category)
-        try:
-            yield
-        except numerical as exc:
-            raise DegenerateFitError(f"{what} is degenerate ({exc})") from None
 
 
 class UndefinedFrequencyError(ScrewbenchError):

@@ -1,10 +1,11 @@
-"""CSV log and report file formats.
+"""CSV log, calibration pairs and report file formats.
 
 Logs are plain CSV with header ``t_s,fz_n,mz_nm`` at 100 Hz, values in SI
 units written with full precision so write/load round-trips bit-exactly.
-Reports are flat YAML key/value documents with deterministic key order.
-Only the read path loads numpy and the analysis module; writing a log or
-a report needs neither.
+Calibration pairs are ``pot_reading,ref_force`` CSV rows under an optional
+header. Reports are flat YAML key/value documents with deterministic key
+order. Only the log read path loads numpy and the analysis module; writing
+a log or a report needs neither.
 """
 
 from __future__ import annotations
@@ -119,6 +120,32 @@ def _read_log_lines(path) -> FtSeries:
         return FtSeries(samples=samples)
     except ValueError as exc:
         raise LogFormatError(str(exc)) from exc
+
+
+def read_pairs(path) -> list:
+    """The finite (pot_reading, ref_force) pairs of a calibration CSV; a
+    first row that is not numeric is a header. A bad row is an error
+    naming the file and the line."""
+    pairs = []
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ScrewbenchError(
+                f"{path}:{lineno}: expected 2 comma-separated values")
+        try:
+            pair = (float(parts[0]), float(parts[1]))
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise ScrewbenchError(
+                f"{path}:{lineno}: non-numeric pair {line!r}") from None
+        if not all(map(math.isfinite, pair)):
+            raise ScrewbenchError(
+                f"{path}:{lineno}: non-finite pair {line!r}")
+        pairs.append(pair)
+    return pairs
 
 
 def format_report(data: dict) -> str:

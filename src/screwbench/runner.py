@@ -11,11 +11,12 @@ reads the same generator.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import control, sim
+from . import control, sensor, sim
 from .scenario import Direction
 
 if TYPE_CHECKING:
@@ -40,25 +41,27 @@ class RunResult:
     """Outcome, sensed samples, final states and slip onsets of one run."""
 
     outcome: Outcome
-    samples: list  # sensed FtSample stream, 100 Hz
+    samples: list  # finite sensed FtSample stream, 100 Hz
     world: sim.WorldState
     controller: control.ControllerState
     slip_times: list  # ground-truth cam-out onset times (s)
 
     @property
-    def peak_torque(self) -> float:
-        """Max sensed torque (N·m)."""
-        return max(s.mz for s in self.samples)
+    def peak_torque(self) -> float | None:
+        """Max sensed torque (N·m), None when no sample was recorded."""
+        return max((s.mz for s in self.samples), default=None)
 
     def report(self, scenario: Scenario) -> dict:
+        """The run's report. A run whose first sample was not finite
+        records none, and reports its peak torque and final force as None."""
         completion = (scenario.duration if self.outcome == Outcome.TIMEOUT
                       else self.world.time)
         return {
             "outcome": self.outcome.value,
             "slip_events": len(self.slip_times),
             "completion_time": float(completion),
-            "peak_torque": float(self.peak_torque),
-            "final_force": float(self.samples[-1].fz),
+            "peak_torque": self.peak_torque,
+            "final_force": self.samples[-1].fz if self.samples else None,
             "nu_applied": scenario.controller.margin * scenario.controller.nu,
             "seed": scenario.seed,
             "direction": scenario.direction.value,
@@ -73,7 +76,7 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
     `world` and `state` are the run's own `WorldState` and
     `ControllerState`, updated in place by the next step, so read what you
     need from them before advancing the generator. The loop stops after
-    the step that enters DONE or FAULT, or after `duration / dt` steps.
+    the step that enters DONE or FAULT, or after `duration / sensor.DT` steps.
     """
     rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
@@ -81,7 +84,7 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
     cfg = scenario.controller
     state = control.new_controller_state(cfg)
     cmd = control.ToolCommand(z_cmd=0.0, spindle_speed=0.0)
-    for _ in range(int(round(scenario.duration / scenario.sim.dt))):
+    for _ in range(int(round(scenario.duration / sensor.DT))):
         truth = sim.step_world(world, cmd, scenario.screw,
                                scenario.substrate, scenario.sim, rng)
         sensed = sim.read_sensors(truth, scenario.sim, rng)
@@ -99,6 +102,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if world.slipping and not was_slipping:
             slip_times.append(world.time)
         was_slipping = world.slipping
+    if not (math.isfinite(sensed.fz) and math.isfinite(sensed.mz)):
+        samples.pop()  # the controller faulted on it, which ended the loop
     return RunResult(
         outcome=_FINAL.get(state.phase, Outcome.TIMEOUT), samples=samples,
         world=world, controller=state, slip_times=slip_times)

@@ -33,7 +33,6 @@ from typing import ClassVar
 from . import sensor
 from .errors import ScenarioError
 
-TWO_PI = 2.0 * math.pi
 CONTACT_Z = 0.005  # m, default carriage position at first head contact
 
 
@@ -162,7 +161,6 @@ class SimParams:
     p_max: float = 0.1  # peak per-step slip probability
     slip_sharpness: float = 6.0  # logistic steepness
     slip_dwell: float = 0.1  # s, duration of one cam-out
-    dt: ClassVar[float] = sensor.DT  # s, the fixed 100 Hz sample period
     positive: ClassVar[tuple] = ("k_spring", "p_max", "slip_sharpness")
     non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std",
                                      "slip_dwell")
@@ -191,7 +189,7 @@ class ControllerConfig:
     base_ramp: float = 3.0  # N/s, force-target slew rate
     slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
     k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
-    spindle_speed: float = TWO_PI  # rad/s magnitude while driving
+    spindle_speed: float = math.tau  # rad/s magnitude while driving
     approach_speed: float = 0.005  # m/s carriage advance before contact
     contact_threshold: float = 0.5  # N, force that marks contact
     travel_limit: float = 0.02  # m, carriage offset limit around contact
@@ -237,11 +235,11 @@ class Scenario:
 
     def __post_init__(self):
         check_numbers(self)
-        if self.duration < SimParams.dt:
+        if self.duration < sensor.DT:
             raise ScenarioError(
                 f"duration: must be at least one sample period "
-                f"({SimParams.dt} s)")
-        if not math.isfinite(self.duration / SimParams.dt):
+                f"({sensor.DT} s)")
+        if not math.isfinite(self.duration / sensor.DT):
             raise ScenarioError(
                 f"duration: too large to count in sample periods, "
                 f"got {self.duration!r}")
@@ -298,9 +296,11 @@ def load_scenario(path) -> Scenario:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    try:  # an integer literal past Python's digit limit is a ValueError
+    # an integer literal past Python's digit limit is a ValueError, and
+    # nesting deeper than the parser's recursion limit a RecursionError
+    try:
         data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     return scenario_from_dict(data or {})
 

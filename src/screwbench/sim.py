@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .scenario import CONTACT_Z, TWO_PI, Direction, SubstrateKind
+from .scenario import CONTACT_Z, Direction, SubstrateKind
+from .sensor import DT
 
 if TYPE_CHECKING:
     from .control import ToolCommand
@@ -87,9 +88,10 @@ def slip_probability(axial_force: float, tau_req: float, screw: ScrewSpec,
     threshold nu_char * tau_req, saturating at p_max when unloaded."""
     if axial_force < 0 or tau_req < 0:
         raise ValueError("axial_force and tau_req must be >= 0")
-    if tau_req == 0.0:
+    threshold = screw.nu_char * tau_req
+    if threshold == 0.0:  # no torque, or a product below the float range
         return 0.0
-    ratio = axial_force / (screw.nu_char * tau_req)
+    ratio = axial_force / threshold
     arg = params.slip_sharpness * (ratio - 1.0)
     if arg > 700.0:  # exp overflow guard
         return 0.0
@@ -98,7 +100,7 @@ def slip_probability(axial_force: float, tau_req: float, screw: ScrewSpec,
 
 def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
                substrate: SubstrateSpec, params: SimParams, rng) -> FtSample:
-    """Advance the world by one dt under a tool command.
+    """Advance the world by one sample period (`sensor.DT`) under a command.
 
     Mutates `world` in place and returns the noise-free truth sample
     (sensor noise is applied separately by read_sensors). Torque is
@@ -108,7 +110,6 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
     if not (math.isfinite(cmd.z_cmd) and math.isfinite(cmd.spindle_speed)):
         raise ValueError("non-finite tool command")
     u = rng.random()  # drawn every step, used only when a slip can occur
-    dt = params.dt
 
     deflection = max(0.0, cmd.z_cmd - world.contact_z)
     force = params.k_spring * deflection
@@ -123,7 +124,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
     mz = 0.0
     advance = False
     if world.slipping:
-        world.slip_time_left -= dt
+        world.slip_time_left -= DT
         if world.slip_time_left <= 0.0:
             world.slipping = False
             world.slip_time_left = 0.0
@@ -138,12 +139,12 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
             mz = tau_req
 
     if advance:
-        dangle = speed * dt
+        dangle = speed * DT
         if direction == Direction.SCREWING:
             world.screw_angle += dangle
             if not world.seated:
                 old = world.engaged_depth
-                new = old + screw.thread_pitch * dangle / TWO_PI
+                new = old + screw.thread_pitch * dangle / math.tau
                 if new >= screw.shank_length:
                     new = screw.shank_length
                     world.seated = True
@@ -157,11 +158,11 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
                     world.seated = False
             else:
                 old = world.engaged_depth
-                new = max(0.0, old - screw.thread_pitch * dangle / TWO_PI)
+                new = max(0.0, old - screw.thread_pitch * dangle / math.tau)
                 world.engaged_depth = new
                 world.contact_z += new - old  # head backs out toward the tool
 
-    world.time += dt
+    world.time += DT
     return FtSample(t=world.time, fz=force, mz=mz)
 
 
@@ -172,7 +173,7 @@ def read_sensors(truth: FtSample, params: SimParams, rng) -> FtSample:
     uses only `rng.random()`, whose sequence Python keeps across versions.
     """
     r = math.sqrt(-2.0 * math.log(1.0 - rng.random()))  # 1 - u is in (0, 1]
-    a = TWO_PI * rng.random()
+    a = math.tau * rng.random()
     fz = abs(truth.fz + params.force_noise_std * r * math.cos(a))
     mz = abs(truth.mz + params.torque_noise_std * r * math.sin(a))
     return FtSample(t=truth.t, fz=fz, mz=mz)

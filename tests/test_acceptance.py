@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from screwbench import analysis, cli, control, runner, scenario, sim
+from screwbench import analysis, cli, control, runner, scenario, sensor, sim
 from screwbench.sim import FtSample
 
 
@@ -32,7 +32,7 @@ def test_1_speed_invariance():
         rng = np.random.default_rng(0)
         world = sim.initial_world(screw, scenario.Direction.UNSCREWING)
         depths, taus = [], []
-        n = int(round(4.0 * scenario.TWO_PI / (speed * params.dt)))
+        n = int(round(4.0 * math.tau / (speed * sensor.DT)))
         for _ in range(n):
             cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
                                       spindle_speed=-speed)
@@ -259,7 +259,7 @@ def test_9_calibration_correctness():
         if np.ptp(x) == 0.0:
             x[0] += 1.0
         y = rng.uniform(0.5, 8.0) * x + rng.normal(0, 0.5, n)
-        res = control.calibrate_force(list(zip(x, y)))
+        res = analysis.calibrate_force(list(zip(x, y)))
         sx, sy = x.sum(), y.sum()
         gain = ((n * (x * y).sum() - sx * sy)
                 / (n * (x * x).sum() - sx * sx))

@@ -51,8 +51,10 @@ class TestFtSeries:
 
     def test_sample_period_and_noise_defaults_have_one_home(self):
         """`sensor` holds the sample period and the noise defaults that the
-        model's settings and the default peak filter both use."""
-        assert SimParams.dt == 1 / sensor.SAMPLE_HZ == 0.01
+        model's settings and the default peak filter both use; the run
+        settings keep no second name for the period."""
+        assert sensor.DT == 1 / sensor.SAMPLE_HZ == 0.01
+        assert not hasattr(SimParams, "dt")
         params = SimParams()
         assert params.force_noise_std == sensor.FORCE_NOISE_STD
         assert params.torque_noise_std == sensor.TORQUE_NOISE_STD
@@ -372,6 +374,52 @@ class TestEstimateNu:
         scaled = analysis.estimate_nu(fz_mz_series(c * f + abs(shift), tau))
         assert scaled.r == pytest.approx(base.r, rel=1e-9)
         assert scaled.nu == pytest.approx(c * base.nu, rel=1e-9)
+
+
+class TestCalibrateForce:
+    def test_two_point_exact(self):
+        result = analysis.calibrate_force([(0.0, 0.0), (1.0, 5.0)])
+        assert result.gain == pytest.approx(5.0)
+        assert result.offset == pytest.approx(0.0, abs=1e-12)
+        assert result.residual_rms == pytest.approx(0.0, abs=1e-12)
+
+    def test_noisy_fit_matches_normal_equations(self):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 10, 50)
+        y = 4.2 * x + 0.3 + rng.normal(0, 0.2, 50)
+        result = analysis.calibrate_force(list(zip(x, y)))
+        # independent oracle: closed-form normal equations
+        sx, sy = x.sum(), y.sum()
+        sxx, sxy = (x * x).sum(), (x * y).sum()
+        n = len(x)
+        gain = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+        offset = (sy - gain * sx) / n
+        assert result.gain == pytest.approx(gain, rel=1e-10)
+        assert result.offset == pytest.approx(offset, rel=1e-10)
+
+    def test_constant_readings_rejected(self):
+        with pytest.raises(DegenerateFitError):
+            analysis.calibrate_force([(1.0, 0.0), (1.0, 5.0), (1.0, 7.0)])
+
+    def test_too_few_pairs_rejected(self):
+        with pytest.raises(DegenerateFitError):
+            analysis.calibrate_force([(1.0, 2.0)])
+
+    @pytest.mark.parametrize("pairs", [
+        [(1e308, 1e308), (-1e308, -1e308), (0.0, 0.0)],
+        [(0.0, 1e308), (1.0, -1e308)],
+        [(1.0, 0.0), (1.0 + 1e-15, 1.0), (1.0 + 2e-15, 2.0)],
+    ], ids=["overflow", "slope_overflow", "lost_rank"])
+    def test_fit_near_float_limits_rejected_without_warning(self, pairs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError):
+                analysis.calibrate_force(pairs)
+
+    def test_non_finite_fit_rejected_when_numpy_does_not_warn(self):
+        with np.errstate(all="ignore"), pytest.raises(
+                DegenerateFitError, match="not finite"):
+            analysis.calibrate_force([(0.0, 1e308), (1.0, -1e308)])
 
 
 def brute_force_two_sided_p(a, b):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
-from screwbench import analysis, cli, logio
-from screwbench.errors import LogFormatError, ScrewbenchError
+from screwbench import analysis, cli, logio, runner, scenario
+from screwbench.errors import LogFormatError, ScenarioError, ScrewbenchError
 from screwbench.sim import FtSample
 
 SCENARIO_TEXT = """\
@@ -118,6 +120,88 @@ class TestSimulate:
         monkeypatch.setenv(cli.SCENARIO_DIR_ENV, str(tmp_path))
         assert run_cli("simulate", "named", "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 0
+
+
+    @pytest.mark.parametrize("text, rows", [
+        ("seed: 0\nduration: 2.0\ndirection: screwing\n"
+         "sim: {force_noise_std: 1.0e+9}\n"
+         "controller: {k_spring_est: 1.0e-300}\n", 2),
+        ("seed: 1\nduration: 2.0\nsim: {k_spring: 1.0e+300}\n"
+         "controller: {approach_speed: 1.0e+300}\n", 1),
+        ("seed: 1\nduration: 1.0\nsim: {force_noise_std: 1.0e+308}\n", 0),
+    ], ids=["carriage_command_overflows", "world_force_overflows",
+            "first_sample_overflows"])
+    def test_overflowing_run_ends_in_fault(self, tmp_path, text, rows):
+        """Settings that load but overflow the carriage command or the
+        sensed force end the run in `fault`, with the finite samples before
+        it in the log and no inf in the report. A run whose first sample
+        overflows records none and reports its peak torque and final force
+        as null."""
+        scen, out, rep = (tmp_path / name for name in
+                          ("s.yaml", "o.csv", "r.yaml"))
+        scen.write_text(text)
+        assert run_cli("simulate", scen, "--out", out, "--report", rep) == 0
+        report = yaml.safe_load(rep.read_text())
+        assert report["outcome"] == "fault"
+        lines = out.read_text().splitlines()
+        assert len(lines) == rows + 1
+        if rows:
+            assert len(logio.read_log(out).times()) == rows
+        else:
+            assert report["peak_torque"] is report["final_force"] is None
+        values = [v for v in report.values() if v is not None]
+        values += [float(v) for line in lines[1:] for v in line.split(",")]
+        assert all(math.isfinite(v) for v in values
+                   if not isinstance(v, str)), report
+
+
+# Magnitudes a scenario field is set to: zero, the extreme finite ones
+# (1e-300 and 1e300 found the overflowing runs) and plausible ones.
+_MAGNITUDES = [0, 1e-300, 1e-9, 1e-3, 0.5, 1, 3, 1e3, 1e9, 1e300]
+
+
+def _number_fields(cls):
+    return sorted(f.name for f in dataclasses.fields(cls)
+                  if f.type in ("float", "float | None", "int"))
+
+
+_run_mappings = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32),
+    "duration": st.sampled_from([0.01, 0.5, 2.0]),
+    "direction": st.sampled_from(["screwing", "unscrewing"]),
+    **{section: st.dictionaries(st.sampled_from(_number_fields(cls)),
+                                st.sampled_from(_MAGNITUDES), max_size=4)
+       for section, cls in (("screw", scenario.ScrewSpec),
+                            ("substrate", scenario.SubstrateSpec),
+                            ("sim", scenario.SimParams),
+                            ("controller", scenario.ControllerConfig))},
+}, optional={"contact_z": st.sampled_from(_MAGNITUDES)})
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_run_mappings)
+@example(data={  # nu_char * tau_req underflowed to a zero divisor
+    "seed": 0, "duration": 2.0, "direction": "screwing",
+    "screw": {"nu_char": 1e-300},
+    "substrate": {"tau_cut": 0, "k_depth": 1e-300}})
+def test_any_scenario_that_loads_runs_cleanly(tmp_path, data):
+    """A scenario that loads runs to `done`, `fault` or `timeout`, with
+    every number of its report finite and a log that `read_log` reads."""
+    try:
+        scen = scenario.scenario_from_dict(data)
+    except ScenarioError:
+        return
+    result = runner.run_scenario(scen)
+    report = result.report(scen)
+    assert report["outcome"] in ("done", "fault", "timeout")
+    numbers = [v for k, v in report.items()
+               if k not in ("outcome", "direction")]
+    assert all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in numbers), report
+    log = tmp_path / "run.csv"
+    logio.write_log(log, result.samples)
+    assert len(logio.read_log(log).times()) == len(result.samples)
 
 
 @pytest.fixture
@@ -315,12 +399,15 @@ class TestLogIo:
 @pytest.mark.parametrize("case", ["analyze_missing_log",
                                   "analyze_not_utf8_log",
                                   "calibrate_not_utf8_pairs",
-                                  "simulate_out_in_missing_dir"])
+                                  "simulate_out_in_missing_dir",
+                                  "simulate_deeply_nested_scenario"])
 def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
                                            case):
     not_utf8 = tmp_path / "not_utf8.csv"
     not_utf8.write_bytes(b"\xff\xfe0.01,1.0,0.1\n")
     missing = tmp_path / "missing" / "run.csv"
+    nested = tmp_path / "nested.yaml"  # deeper than the parser recurses
+    nested.write_text("seed: " + "[" * 600 + "]" * 600 + "\n")
     argv, named = {
         "analyze_missing_log": (["analyze", missing], missing),
         "analyze_not_utf8_log": (["analyze", not_utf8], not_utf8),
@@ -328,6 +415,9 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
         "simulate_out_in_missing_dir": (
             ["simulate", scenario_file, "--out", missing,
              "--report", tmp_path / "r.yaml"], missing),
+        "simulate_deeply_nested_scenario": (
+            ["simulate", nested, "--out", tmp_path / "o.csv",
+             "--report", tmp_path / "r.yaml"], nested),
     }[case]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
@@ -857,15 +947,16 @@ def test_building_a_scenario_loads_no_model_controller_or_argparse():
 
 def test_compare_and_analyze_load_no_closed_loop(tmp_path):
     """Only `simulate` runs the closed loop: in a fresh process, importing
-    the cli loads only `errors`, running `compare` loads neither `runner`,
-    `control` nor the run settings (`scenario`), and `analyze` loads no
-    `runner`; `simulate` still works after them. `cli.load_scenario` is
+    the cli loads only `errors`, running `compare` or `calibrate` loads
+    neither `runner`, `control` nor the run settings (`scenario`), and
+    `analyze` loads no `runner`; `simulate` still works after them. `cli.load_scenario` is
     the scenario loader, and no other missing name resolves."""
     for group, nus in (("a", (95.0, 100.0)), ("b", (50.0, 55.0))):
         (tmp_path / group).mkdir()
         for i, nu in enumerate(nus):
             write_line_log(tmp_path / group / f"{i}.csv", nu=nu, n=400)
     (tmp_path / "s.yaml").write_text(SCENARIO_TEXT)
+    (tmp_path / "pairs.csv").write_text("pot,ref\n0,0\n1,5\n2,9\n")
     src = Path(cli.__file__).resolve().parents[1]
     code = textwrap.dedent(f"""
         import sys
@@ -881,6 +972,9 @@ def test_compare_and_analyze_load_no_closed_loop(tmp_path):
         closed_loop = ("screwbench.runner", "screwbench.control")
         tmp = Path({str(tmp_path)!r})
         assert cli.main(["compare", str(tmp / "a"), str(tmp / "b")]) == 0
+        assert not loaded(*closed_loop), loaded(*closed_loop)
+        assert not loaded("screwbench.scenario")
+        assert cli.main(["calibrate", str(tmp / "pairs.csv")]) == 0
         assert not loaded(*closed_loop), loaded(*closed_loop)
         assert not loaded("screwbench.scenario")
         assert cli.main(["analyze", str(tmp / "a" / "0.csv")]) == 0

@@ -1,12 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from screwbench import control, runner, scenario, sim
 from screwbench.control import Phase
-from screwbench.errors import DegenerateFitError
 
 
 def cfg_with(**kw):
@@ -307,49 +304,3 @@ def test_run_scenario_folds_the_closed_loop(fields, outcome, steps):
     assert report["peak_torque"] == result.peak_torque == max(
         s.mz for s in sensed)
     assert report["final_force"] == sensed[-1].fz
-
-
-class TestCalibrateForce:
-    def test_two_point_exact(self):
-        result = control.calibrate_force([(0.0, 0.0), (1.0, 5.0)])
-        assert result.gain == pytest.approx(5.0)
-        assert result.offset == pytest.approx(0.0, abs=1e-12)
-        assert result.residual_rms == pytest.approx(0.0, abs=1e-12)
-
-    def test_noisy_fit_matches_normal_equations(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 10, 50)
-        y = 4.2 * x + 0.3 + rng.normal(0, 0.2, 50)
-        result = control.calibrate_force(list(zip(x, y)))
-        # independent oracle: closed-form normal equations
-        sx, sy = x.sum(), y.sum()
-        sxx, sxy = (x * x).sum(), (x * y).sum()
-        n = len(x)
-        gain = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-        offset = (sy - gain * sx) / n
-        assert result.gain == pytest.approx(gain, rel=1e-10)
-        assert result.offset == pytest.approx(offset, rel=1e-10)
-
-    def test_constant_readings_rejected(self):
-        with pytest.raises(DegenerateFitError):
-            control.calibrate_force([(1.0, 0.0), (1.0, 5.0), (1.0, 7.0)])
-
-    def test_too_few_pairs_rejected(self):
-        with pytest.raises(DegenerateFitError):
-            control.calibrate_force([(1.0, 2.0)])
-
-    @pytest.mark.parametrize("pairs", [
-        [(1e308, 1e308), (-1e308, -1e308), (0.0, 0.0)],
-        [(0.0, 1e308), (1.0, -1e308)],
-        [(1.0, 0.0), (1.0 + 1e-15, 1.0), (1.0 + 2e-15, 2.0)],
-    ], ids=["overflow", "slope_overflow", "lost_rank"])
-    def test_fit_near_float_limits_rejected_without_warning(self, pairs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateFitError):
-                control.calibrate_force(pairs)
-
-    def test_non_finite_fit_rejected_when_numpy_does_not_warn(self):
-        with np.errstate(all="ignore"), pytest.raises(
-                DegenerateFitError, match="not finite"):
-            control.calibrate_force([(0.0, 1e308), (1.0, -1e308)])

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from screwbench import control, scenario, sim
+from screwbench import control, scenario, sensor, sim
 from screwbench.errors import ScenarioError
 
 
@@ -69,7 +69,7 @@ class TestRequiredTorque:
             rng = np.random.default_rng(0)
             world = sim.initial_world(screw, scenario.Direction.UNSCREWING)
             # rotate by exactly two revolutions at each speed
-            n = int(round(2.0 * scenario.TWO_PI / (speed * params.dt)))
+            n = int(round(2.0 * math.tau / (speed * sensor.DT)))
             for _ in range(n):
                 cmd = control.ToolCommand(
                     z_cmd=world.contact_z + 0.006, spindle_speed=-speed)
@@ -169,7 +169,7 @@ class TestStepWorld:
                 cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
                                           spindle_speed=sign * speed)
                 sim.step_world(world, cmd, self.screw, self.sub, params, rng)
-        quantum = self.screw.thread_pitch * speed * params.dt / scenario.TWO_PI
+        quantum = self.screw.thread_pitch * speed * sensor.DT / math.tau
         assert abs(world.engaged_depth - start) <= quantum
 
     def test_slip_freezes_screw_and_torque(self):
@@ -287,7 +287,7 @@ class TestStreamContract:
         world = make_world(engaged_depth=0.004, contact_z=0.005)
         assert self.step(world, self.pressed, u=0.0) == 1
         assert world.slipping
-        for _ in range(round(self.params.slip_dwell / self.params.dt)):
+        for _ in range(round(self.params.slip_dwell / sensor.DT)):
             assert self.step(world, self.pressed, u=0.0) == 1
             assert world.slipping
 
