@@ -46,10 +46,19 @@ ALLOWED_TRANSITIONS = {
     Phase.ENGAGE: {Phase.ENGAGE, Phase.DRIVE, Phase.FAULT},
     Phase.DRIVE: {Phase.DRIVE, Phase.SEATED, Phase.FREE, Phase.FAULT},
     Phase.SEATED: {Phase.SEATED, Phase.DONE, Phase.FAULT},
-    Phase.FREE: {Phase.FREE, Phase.DONE, Phase.FAULT},
+    Phase.FREE: {Phase.FREE, Phase.DRIVE, Phase.DONE, Phase.FAULT},
     Phase.DONE: {Phase.DONE},
     Phase.FAULT: {Phase.FAULT},
 }
+
+# A sensed torque above this many noise floors in FREE means the screw is
+# still in: the quiet window came from chained cam-outs, not from the
+# thread leaving. A true FREE is entered with at most 0.205 mm engaged,
+# where the default running torque is at most 0.005 N·m, so 5 floors
+# (0.05 N·m) sit 15 noise stds (0.003 N·m) above it. A false FREE is
+# caught only while more than 2.1 mm is engaged (0.05 N·m / `k_depth`),
+# and in a nut, whose running torque is below the floor, never.
+FREE_REENGAGE_FLOORS = 5.0
 
 
 @dataclass
@@ -118,7 +127,9 @@ def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:
     Screwing (`cfg.direction`): seated when a sustained rise crosses
     tau_stop (latest at or above the threshold with the window tail strictly
     rising). Unscrewing: free when the whole window sits below the noise
-    floor. The caller asks only in DRIVE, after torque above the floor.
+    floor. The caller asks only in DRIVE, after torque above the floor,
+    and returns from FREE to DRIVE on a torque above
+    `FREE_REENGAGE_FLOORS` noise floors.
     """
     w = torque_window
     if len(w) < 2:
@@ -218,10 +229,15 @@ def update(state: ControllerState, sample: FtSample,
     elif state.phase == Phase.SEATED:
         state.phase = Phase.DONE  # one step after seating
     elif state.phase == Phase.FREE:
-        # keep spinning briefly so the last threads fully disengage
-        state.free_time += DT
-        if state.free_time >= cfg.free_spin_time:
-            state.phase = Phase.DONE
+        if sample.mz > FREE_REENGAGE_FLOORS * cfg.noise_floor:
+            # back to DRIVE, where the window rule must free it again
+            state.phase = Phase.DRIVE
+            state.free_time = 0.0
+        else:
+            # keep spinning briefly so the last threads fully disengage
+            state.free_time += DT
+            if state.free_time >= cfg.free_spin_time:
+                state.phase = Phase.DONE
 
     if state.phase in (Phase.DONE, Phase.FAULT):
         return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
-from screwbench import analysis, logio, sensor
+from screwbench import analysis, logio, runner, scenario, sensor
 from screwbench.analysis import FtSeries, UTestMethod
 from screwbench.errors import DegenerateFitError, UndefinedFrequencyError
 from screwbench.scenario import SimParams
@@ -539,3 +539,26 @@ class TestSummarizeConditions:
         s = analysis.summarize_conditions({"g": values})["g"]
         assert (s.whisker_low <= s.q1 <= s.median
                 <= s.q3 <= s.whisker_high)
+
+
+def test_analysis_recovers_the_applied_force_law(tmp_path):
+    """End to end: the force/torque ratio that `estimate_nu` fits to a
+    screwing run's written and re-read log is the law `margin * nu` the
+    controller applied, and the U test tells the two head types apart."""
+    estimates = {}
+    for head in ("phillips", "internal_hex"):
+        runs = []
+        for seed in range(10):
+            sc = scenario.default_scenario("screwing", seed=seed,
+                                           screw={"head_type": head})
+            path = tmp_path / f"{head}{seed}.csv"
+            logio.write_log(path, runner.run_scenario(sc).samples)
+            runs.append(analysis.estimate_nu(logio.read_log(path)))
+        applied = sc.controller.margin * sc.controller.nu
+        assert all(est.r > 0.9 for est in runs), head
+        median = np.median([est.nu for est in runs])
+        assert median == pytest.approx(applied, rel=0.05), head
+        estimates[head] = [est.nu for est in runs]
+    test = analysis.mann_whitney_u(estimates["phillips"],
+                                   estimates["internal_hex"])
+    assert test.p < 0.01

@@ -129,8 +129,10 @@ class TestSimulate:
         ("seed: 1\nduration: 2.0\nsim: {k_spring: 1.0e+300}\n"
          "controller: {approach_speed: 1.0e+300}\n", 1),
         ("seed: 1\nduration: 1.0\nsim: {force_noise_std: 1.0e+308}\n", 0),
+        ("seed: 1\nduration: 1.0\ncontact_z: -1.0e+300\n"
+         "sim: {k_spring: 1.0e+300}\n", 0),
     ], ids=["carriage_command_overflows", "world_force_overflows",
-            "first_sample_overflows"])
+            "first_sample_overflows", "first_contact_force_overflows"])
     def test_overflowing_run_ends_in_fault(self, tmp_path, text, rows):
         """Settings that load but overflow the carriage command or the
         sensed force end the run in `fault`, with the finite samples before

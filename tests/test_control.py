@@ -102,6 +102,36 @@ class TestDetectTerminal:
                 assert world.engaged_depth == sc.screw.shank_length
                 break
 
+    # Plastic-hole unscrewing runs whose chained cam-outs emptied the torque
+    # window, so that FREE was once entered with 6.5-7.6 mm still engaged.
+    CHAINED_CAMOUT_RUNS = [
+        *(("phillips", s) for s in (27, 36, 45, 55, 64, 89, 95)),
+        *(("internal_hex", s) for s in (36, 45, 89, 95)),
+        *(("mismatched_driver", s) for s in (22, 23, 24, 25)),
+    ]
+
+    @pytest.mark.parametrize("head, seed", CHAINED_CAMOUT_RUNS)
+    def test_no_false_free_after_chained_camouts(self, head, seed):
+        sc = scenario.default_scenario("unscrewing", seed=seed,
+                                       screw={"head_type": head})
+        result = runner.run_scenario(sc)
+        assert result.outcome == runner.Outcome.DONE
+        assert result.world.engaged_depth == 0
+
+    @pytest.mark.parametrize("head, seed", CHAINED_CAMOUT_RUNS[::5])
+    def test_done_from_free_only_when_disengaged(self, head, seed):
+        """Ground truth at the step that enters DONE from FREE: the screw
+        is out. A false FREE returns to DRIVE before that."""
+        sc = scenario.default_scenario("unscrewing", seed=seed,
+                                       screw={"head_type": head})
+        prev, returned = Phase.APPROACH, False
+        for world, _, _, state in runner.closed_loop(sc):
+            returned |= (prev, state.phase) == (Phase.FREE, Phase.DRIVE)
+            if (prev, state.phase) == (Phase.FREE, Phase.DONE):
+                assert world.engaged_depth == 0
+            prev = state.phase
+        assert (prev, returned) == (Phase.DONE, True)
+
 
 class TestPidForceStep:
     def test_steady_state_is_feedforward_only(self):
@@ -233,6 +263,20 @@ class TestUpdate:
         for i in range(cfg.window + 300):
             control.update(state, sim.FtSample(i * 0.01, 5.0, 0.0), cfg)
             assert state.phase in (Phase.APPROACH, Phase.ENGAGE)
+
+    def test_torque_in_free_returns_to_drive(self):
+        """In FREE, a sensed torque above `FREE_REENGAGE_FLOORS` noise
+        floors means the screw is still in: back to DRIVE, with the FREE
+        timer reset. A torque at that level keeps FREE."""
+        cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
+        state = drive_state(cfg)
+        state.phase = Phase.FREE
+        limit = control.FREE_REENGAGE_FLOORS * cfg.noise_floor
+        control.update(state, sim.FtSample(0.0, 5.0, limit), cfg)
+        assert state.phase == Phase.FREE and state.free_time > 0
+        cmd = control.update(state, sim.FtSample(0.01, 5.0, 0.06), cfg)
+        assert (state.phase, state.free_time) == (Phase.DRIVE, 0.0)
+        assert cmd.spindle_speed == -cfg.spindle_speed
 
     def test_done_and_fault_absorbing(self):
         cfg = cfg_with()
