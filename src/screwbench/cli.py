@@ -61,7 +61,7 @@ def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
     candidate = Path(base) / name
     if candidate.exists():
         return candidate
-    with_ext = candidate.with_suffix(".yaml")
+    with_ext = candidate.with_name(candidate.name + ".yaml")
     if with_ext.exists():
         return with_ext
     raise ScrewbenchError(f"scenario not found: {name}")

@@ -127,9 +127,11 @@ def read_pairs(path) -> list:
     first row that is not numeric is a header. A bad row is an error
     naming the file and the line."""
     pairs = []
+    first = True
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
+        header_allowed, first = first, False
         parts = line.split(",")
         if len(parts) != 2:
             raise ScrewbenchError(
@@ -137,7 +139,7 @@ def read_pairs(path) -> list:
         try:
             pair = (float(parts[0]), float(parts[1]))
         except ValueError:
-            if lineno == 1:
+            if header_allowed:
                 continue  # header row
             raise ScrewbenchError(
                 f"{path}:{lineno}: non-numeric pair {line!r}") from None

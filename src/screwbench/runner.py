@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import control, sensor, sim
-from .scenario import Direction
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -107,22 +106,3 @@ def run_scenario(scenario: Scenario) -> RunResult:
     return RunResult(
         outcome=_FINAL.get(state.phase, Outcome.TIMEOUT), samples=samples,
         world=world, controller=state, slip_times=slip_times)
-
-
-def run_open_loop(scenario: Scenario, force: float, n_steps: int) -> list:
-    """Spin at the scenario speed while holding a constant axial force by
-    tracking the contact point. Returns the sensed stream."""
-    rng = random.Random(scenario.seed)
-    world = sim.initial_world(scenario.screw, scenario.direction,
-                              contact_z=scenario.contact_z)
-    sign = 1.0 if scenario.direction == Direction.SCREWING else -1.0
-    speed = sign * scenario.controller.spindle_speed
-    deflection = force / scenario.sim.k_spring
-    sensed = []
-    for _ in range(n_steps):
-        cmd = control.ToolCommand(z_cmd=world.contact_z + deflection,
-                                  spindle_speed=speed)
-        truth = sim.step_world(world, cmd, scenario.screw,
-                               scenario.substrate, scenario.sim, rng)
-        sensed.append(sim.read_sensors(truth, scenario.sim, rng))
-    return sensed

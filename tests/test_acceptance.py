@@ -7,6 +7,7 @@ assert the measured wall time as well.
 
 import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -176,7 +177,19 @@ def test_6_envelope_monotonicity():
     ok = True
     for seed in range(50):
         sc = scenario.default_scenario("unscrewing", seed=seed)
-        sensed = runner.run_open_loop(sc, force=30.0, n_steps=1500)
+        # spin out at the scenario speed while holding 30 N by tracking
+        # the contact point
+        rng = random.Random(sc.seed)
+        world = sim.initial_world(sc.screw, sc.direction,
+                                  contact_z=sc.contact_z)
+        sensed = []
+        for _ in range(1500):
+            cmd = control.ToolCommand(
+                z_cmd=world.contact_z + 30.0 / sc.sim.k_spring,
+                spindle_speed=-sc.controller.spindle_speed)
+            truth = sim.step_world(world, cmd, sc.screw, sc.substrate,
+                                   sc.sim, rng)
+            sensed.append(sim.read_sensors(truth, sc.sim, rng))
         series = analysis.FtSeries(samples=sensed)
         peaks = analysis.local_maxima(series, "mz", min_prominence=0.009,
                                       min_separation=1.0)

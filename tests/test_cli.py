@@ -121,6 +121,28 @@ class TestSimulate:
         assert run_cli("simulate", "named", "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 0
 
+    @pytest.mark.parametrize("seeds, name, ran", [
+        ({"run": 1}, "run.v2", None),
+        ({"run": 1, "run.v2": 2}, "run.v2", 2),
+    ], ids=["dotted_name_missing", "dotted_name_present"])
+    def test_bare_name_gains_yaml_suffix(self, tmp_path, capsys, seeds,
+                                         name, ran):
+        """A bare name resolves to `<name>.yaml`: the part after a dot in
+        the name is kept, not replaced."""
+        for stem, seed in seeds.items():
+            (tmp_path / f"{stem}.yaml").write_text(
+                f"direction: unscrewing\nduration: 1.0\nseed: {seed}\n")
+        report = tmp_path / "r.yaml"
+        code = run_cli("simulate", name, "--scenario-dir", tmp_path,
+                       "--out", tmp_path / "o.csv", "--report", report)
+        if ran is None:
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: scenario not found: {name}\n")
+        else:
+            assert code == 0
+            assert yaml.safe_load(report.read_text())["seed"] == ran
+
 
     @pytest.mark.parametrize("text, rows", [
         ("seed: 0\nduration: 2.0\ndirection: screwing\n"
@@ -755,6 +777,22 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:{line}: non-finite pair")
         assert err.count("\n") == 1
+
+    def test_header_after_blank_line(self, tmp_path, capsys):
+        """The first non-blank row may be a header, wherever it is."""
+        path = tmp_path / "p.csv"
+        path.write_text("\npot,ref\n1,2\n2,4\n3,6.1\n")
+        assert run_cli("calibrate", path) == 0
+        report = yaml.safe_load(capsys.readouterr().out)
+        assert report["gain"] == pytest.approx(2.05)
+        assert report["n"] == 3
+
+    def test_second_non_numeric_row_cites_line(self, tmp_path, capsys):
+        path = tmp_path / "p3.csv"
+        path.write_text("\npot,ref\nx,y\n1,2\n")
+        assert run_cli("calibrate", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: non-numeric pair 'x,y'\n")
 
     def test_fit_near_float_limit_rejected(self, tmp_path, capsys):
         path = tmp_path / "pairs.csv"

@@ -23,8 +23,7 @@ HOMES = {
         "detect_terminal", "new_controller_state", "pid_force_step",
         "target_force", "update"), "control"),
     **dict.fromkeys((
-        "Outcome", "RunResult", "closed_loop", "run_open_loop",
-        "run_scenario"), "runner"),
+        "Outcome", "RunResult", "closed_loop", "run_scenario"), "runner"),
     **dict.fromkeys((
         "ControllerConfig", "Direction", "HeadType", "Scenario", "ScrewSpec",
         "SimParams", "SubstrateKind", "SubstrateSpec", "default_scenario",

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from screwbench import control, scenario, sensor, sim
+from screwbench import control, runner, scenario, sensor, sim
 from screwbench.errors import ScenarioError
 
 
@@ -301,6 +301,27 @@ class TestStreamContract:
         assert out.fz == pytest.approx(10.0, abs=1e-15)
         assert out.mz == pytest.approx(1.0 + self.params.torque_noise_std,
                                        rel=1e-14)
+
+    @pytest.mark.parametrize("direction, seed",
+                             [("screwing", 0), ("unscrewing", 5)])
+    def test_whole_run_draws_three_per_step(self, monkeypatch, direction,
+                                            seed):
+        """Over a whole closed-loop run the seeded stream is drawn three
+        times per step, and counting the draws changes no sample."""
+        sc = scenario.default_scenario(direction, seed=seed)
+        unpatched = [sensed for _, _, sensed, _ in runner.closed_loop(sc)]
+        draws = 0
+
+        class Counting(random.Random):
+            def random(self):
+                nonlocal draws
+                draws += 1
+                return super().random()
+
+        monkeypatch.setattr(runner.random, "Random", Counting)
+        counted = [sensed for _, _, sensed, _ in runner.closed_loop(sc)]
+        assert draws == 3 * len(counted)
+        assert counted == unpatched
 
     def test_noise_moments(self):
         """Far from zero, where rectification does not act, the noise has
