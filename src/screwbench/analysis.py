@@ -2,10 +2,10 @@
 
 Covers the pipeline used on 100 Hz recordings: peak picking with a
 prominence filter, a shape-preserving envelope through the peaks, regrasp
-frequency from inter-peak intervals, force/torque ratio estimation by
-least squares, and nonparametric comparison of ratio distributions. The
-force sensor's calibration line is the same kind of least-squares fit, so
-it lives here too.
+frequency from inter-peak intervals, cam-out flags, force/torque ratio
+estimation by least squares, and nonparametric comparison of ratio
+distributions. The force sensor's calibration line is the same kind of
+least-squares fit, so it lives here too.
 
 Needs numpy alone. Peak picking and the envelope give the same bits as
 scipy's `find_peaks` and `PchipInterpolator`, which the tests use as
@@ -33,7 +33,7 @@ DEFAULT_PROMINENCE = {"fz": 3.0 * sensor.FORCE_NOISE_STD,
 DEFAULT_SEPARATION = 0.2  # s
 
 
-@dataclass
+@dataclass(eq=False)
 class FtSeries:
     """A force/torque recording sampled every `sensor.DT` (100 Hz, within
     1%). `samples` are (t, fz, mz) triples, such as `FtSample`s or the rows
@@ -65,7 +65,7 @@ class FtSeries:
         return self._columns[name]
 
 
-@dataclass
+@dataclass(eq=False)
 class PeakSet:
     indices: np.ndarray
     times: np.ndarray
@@ -83,7 +83,7 @@ class PeakSet:
         return float(1.0 / np.median(np.diff(self.times)))
 
 
-@dataclass
+@dataclass(eq=False)
 class EnvelopeFit:
     """Monotonicity-preserving piecewise cubic (PCHIP) through peak points.
 
@@ -292,6 +292,17 @@ def regrasp_frequency(series: FtSeries, channel: str,
         min_prominence = DEFAULT_PROMINENCE[channel]
     return local_maxima(series, channel, min_prominence=min_prominence,
                         min_separation=min_separation).frequency()
+
+
+def camout_flags(mz, *, window: int = sensor.CAMOUT_WINDOW,
+                 noise_floor: float = sensor.NOISE_FLOOR,
+                 theta_slip: float = sensor.THETA_SLIP) -> np.ndarray:
+    """`sensor.camout` at every sample i of a torque record, over the
+    trailing window mz[max(0, i - window + 1):i + 1] the controller holds."""
+    mz = np.asarray(mz, dtype=float)
+    padded = np.concatenate([np.full(window - 1, -np.inf), mz])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, window)
+    return sensor.camout(windows.max(axis=1), mz, noise_floor, theta_slip)
 
 
 @contextmanager

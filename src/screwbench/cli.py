@@ -17,9 +17,9 @@ formats live in `logio` and the fits in `analysis`. Imports at the point
 of use: `import screwbench.cli` loads only the error types (`errors`), not
 even `argparse`, which loads when `main` builds the parser; each
 subcommand loads the rest where it uses it. Only `simulate` loads the
-closed loop (`runner`, `sim`); `compare` and `calibrate` load neither the
-controller (`control`) nor the run settings (`scenario`), and `analyze`
-loads both for the controller's cam-out detector and its defaults.
+closed loop (`runner`, `sim`), the controller (`control`) and the run
+settings (`scenario`); `analyze` reads the cam-out rule and its defaults
+from `sensor`.
 `cli.load_scenario` stays readable as `scenario.load_scenario`, loaded on
 first access.
 """
@@ -87,15 +87,12 @@ def cmd_simulate(args) -> int:
 
 
 def _count_slip_flags(mz: np.ndarray) -> int:
-    """Rising edges of the controller's cam-out detector over a torque log,
-    with the ControllerConfig defaults."""
-    import numpy as np
-
-    from . import control
-    from .scenario import ControllerConfig
-    flags = control.camout_flags(mz, ControllerConfig())
+    """Rising edges of the controller's cam-out rule over a torque log,
+    with the `sensor` defaults."""
+    from .analysis import camout_flags
+    flags = camout_flags(mz)
     # flag 0 is False under the defaults, so edges start at index 1
-    return int(np.count_nonzero(flags[1:] & ~flags[:-1]))
+    return int((flags[1:] & ~flags[:-1]).sum())
 
 
 def cmd_analyze(args) -> int:

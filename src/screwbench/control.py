@@ -9,7 +9,7 @@ owns the loop and the state.
 
 This module holds the phases (`Phase`), the command and state types and the
 step functions. The settings they read (`ControllerConfig`) live in
-`scenario`; the sample period is `sensor.DT`.
+`scenario`; the sample period and the cam-out rule live in `sensor`.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import sensor
 from .scenario import Direction
 from .sensor import DT
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .scenario import ControllerConfig
     from .sim import FtSample
 
@@ -71,11 +70,11 @@ class ToolCommand:
 
 @dataclass
 class ControllerState:
-    """Phase, force loop and detector state carried between steps."""
+    """State carried between steps, built by `new_controller_state`."""
 
+    torque_window: deque
     phase: Phase = Phase.APPROACH
     integrator: float = 0.0  # N·s
-    torque_window: deque = field(default_factory=deque)
     force_target: float = 0.0  # N
     slip_count: int = 0  # slip-detected steps
     free_time: float = 0.0  # s spent in FREE
@@ -97,28 +96,13 @@ def target_force(tau_filtered: float, cfg: ControllerConfig) -> float:
     return min(cfg.f_max, max(cfg.f_min, cfg.margin * cfg.nu * tau_filtered))
 
 
-def _camout(peak, latest, cfg: ControllerConfig):
-    """The rule of `detect_camout` and `camout_flags`, on floats or numpy
-    arrays alike."""
-    return (peak > cfg.noise_floor) & (latest < cfg.theta_slip * peak)
-
-
 def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
     """Sharp torque drop: latest below theta_slip of the window maximum,
     with the maximum above the noise floor."""
     if len(torque_window) < 2:
         raise ValueError("window length must be >= 2")
-    return _camout(max(torque_window), torque_window[-1], cfg)
-
-
-def camout_flags(mz, cfg: ControllerConfig) -> np.ndarray:
-    """`detect_camout` at every sample i >= 1 of a torque record, over the
-    trailing window mz[max(0, i - window + 1):i + 1] the controller holds."""
-    import numpy as np
-    mz = np.asarray(mz, dtype=float)
-    padded = np.concatenate([np.full(cfg.window - 1, -np.inf), mz])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)
-    return _camout(windows.max(axis=1), mz, cfg)
+    return sensor.camout(max(torque_window), torque_window[-1],
+                         cfg.noise_floor, cfg.theta_slip)
 
 
 def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:

@@ -182,10 +182,10 @@ class ControllerConfig:
     f_max: float = 50.0  # N
     kp: float = 1.0e-4  # m/N
     ki: float = 5.0e-3  # m/(N·s)
-    theta_slip: float = 0.5  # torque-drop fraction for cam-out detection
+    theta_slip: float = sensor.THETA_SLIP  # torque-drop fraction
     tau_stop: float = 0.25  # N·m, seating threshold
-    noise_floor: float = 0.01  # N·m, torque treated as zero below this
-    window: int = 30  # samples in the torque moving window
+    noise_floor: float = sensor.NOISE_FLOOR  # N·m, torque floor
+    window: int = sensor.CAMOUT_WINDOW  # samples in the torque window
     base_ramp: float = 3.0  # N/s, force-target slew rate
     slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
     k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate

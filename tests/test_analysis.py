@@ -63,6 +63,22 @@ class TestFtSeries:
             "mz": 3.0 * sensor.TORQUE_NOISE_STD}
 
 
+@pytest.mark.parametrize("build", [
+    lambda: series_from([0.0, 0.2, 0.1]),
+    lambda: analysis.PeakSet(indices=np.array([1, 3]),
+                             times=np.array([0.01, 0.03]),
+                             values=np.array([0.2, 0.3])),
+    lambda: analysis.EnvelopeFit(knot_times=np.array([0.0, 1.0, 2.0]),
+                                 knot_values=np.array([1.0, 2.0, 1.0])),
+], ids=["FtSeries", "PeakSet", "EnvelopeFit"])
+def test_equality_is_a_bool(build):
+    """The array-holding analysis types compare by identity: an array
+    field has no single truth value, so a field-wise `==` would raise."""
+    a, b = build(), build()
+    assert (a == a) is True
+    assert isinstance(a == b, bool)
+
+
 class TestLocalMaxima:
     def test_monotone_has_no_peaks(self):
         s = series_from(np.linspace(0, 1, 100))

@@ -987,9 +987,9 @@ def test_building_a_scenario_loads_no_model_controller_or_argparse():
 
 def test_compare_and_analyze_load_no_closed_loop(tmp_path):
     """Only `simulate` runs the closed loop: in a fresh process, importing
-    the cli loads only `errors`, running `compare` or `calibrate` loads
-    neither `runner`, `control` nor the run settings (`scenario`), and
-    `analyze` loads no `runner`; `simulate` still works after them. `cli.load_scenario` is
+    the cli loads only `errors`, and running `compare`, `calibrate` or
+    `analyze` loads neither `runner`, `sim`, `control` nor the run settings
+    (`scenario`); `simulate` still works after them. `cli.load_scenario` is
     the scenario loader, and no other missing name resolves."""
     for group, nus in (("a", (95.0, 100.0)), ("b", (50.0, 55.0))):
         (tmp_path / group).mkdir()
@@ -1010,16 +1010,17 @@ def test_compare_and_analyze_load_no_closed_loop(tmp_path):
         assert own == ["screwbench", "screwbench.cli",
                        "screwbench.errors"], own
         closed_loop = ("screwbench.runner", "screwbench.control")
+        unused = (*closed_loop, "screwbench.scenario", "screwbench.sim")
         tmp = Path({str(tmp_path)!r})
         assert cli.main(["compare", str(tmp / "a"), str(tmp / "b")]) == 0
-        assert not loaded(*closed_loop), loaded(*closed_loop)
-        assert not loaded("screwbench.scenario")
+        assert not loaded(*unused), loaded(*unused)
         assert cli.main(["calibrate", str(tmp / "pairs.csv")]) == 0
-        assert not loaded(*closed_loop), loaded(*closed_loop)
-        assert not loaded("screwbench.scenario")
+        assert not loaded(*unused), loaded(*unused)
         assert cli.main(["analyze", str(tmp / "a" / "0.csv")]) == 0
-        assert not loaded("screwbench.runner")
-        assert loaded("screwbench.scenario")
+        own = sorted(k for k in sys.modules if k.startswith("screwbench"))
+        assert own == ["screwbench", "screwbench.analysis", "screwbench.cli",
+                       "screwbench.errors", "screwbench.logio",
+                       "screwbench.sensor"], own
         from screwbench import scenario
         assert cli.load_scenario is scenario.load_scenario
         try:
@@ -1037,3 +1038,25 @@ def test_compare_and_analyze_load_no_closed_loop(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    """`python -m screwbench.cli` exits with `main`'s status: 0 with the
+    report on stdout, 1 with one `error:` line on stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    log, rep = tmp_path / "line.csv", tmp_path / "an.yaml"
+    write_line_log(log)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "screwbench.cli", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+
+    ok = run("analyze", log, "--report", rep)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == rep.read_text() != ""
+    bad = run("analyze", tmp_path / "missing.csv")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert len(bad.stderr.splitlines()) == 1
+    assert bad.stderr.startswith("error: ")

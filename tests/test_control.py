@@ -1,8 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from screwbench import control, runner, scenario, sim
+from screwbench import analysis, control, runner, scenario, sensor, sim
 from screwbench.control import Phase
 
 
@@ -67,12 +69,33 @@ class TestCamoutFlags:
                                                        theta, floor):
         cfg = cfg_with(window=window, theta_slip=theta, noise_floor=floor)
         mz = np.asarray(values)
-        flags = control.camout_flags(mz, cfg)
+        flags = analysis.camout_flags(mz, window=window, noise_floor=floor,
+                                      theta_slip=theta)
         assert len(flags) == len(mz)
         for i in range(1, len(mz)):
             expected = control.detect_camout(mz[max(0, i - window + 1):i + 1],
                                              cfg)
             assert flags[i] == expected
+
+    def test_detector_defaults_have_one_home(self):
+        """The controller's settings and the log pipeline's flags take the
+        window and both thresholds from `sensor`."""
+        defaults = {"window": sensor.CAMOUT_WINDOW,
+                    "noise_floor": sensor.NOISE_FLOOR,
+                    "theta_slip": sensor.THETA_SLIP}
+        cfg = cfg_with()
+        params = inspect.signature(analysis.camout_flags).parameters
+        for name, value in defaults.items():
+            assert getattr(cfg, name) == params[name].default == value
+
+
+def test_state_is_built_with_a_bounded_window():
+    """A state's torque window is the detector's window, never the whole
+    run, so there is no default to build one without it."""
+    with pytest.raises(TypeError):
+        control.ControllerState()
+    state = control.new_controller_state(cfg_with(window=7))
+    assert state.torque_window.maxlen == 7
 
 
 class TestDetectTerminal:

@@ -16,8 +16,9 @@ HOMES = {
     **dict.fromkeys((
         "CalibrationResult", "ConditionSummary", "EnvelopeFit", "FtSeries",
         "NuEstimate", "PeakSet", "UTestResult", "calibrate_force",
-        "estimate_nu", "fit_envelope", "local_maxima", "mann_whitney_u",
-        "regrasp_frequency", "summarize_conditions"), "analysis"),
+        "camout_flags", "estimate_nu", "fit_envelope", "local_maxima",
+        "mann_whitney_u", "regrasp_frequency", "summarize_conditions"),
+        "analysis"),
     **dict.fromkeys((
         "ControllerState", "Phase", "ToolCommand", "detect_camout",
         "detect_terminal", "new_controller_state", "pid_force_step",
@@ -28,6 +29,7 @@ HOMES = {
         "ControllerConfig", "Direction", "HeadType", "Scenario", "ScrewSpec",
         "SimParams", "SubstrateKind", "SubstrateSpec", "default_scenario",
         "load_scenario"), "scenario"),
+    "camout": "sensor",
     **dict.fromkeys((
         "FtSample", "WorldState", "initial_world", "read_sensors",
         "required_torque", "slip_probability", "step_world"), "sim"),
