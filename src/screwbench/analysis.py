@@ -36,8 +36,8 @@ DEFAULT_SEPARATION = 0.2  # s
 @dataclass(eq=False)
 class FtSeries:
     """A force/torque recording sampled every `sensor.DT` (100 Hz, within
-    1%). `samples` are (t, fz, mz) triples, such as `FtSample`s or the rows
-    of an (n, 3) array, copied once into the columns `times()` and
+    1%). `samples` are finite (t, fz, mz) triples, such as `FtSample`s or
+    the rows of an (n, 3) array, copied once into the columns `times()` and
     `channel()` return (read-only)."""
 
     samples: InitVar[list]
@@ -46,7 +46,12 @@ class FtSeries:
     def __post_init__(self, samples):
         if len(samples) == 0:
             raise ValueError("empty series")
-        columns = np.asarray(samples, dtype=float).T.copy()
+        rows = np.asarray(samples, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError("samples must be (t, fz, mz) triples")
+        if not np.isfinite(rows).all():
+            raise ValueError("samples must be finite")
+        columns = rows.T.copy()
         columns.flags.writeable = False
         self._columns = dict(zip(("t", "fz", "mz"), columns))
         dts = np.diff(columns[0])
@@ -333,10 +338,15 @@ def estimate_nu(series: FtSeries) -> NuEstimate:
         if np.ptp(tau) == 0.0:
             raise DegenerateFitError("torque has zero variance")
         slope, intercept = np.polyfit(tau, f, 1)
-        if np.ptp(f) == 0.0:
+        # r from centred sums of elementwise products: np.corrcoef's BLAS
+        # product rounds differently from one CPU kernel to the next
+        dx, dy = tau - tau.mean(), f - f.mean()
+        syy = np.sum(dy * dy)
+        if syy == 0.0:
             r = 0.0
         else:
-            r = float(np.corrcoef(tau, f)[0, 1])
+            r = float(np.clip(np.sum(dx * dy)
+                              / np.sqrt(np.sum(dx * dx) * syy), -1.0, 1.0))
     if not all(map(math.isfinite, (slope, intercept, r))):
         raise DegenerateFitError("force/torque fit is not finite")
     return NuEstimate(nu=float(slope), intercept=float(intercept), r=r, n=n)
@@ -435,6 +445,8 @@ def summarize_conditions(groups: dict) -> dict:
         v = np.asarray(list(values), dtype=float)
         if len(v) == 0:
             raise ValueError(f"group {label!r} is empty")
+        if not np.isfinite(v).all():
+            raise ValueError(f"group {label!r} has a non-finite value")
         q1, med, q3 = np.percentile(v, [25, 50, 75], method="linear")
         iqr = q3 - q1
         lo_fence = q1 - 1.5 * iqr

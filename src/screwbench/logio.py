@@ -84,8 +84,6 @@ def _read_log_fast(path) -> FtSeries | None:
                               ndmin=2)
         except (ValueError, UserWarning):
             return None
-    if len(rows) == 0 or rows.shape[1] != 3 or not np.isfinite(rows).all():
-        return None
     try:
         return FtSeries(samples=rows)
     except ValueError:

@@ -106,6 +106,8 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
     (sensor noise is applied separately by read_sensors). Torque is
     transmitted only while the tip is pressed into the head and turning;
     during a slip the transmitted torque is zero and the screw holds still.
+    The spindle's sign sets the rotation: a positive speed turns the screw
+    in, a negative one out, through the same thread.
     """
     if not (math.isfinite(cmd.z_cmd) and math.isfinite(cmd.spindle_speed)):
         raise ValueError("non-finite tool command")
@@ -116,13 +118,11 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
 
     direction = (Direction.SCREWING if cmd.spindle_speed >= 0.0
                  else Direction.UNSCREWING)
-    speed = abs(cmd.spindle_speed)
     tau_req = required_torque(world, screw, substrate, direction)
-    engaged = deflection > 0.0 and speed > 0.0 and (
+    engaged = deflection > 0.0 and cmd.spindle_speed != 0.0 and (
         world.engaged_depth > 0.0 or world.seated)
 
     mz = 0.0
-    advance = False
     if world.slipping:
         world.slip_time_left -= DT
         if world.slip_time_left <= 0.0:
@@ -135,32 +135,21 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
             world.slipping = True
             world.slip_time_left = params.slip_dwell
         else:
-            advance = True
             mz = tau_req
-
-    if advance:
-        dangle = speed * DT
-        if direction == Direction.SCREWING:
-            world.screw_angle += dangle
-            if not world.seated:
+            turn = cmd.spindle_speed * DT  # rad, signed like the spindle
+            world.screw_angle += turn
+            if world.seated:
+                if turn < 0.0 and world.screw_angle <= world.seat_angle:
+                    world.seated = False
+            else:
                 old = world.engaged_depth
-                new = old + screw.thread_pitch * dangle / math.tau
-                if new >= screw.shank_length:
+                new = max(0.0, old + screw.thread_pitch * turn / math.tau)
+                if turn > 0.0 and new >= screw.shank_length:
                     new = screw.shank_length
                     world.seated = True
                     world.seat_angle = world.screw_angle
                 world.engaged_depth = new
-                world.contact_z += new - old  # head recedes as it drives in
-        else:
-            world.screw_angle -= dangle
-            if world.seated:
-                if world.screw_angle <= world.seat_angle:
-                    world.seated = False
-            else:
-                old = world.engaged_depth
-                new = max(0.0, old - screw.thread_pitch * dangle / math.tau)
-                world.engaged_depth = new
-                world.contact_z += new - old  # head backs out toward the tool
+                world.contact_z += new - old  # the head moves with the thread
 
     world.time += DT
     return FtSample(t=world.time, fz=force, mz=mz)

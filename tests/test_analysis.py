@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from pathlib import Path
 
@@ -34,6 +35,16 @@ class TestFtSeries:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FtSeries(samples=[])
+
+    @pytest.mark.parametrize("samples", [
+        [(0.0, 1.0), (0.01, 2.0), (0.02, 3.0)],
+        [(0.0, 1.0, 0.1, 9.0), (0.01, 2.0, 0.2, 9.0), (0.02, 3.0, 0.3, 9.0)],
+        [(0.0, 1.0, 0.1), (math.nan, 2.0, 0.2), (0.02, 3.0, 0.3)],
+        [(0.0, 1.0, 0.1), (0.01, 2.0, math.nan), (0.02, 3.0, 0.3)],
+    ], ids=["two_columns", "four_columns", "nan_time", "nan_torque"])
+    def test_rejects_rows_that_are_not_finite_triples(self, samples):
+        with pytest.raises(ValueError):
+            FtSeries(samples=samples)
 
     def test_rejects_non_monotone_time(self):
         samples = [FtSample(0.0, 0, 0), FtSample(0.02, 0, 0),
@@ -548,6 +559,12 @@ class TestSummarizeConditions:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             analysis.summarize_conditions({"g": []})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="group 'a' has a non-finite"):
+            analysis.summarize_conditions({"ok": [1.0, 2.0],
+                                           "a": [1.0, bad, 2.0]})
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40))

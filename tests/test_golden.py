@@ -23,27 +23,27 @@ GOLDEN = {
     ("screw_phillips_plastic", 0): (
         "5dfdfa34493ad9ead4c151a0195669b4732df7e808b71486dd7495917becd6a4",
         "f89e17d375b5e870408c03b3cb7b233677e0962f5798728b1f1c76f99833a8a6",
-        "39158c383900bdbfe649db0076f54e7763958b9d6572be00ce63ceefdd784ce6"),
+        "83a3421aa122c203e955f501289079f259af03dfe59537867ec1a4ba71031874"),
     ("screw_phillips_plastic", 5): (
         "1a75e45eb27b8c099df38247b540f51a1e2e40b6e4601c47921ae87ea2b9b64a",
         "a1c14b80844ad780a868fc7635119c02e2694a4b068be60452984a9c8d2a5883",
-        "5bc25f77331f1e9a1715242990fa1478f5e5fa00833fddd50e1b92d772a3bb94"),
+        "6a3d52aa49a1b7635419ecd6a0c533247138c2fd4d7d60b9e248dfa18bdb66bf"),
     ("screw_phillips_plastic", 42): (
         "043d58ff1f81aba45b0f9c277611468f1fb473072f050ff6ee7de86b11d38194",
         "598524295b1c8b4ca51320f3ba88dce67e5cda6a9d8a5c0a1d7947d7aa67467e",
-        "95e66f13fb9c3f79fbf3e27e03ca17e0ab0fd9fb504b66f5faeba0b05713f09d"),
+        "5b4e96b6e5cb8e6a9bec91bc966f982f30172ac59e409b94c57a4f8f74a5e8b6"),
     ("unscrew_phillips_plastic", 0): (
         "7c035dfee3c5c75fbef5a8ebe85088eb4e5633ca4e0343ea7949fbe45218d66e",
         "3e6fd7dde583352c6562e92ad26cbe636ec959ef4399048d7be7722678ac1f47",
-        "7480f01b9f6a4da782d35610b1936cf0808d289d0dbfdc616331ccfd282956f6"),
+        "bd98920a748e0bbf93658444728bb482ef48d383a1300d0657c910b6052cff12"),
     ("unscrew_phillips_plastic", 5): (
         "3806b341244b5f6de4ff0382faa5a1b5ead9666b56ef065933cccd082805ff5b",
         "18b3b7918e6ec17e75850373b04b8d57664749cf9485b45c13ab9667b7ebc682",
-        "6d52ba1c3844cd32b055174a9db0dd52c96f90089dd217643e0bb4ae9cf565bf"),
+        "19baa211e19db5c275b2fdf8eba46da3d416888d699fcda170ff863b5668e406"),
     ("unscrew_phillips_plastic", 42): (
         "fa18726327799aca71e5e3b83cf26ec3a037b67d8b0afeab0f10ce51b1e0e219",
         "d2b6ff33fc4235f37036776d48132bc3c52188d704728b1230d650f80286043c",
-        "4add926c29f3e2ee423fcbd8ba10f003375d69b947be03786bddd7f1cbd9105d"),
+        "2de2f18d179fe560e24ca426b8f3765ffa4e74082e6f3eb95dcc4fdf3b0c7320"),
 }
 
 

@@ -196,6 +196,33 @@ class TestStepWorld:
         assert world.seated
         assert world.engaged_depth == self.screw.shank_length
 
+    def test_unscrewing_never_seats(self):
+        # a pitch so small that one step's depth change rounds away leaves
+        # the depth at the shank length, which must not seat the screw
+        screw = scenario.ScrewSpec(thread_pitch=5e-324)
+        params = scenario.SimParams(p_max=1e-300)
+        world = make_world(engaged_depth=screw.shank_length, contact_z=0.005)
+        cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
+                                  spindle_speed=-2 * math.pi)
+        truth = sim.step_world(world, cmd, screw, self.sub, params,
+                               random.Random(0))
+        assert truth.mz > 0.0 and world.screw_angle < 0.0  # it turned
+        assert not world.seated
+        assert world.engaged_depth == screw.shank_length
+
+    def test_screwing_never_unseats(self):
+        # at this angle one step's rotation rounds away, so the angle stays
+        # at the seat angle, which must not unseat a screw turned inward
+        params = scenario.SimParams(p_max=1e-300)
+        world = make_world(engaged_depth=self.screw.shank_length, seated=True,
+                           screw_angle=1e17, seat_angle=1e17, contact_z=0.005)
+        cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
+                                  spindle_speed=2 * math.pi)
+        truth = sim.step_world(world, cmd, self.screw, self.sub, params,
+                               random.Random(0))
+        assert truth.mz > 0.0  # it turned
+        assert world.seated
+
     def test_deterministic_stream(self):
         def run():
             rng = np.random.default_rng(123)
