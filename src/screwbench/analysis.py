@@ -15,9 +15,7 @@ references.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
@@ -310,46 +308,46 @@ def camout_flags(mz, *, window: int = sensor.CAMOUT_WINDOW,
     return sensor.camout(windows.max(axis=1), mz, noise_floor, theta_slip)
 
 
-@contextmanager
-def degenerate_on_warning(what: str):
-    """Turn a numerical warning raised inside the block (a floating-point
-    `RuntimeWarning` such as an overflow, or numpy's `RankWarning`, a
-    `UserWarning`) into a `DegenerateFitError` naming `what`, before it
-    is printed: a least-squares fit on values near the float limit fails
-    cleanly."""
-    numerical = (RuntimeWarning, UserWarning)
-    with warnings.catch_warnings():
-        for category in numerical:
-            warnings.simplefilter("error", category)
-        try:
-            yield
-        except numerical as exc:
-            raise DegenerateFitError(f"{what} is degenerate ({exc})") from None
+def _fit_line(x: np.ndarray, y: np.ndarray, what: str,
+              constant: str) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept and the correlation r.
+
+    All three come from centred sums of elementwise products, with no BLAS
+    or LAPACK call, so the bits do not depend on the CPU's kernels. An x
+    with no spread raises `constant`; a fit the floats cannot hold raises
+    `<what> is degenerate` or `<what> is not finite`."""
+    with np.errstate(all="ignore"):
+        if np.ptp(x) == 0.0:
+            raise DegenerateFitError(constant)
+        dx, dy = x - x.mean(), y - y.mean()
+        sxx, sxy, syy = np.sum(dx * dx), np.sum(dx * dy), np.sum(dy * dy)
+        # numpy polyfit's rank test (rcond = n * eps) to first order: a spread
+        # lost to rounding is no spread
+        lost = (2 * len(x) * np.finfo(float).eps) ** 2 * np.sum(x * x)
+        if not (np.isfinite(sxx) and np.isfinite(sxy)) or sxx <= lost:
+            raise DegenerateFitError(f"{what} is degenerate")
+        slope = sxy / sxx
+        intercept = y.mean() - slope * x.mean()
+        # the product may overflow or underflow where the two roots do not
+        root = np.sqrt(sxx * syy)
+        if not 0.0 < root < np.inf:
+            root = np.sqrt(sxx) * np.sqrt(syy)
+        r = 0.0 if syy == 0.0 else np.clip(sxy / root, -1.0, 1.0)
+    fit = float(slope), float(intercept), float(r)
+    # with an overflowed y spread, r would read 0
+    if not all(map(math.isfinite, (*fit, syy))):
+        raise DegenerateFitError(f"{what} is not finite")
+    return fit
 
 
 def estimate_nu(series: FtSeries) -> NuEstimate:
     """OLS of |F| on |tau| with intercept; slope is the force/torque ratio."""
     f = series.channel("fz")
-    tau = series.channel("mz")
-    n = len(f)
-    if n < 3:
+    if len(f) < 3:
         raise DegenerateFitError("need at least 3 samples")
-    with degenerate_on_warning("force/torque fit"):
-        if np.ptp(tau) == 0.0:
-            raise DegenerateFitError("torque has zero variance")
-        slope, intercept = np.polyfit(tau, f, 1)
-        # r from centred sums of elementwise products: np.corrcoef's BLAS
-        # product rounds differently from one CPU kernel to the next
-        dx, dy = tau - tau.mean(), f - f.mean()
-        syy = np.sum(dy * dy)
-        if syy == 0.0:
-            r = 0.0
-        else:
-            r = float(np.clip(np.sum(dx * dy)
-                              / np.sqrt(np.sum(dx * dx) * syy), -1.0, 1.0))
-    if not all(map(math.isfinite, (slope, intercept, r))):
-        raise DegenerateFitError("force/torque fit is not finite")
-    return NuEstimate(nu=float(slope), intercept=float(intercept), r=r, n=n)
+    nu, intercept, r = _fit_line(series.channel("mz"), f, "force/torque fit",
+                                 "torque has zero variance")
+    return NuEstimate(nu=nu, intercept=intercept, r=r, n=len(f))
 
 
 def calibrate_force(pairs) -> CalibrationResult:
@@ -359,16 +357,13 @@ def calibrate_force(pairs) -> CalibrationResult:
         raise DegenerateFitError("need at least 2 calibration pairs")
     x = np.asarray([p[0] for p in pairs], dtype=float)
     y = np.asarray([p[1] for p in pairs], dtype=float)
-    with degenerate_on_warning("calibration fit"):
-        if np.ptp(x) == 0.0:
-            raise DegenerateFitError("potentiometer readings are constant")
-        gain, offset = np.polyfit(x, y, 1)
-        resid = y - (gain * x + offset)
-        rms = float(np.sqrt(np.mean(resid ** 2)))
-    if not all(map(math.isfinite, (gain, offset, rms))):
+    gain, offset, _ = _fit_line(x, y, "calibration fit",
+                                "potentiometer readings are constant")
+    with np.errstate(all="ignore"):
+        rms = float(np.sqrt(np.mean((y - (gain * x + offset)) ** 2)))
+    if not math.isfinite(rms):
         raise DegenerateFitError("calibration fit is not finite")
-    return CalibrationResult(gain=float(gain), offset=float(offset),
-                             residual_rms=rms)
+    return CalibrationResult(gain=gain, offset=offset, residual_rms=rms)
 
 
 def _u_count_polynomial(n: int, m: int) -> list[int]:

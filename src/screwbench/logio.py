@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -76,14 +75,13 @@ def _read_log_fast(path) -> FtSeries | None:
         return None
     if body.translate(None, _WRITER_BODY_BYTES):
         return None  # a byte the writer never emits
-    with warnings.catch_warnings():
-        # an empty body is only a warning to loadtxt
-        warnings.simplefilter("error", UserWarning)
-        try:
-            rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
-                              ndmin=2)
-        except (ValueError, UserWarning):
-            return None
+    if b"," not in body:
+        return None  # no row: loadtxt would only warn about an empty body
+    try:
+        rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError:
+        return None
     try:
         return FtSeries(samples=rows)
     except ValueError:

@@ -302,7 +302,8 @@ def load_scenario(path) -> Scenario:
         data = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
-    return scenario_from_dict(data or {})
+    # an empty file is an empty mapping, so it still asks for the seed
+    return scenario_from_dict({} if data is None else data)
 
 
 def default_scenario(direction=None, seed: int = 0,

@@ -377,6 +377,12 @@ class TestEstimateNu:
         with pytest.raises(DegenerateFitError):
             analysis.estimate_nu(fz_mz_series(np.ones(10), np.ones(10)))
 
+    def test_constant_force_gives_flat_line(self):
+        tau = np.linspace(0.01, 0.3, 50)
+        est = analysis.estimate_nu(fz_mz_series(np.full(50, 12.5), tau))
+        assert est.nu == 0.0 and est.r == 0.0
+        assert est.intercept == 12.5
+
     def test_too_short_rejected(self):
         with pytest.raises(DegenerateFitError):
             analysis.estimate_nu(fz_mz_series([1, 2], [0.1, 0.2]))
@@ -447,6 +453,85 @@ class TestCalibrateForce:
         with np.errstate(all="ignore"), pytest.raises(
                 DegenerateFitError, match="not finite"):
             analysis.calibrate_force([(0.0, 1e308), (1.0, -1e308)])
+
+
+def fit_or_reject(fit, x, y):
+    """True if `fit(x, y)` rejects the line, with every warning an error;
+    for `np.polyfit`, a `RankWarning` is its rejection."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fit(x, y)
+        except (DegenerateFitError, np.exceptions.RankWarning):
+            return True
+    return False
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFitLine:
+    """The closed-form line against `np.polyfit`."""
+
+    @staticmethod
+    def fit(x, y):
+        return analysis._fit_line(np.asarray(x), np.asarray(y), "fit",
+                                  "constant")
+
+    def test_well_posed_line_matches_polyfit(self):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 10, 50)
+        y = 4.2 * x + 0.3 + rng.normal(0, 0.2, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope, intercept, _ = self.fit(x, y)
+            ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(ref_slope, rel=1e-10)
+        assert intercept == pytest.approx(ref_intercept, rel=1e-10)
+
+    @pytest.mark.parametrize("base", [1.0, -3.7, 1e3, 2.5e-7, -6.02e23])
+    def test_rank_test_agrees_with_polyfit(self, base):
+        """A spread of k ulps-of-base per step is rejected exactly when
+        polyfit's rank test (rcond = n * eps) warns."""
+        eps = np.finfo(float).eps
+        for k, n in itertools.product((0.5, 1, 2, 4, 16, 64, 1e3, 1e6),
+                                      (2, 3, 5, 10, 50)):
+            x = base + k * eps * abs(base) * np.arange(n)
+            y = np.arange(n, dtype=float)
+            assert fit_or_reject(self.fit, x, y) == fit_or_reject(
+                lambda x, y: np.polyfit(x, y, 1), x, y), (k, n)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100],
+                             ids=["product_underflows", "product_overflows"])
+    def test_r_survives_scaling_both_axes(self, scale):
+        rng = np.random.default_rng(5)
+        x = np.linspace(0.0, 1.0, 20)
+        y = 2.0 * x + rng.normal(0, 0.3, 20)
+        slope, _, r = self.fit(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled_slope, _, scaled_r = self.fit(scale * x, scale * y)
+        assert 0.5 < r < 0.99
+        assert scaled_r == pytest.approx(r, rel=1e-12)
+        assert scaled_slope == pytest.approx(slope, rel=1e-12)
+
+    def test_overflowing_y_spread_is_not_finite(self):
+        """The slope 1e100 fits, but r would read 0."""
+        with pytest.raises(DegenerateFitError, match="^fit is not finite$"):
+            self.fit([0.0, 1e100], [0.0, 1e200])
+
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.lists(finite_floats, min_size=n, max_size=n),
+        st.lists(finite_floats, min_size=n, max_size=n))))
+    def test_finite_input_fits_or_is_degenerate(self, xy):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit = self.fit(*xy)
+            except DegenerateFitError:
+                return
+        assert all(map(math.isfinite, fit))
+        assert -1.0 <= fit[2] <= 1.0
 
 
 def brute_force_two_sided_p(a, b):

@@ -121,6 +121,15 @@ class TestSimulate:
         assert run_cli("simulate", "named", "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 0
 
+    def test_exact_name_in_scenario_dir(self, tmp_path, monkeypatch):
+        """A name with its suffix resolves to that file in the directory."""
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "run.yml").write_text(SCENARIO_TEXT)
+        monkeypatch.chdir(tmp_path)  # no run.yml here
+        assert cli._resolve_scenario("run.yml", str(scenarios)) == (
+            scenarios / "run.yml")
+
     @pytest.mark.parametrize("seeds, name, ran", [
         ({"run": 1}, "run.v2", None),
         ({"run": 1, "run.v2": 2}, "run.v2", 2),

@@ -23,27 +23,27 @@ GOLDEN = {
     ("screw_phillips_plastic", 0): (
         "5dfdfa34493ad9ead4c151a0195669b4732df7e808b71486dd7495917becd6a4",
         "f89e17d375b5e870408c03b3cb7b233677e0962f5798728b1f1c76f99833a8a6",
-        "83a3421aa122c203e955f501289079f259af03dfe59537867ec1a4ba71031874"),
+        "64b5eb0a5f4c3893da8c5a305e0975d625bf1380847688b344a4c35fba3c11c9"),
     ("screw_phillips_plastic", 5): (
         "1a75e45eb27b8c099df38247b540f51a1e2e40b6e4601c47921ae87ea2b9b64a",
         "a1c14b80844ad780a868fc7635119c02e2694a4b068be60452984a9c8d2a5883",
-        "6a3d52aa49a1b7635419ecd6a0c533247138c2fd4d7d60b9e248dfa18bdb66bf"),
+        "5d2f41b2c86ef112b691ead5dbe56aa97513490148165e54f9176ba4c4bdce12"),
     ("screw_phillips_plastic", 42): (
         "043d58ff1f81aba45b0f9c277611468f1fb473072f050ff6ee7de86b11d38194",
         "598524295b1c8b4ca51320f3ba88dce67e5cda6a9d8a5c0a1d7947d7aa67467e",
-        "5b4e96b6e5cb8e6a9bec91bc966f982f30172ac59e409b94c57a4f8f74a5e8b6"),
+        "f84d1474dcf20cac0b6f6386ade03a6ae031220cd8a43641a6a00c2b8373f773"),
     ("unscrew_phillips_plastic", 0): (
         "7c035dfee3c5c75fbef5a8ebe85088eb4e5633ca4e0343ea7949fbe45218d66e",
         "3e6fd7dde583352c6562e92ad26cbe636ec959ef4399048d7be7722678ac1f47",
-        "bd98920a748e0bbf93658444728bb482ef48d383a1300d0657c910b6052cff12"),
+        "fe0c446958e1dc63e6b214f199957a68a80549f04bd473b459f736bd4fff5d3a"),
     ("unscrew_phillips_plastic", 5): (
         "3806b341244b5f6de4ff0382faa5a1b5ead9666b56ef065933cccd082805ff5b",
         "18b3b7918e6ec17e75850373b04b8d57664749cf9485b45c13ab9667b7ebc682",
-        "19baa211e19db5c275b2fdf8eba46da3d416888d699fcda170ff863b5668e406"),
+        "246567ebd90551387a00ee74e26f82877c92963b4efe56cc91eb8df770d58930"),
     ("unscrew_phillips_plastic", 42): (
         "fa18726327799aca71e5e3b83cf26ec3a037b67d8b0afeab0f10ce51b1e0e219",
         "d2b6ff33fc4235f37036776d48132bc3c52188d704728b1230d650f80286043c",
-        "2de2f18d179fe560e24ca426b8f3765ffa4e74082e6f3eb95dcc4fdf3b0c7320"),
+        "1bb668091260a514027fd12029c6b5b6462c3a13a19c3b85690914c5c129fabd"),
 }
 
 

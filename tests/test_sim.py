@@ -223,6 +223,19 @@ class TestStepWorld:
         assert truth.mz > 0.0  # it turned
         assert world.seated
 
+    def test_unscrewing_unseats_then_backs_out(self):
+        params = scenario.SimParams(p_max=1e-300)
+        world = make_world(engaged_depth=self.screw.shank_length, seated=True,
+                           screw_angle=10.03, seat_angle=10.0, contact_z=0.005)
+        cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
+                                  spindle_speed=-math.tau)
+        rng = random.Random(0)
+        sim.step_world(world, cmd, self.screw, self.sub, params, rng)
+        assert not world.seated
+        assert world.engaged_depth == 0.008  # the unseating step
+        sim.step_world(world, cmd, self.screw, self.sub, params, rng)
+        assert world.engaged_depth == pytest.approx(0.007995, rel=1e-12)
+
     def test_deterministic_stream(self):
         def run():
             rng = np.random.default_rng(123)
@@ -612,9 +625,14 @@ def test_integer_too_large_for_a_float_names_field():
         scenario.scenario_from_dict({"seed": 1, "sim": {"k_spring": 10**309}})
 
 
-def test_scenario_file_with_a_list_at_top_level_is_refused(tmp_path):
-    path = tmp_path / "list.yaml"
-    path.write_text("- 1\n")
+@pytest.mark.parametrize("text", ["- 1\n", "0\n", "false\n", "[]\n", "''\n"],
+                         ids=["list", "zero", "false", "empty_list",
+                              "empty_string"])
+def test_scenario_file_with_a_list_at_top_level_is_refused(tmp_path, text):
+    """Any document that is not a mapping, falsy ones too; only an empty
+    file stands for an empty mapping."""
+    path = tmp_path / "top.yaml"
+    path.write_text(text)
     with pytest.raises(ScenarioError,
                        match="^scenario: expected a mapping at top level$"):
         scenario.load_scenario(path)
