@@ -33,7 +33,6 @@ class Phase(str, enum.Enum):
     APPROACH = "approach"
     ENGAGE = "engage"
     DRIVE = "drive"
-    SEATED = "seated"
     FREE = "free"
     DONE = "done"
     FAULT = "fault"
@@ -43,8 +42,7 @@ class Phase(str, enum.Enum):
 ALLOWED_TRANSITIONS = {
     Phase.APPROACH: {Phase.APPROACH, Phase.ENGAGE, Phase.FAULT},
     Phase.ENGAGE: {Phase.ENGAGE, Phase.DRIVE, Phase.FAULT},
-    Phase.DRIVE: {Phase.DRIVE, Phase.SEATED, Phase.FREE, Phase.FAULT},
-    Phase.SEATED: {Phase.SEATED, Phase.DONE, Phase.FAULT},
+    Phase.DRIVE: {Phase.DRIVE, Phase.DONE, Phase.FREE, Phase.FAULT},
     Phase.FREE: {Phase.FREE, Phase.DRIVE, Phase.DONE, Phase.FAULT},
     Phase.DONE: {Phase.DONE},
     Phase.FAULT: {Phase.FAULT},
@@ -106,9 +104,9 @@ def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
 
 
 def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:
-    """Completion detection: the phase to enter (SEATED or FREE), or None.
+    """Completion detection: the phase to enter (DONE or FREE), or None.
 
-    Screwing (`cfg.direction`): seated when a sustained rise crosses
+    Screwing (`cfg.direction`): done (seated) when a sustained rise crosses
     tau_stop (latest at or above the threshold with the window tail strictly
     rising). Unscrewing: free when the whole window sits below the noise
     floor. The caller asks only in DRIVE, after torque above the floor,
@@ -123,7 +121,7 @@ def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:
             return None
         tail = min(3, len(w) - 1)  # rising steps required
         if all(w[-i] > w[-i - 1] for i in range(1, tail + 1)):
-            return Phase.SEATED
+            return Phase.DONE
         return None
     if all(v < cfg.noise_floor for v in w):
         return Phase.FREE
@@ -210,8 +208,6 @@ def update(state: ControllerState, sample: FtSample,
                 term = detect_terminal(w, cfg)
                 if term is not None:
                     state.phase = term
-    elif state.phase == Phase.SEATED:
-        state.phase = Phase.DONE  # one step after seating
     elif state.phase == Phase.FREE:
         if sample.mz > FREE_REENGAGE_FLOORS * cfg.noise_floor:
             # back to DRIVE, where the window rule must free it again
@@ -228,8 +224,8 @@ def update(state: ControllerState, sample: FtSample,
 
     offset = pid_force_step(state, sample.fz, state.force_target, cfg)
     sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
-    spindle = 0.0 if state.phase == Phase.SEATED else sign * cfg.spindle_speed
-    return _command(state, state.contact_z_est + offset, spindle)
+    return _command(state, state.contact_z_est + offset,
+                    sign * cfg.spindle_speed)
 
 
 def _command(state: ControllerState, z_cmd: float,

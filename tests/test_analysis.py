@@ -680,3 +680,16 @@ def test_analysis_recovers_the_applied_force_law(tmp_path):
     test = analysis.mann_whitney_u(estimates["phillips"],
                                    estimates["internal_hex"])
     assert test.p < 0.01
+
+
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_seated_screwing_log_ends_without_a_camout(seed):
+    """A screwing run ends on the step that detects the seat, so its log's
+    last samples are the seating rise, not the drop of a stopped spindle
+    that the cam-out rule would flag."""
+    result = runner.run_scenario(
+        scenario.default_scenario("screwing", seed=seed))
+    assert result.outcome == runner.Outcome.DONE and result.world.seated
+    flags = analysis.camout_flags([s.mz for s in result.samples])
+    rising = flags[1:] & ~flags[:-1]  # rising[i] is at sample i + 1
+    assert not rising[-3:].any()

@@ -102,7 +102,7 @@ class TestDetectTerminal:
     def test_seating_rise(self):
         cfg = cfg_with(direction="screwing", tau_stop=0.2)
         term = control.detect_terminal([0.10, 0.16, 0.24], cfg)
-        assert term == Phase.SEATED
+        assert term == Phase.DONE
 
     def test_unscrewed_free(self):
         cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
@@ -121,9 +121,11 @@ class TestDetectTerminal:
             "screwing", seed=11,
             sim={"p_max": 0.5, "slip_sharpness": 2.0})
         for world, _, _, state in runner.closed_loop(sc):
-            if state.phase == Phase.SEATED:
-                assert world.engaged_depth == sc.screw.shank_length
-                break
+            pass
+        # the loop ends on the step that enters DONE, so this run seated
+        assert state.phase == Phase.DONE
+        assert world.seated
+        assert world.engaged_depth == sc.screw.shank_length
 
     # Plastic-hole unscrewing runs whose chained cam-outs emptied the torque
     # window, so that FREE was once entered with 6.5-7.6 mm still engaged.
@@ -301,6 +303,25 @@ class TestUpdate:
         assert (state.phase, state.free_time) == (Phase.DRIVE, 0.0)
         assert cmd.spindle_speed == -cfg.spindle_speed
 
+    def test_seating_stops_the_spindle_and_ends_the_run(self):
+        """The step whose window rises across `tau_stop` enters DONE, and
+        its command stops the spindle where the carriage is: no further
+        step runs with the spindle stopped before the run ends."""
+        cfg = cfg_with(direction="screwing", tau_stop=0.2)
+        state = drive_state(cfg)  # window [0.15]
+        for i, mz in enumerate((0.16, 0.18)):
+            cmd = control.update(state, sim.FtSample(i * 0.01, 20.0, mz),
+                                 cfg)
+        assert state.phase == Phase.DRIVE
+        assert cmd.spindle_speed == cfg.spindle_speed
+        z_last = cmd.z_cmd
+        cmd = control.update(state, sim.FtSample(0.02, 20.0, 0.24), cfg)
+        assert state.phase == Phase.DONE
+        assert cmd == control.ToolCommand(z_cmd=z_last, spindle_speed=0.0)
+        cmd = control.update(state, sim.FtSample(0.03, 20.0, 0.05), cfg)
+        assert state.phase == Phase.DONE
+        assert cmd == control.ToolCommand(z_cmd=z_last, spindle_speed=0.0)
+
     def test_done_and_fault_absorbing(self):
         cfg = cfg_with()
         for terminal in (Phase.DONE, Phase.FAULT):
@@ -339,7 +360,7 @@ class TestUpdate:
 
 
 @pytest.mark.parametrize("fields, outcome, steps", [
-    ({}, runner.Outcome.DONE, 1667),
+    ({}, runner.Outcome.DONE, 1666),
     ({"controller": {"overload_torque": 0.05}}, runner.Outcome.FAULT, 137),
     ({"duration": 1.0}, runner.Outcome.TIMEOUT, 100),
 ], ids=["done", "fault", "timeout"])

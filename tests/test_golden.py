@@ -21,17 +21,17 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # analyze stdout for that log)
 GOLDEN = {
     ("screw_phillips_plastic", 0): (
-        "5dfdfa34493ad9ead4c151a0195669b4732df7e808b71486dd7495917becd6a4",
-        "f89e17d375b5e870408c03b3cb7b233677e0962f5798728b1f1c76f99833a8a6",
-        "64b5eb0a5f4c3893da8c5a305e0975d625bf1380847688b344a4c35fba3c11c9"),
+        "cab18670566ecbf02405963503ff7fb7a383606752da02b62f5d4795d9dad8b2",
+        "cb0ff3129896a72342e7a8064b27f484952196fcec75103fc96fe4eda8e8af32",
+        "d4d9148c02be2d7dd2d71539b4f6289e23c7dffc2a7c454ca6a277315ea121b2"),
     ("screw_phillips_plastic", 5): (
-        "1a75e45eb27b8c099df38247b540f51a1e2e40b6e4601c47921ae87ea2b9b64a",
-        "a1c14b80844ad780a868fc7635119c02e2694a4b068be60452984a9c8d2a5883",
-        "5d2f41b2c86ef112b691ead5dbe56aa97513490148165e54f9176ba4c4bdce12"),
+        "68c24df79f1339cf10d402d1e12f40b388aec70c046d07bc9fe21ab0a7831c31",
+        "52dba7af131e08b261b7cf75b4c95ce7098f8e032ecf633c8153fea5f9b19b25",
+        "628f672b3b3d7e0b680df80aac02565f182d4b34172470a8082479d606a664e3"),
     ("screw_phillips_plastic", 42): (
-        "043d58ff1f81aba45b0f9c277611468f1fb473072f050ff6ee7de86b11d38194",
-        "598524295b1c8b4ca51320f3ba88dce67e5cda6a9d8a5c0a1d7947d7aa67467e",
-        "f84d1474dcf20cac0b6f6386ade03a6ae031220cd8a43641a6a00c2b8373f773"),
+        "0e45dfaa18113055da4d171b4a09b32b134f93099f73d2a5748d18a0ba36b5e6",
+        "df3bc426e5a570694a1488f9c574b67834c7912a9a2d3b0631a00f8d3e7fbd48",
+        "3ea4ebaaaf3b6908a5b17d42c99cefb078ef67e70dc6e28f8132331d39cff359"),
     ("unscrew_phillips_plastic", 0): (
         "7c035dfee3c5c75fbef5a8ebe85088eb4e5633ca4e0343ea7949fbe45218d66e",
         "3e6fd7dde583352c6562e92ad26cbe636ec959ef4399048d7be7722678ac1f47",
