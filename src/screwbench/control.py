@@ -75,7 +75,7 @@ class ControllerState:
     integrator: float = 0.0  # N·s
     force_target: float = 0.0  # N
     slip_count: int = 0  # slip-detected steps
-    free_time: float = 0.0  # s spent in FREE
+    free_steps: int = 0  # steps spent in FREE
     # loop-keeping fields
     z_cmd: float = 0.0
     contact_z_est: float = 0.0
@@ -212,11 +212,11 @@ def update(state: ControllerState, sample: FtSample,
         if sample.mz > FREE_REENGAGE_FLOORS * cfg.noise_floor:
             # back to DRIVE, where the window rule must free it again
             state.phase = Phase.DRIVE
-            state.free_time = 0.0
+            state.free_steps = 0
         else:
             # keep spinning briefly so the last threads fully disengage
-            state.free_time += DT
-            if state.free_time >= cfg.free_spin_time:
+            state.free_steps += 1
+            if state.free_steps >= round(cfg.free_spin_time / DT):
                 state.phase = Phase.DONE
 
     if state.phase in (Phase.DONE, Phase.FAULT):

@@ -114,6 +114,16 @@ def check_numbers(obj) -> None:
         setattr(obj, name, kind(value))
 
 
+def _check_periods(obj, *names) -> None:
+    """Durations that a run counts in whole sample periods: each field's
+    number of periods must be a finite float."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value / sensor.DT):
+            raise ScenarioError(f"{name}: too large to count in sample "
+                                f"periods, got {value!r}")
+
+
 @dataclass
 class ScrewSpec:
     """Fastener geometry and head/driver pairing (M3 x 8 mm defaults)."""
@@ -160,13 +170,17 @@ class SimParams:
     torque_noise_std: float = sensor.TORQUE_NOISE_STD  # N·m
     p_max: float = 0.1  # peak per-step slip probability
     slip_sharpness: float = 6.0  # logistic steepness
-    slip_dwell: float = 0.1  # s, duration of one cam-out
+    # s, how long a cam-out reports `slipping`: max(1, round(slip_dwell /
+    # DT)) steps from the onset step; the screw also holds on the step that
+    # ends it (`sim`)
+    slip_dwell: float = 0.1
     positive: ClassVar[tuple] = ("k_spring", "p_max", "slip_sharpness")
     non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std",
                                      "slip_dwell")
 
     def __post_init__(self):
         check_numbers(self)
+        _check_periods(self, "slip_dwell")
         if self.p_max > 1.0:
             raise ScenarioError("p_max: must be <= 1")
 
@@ -196,7 +210,9 @@ class ControllerConfig:
     integrator_limit: float = 4.0  # N·s anti-windup clamp
     overload_torque: float = 0.4  # N·m, fault threshold
     slip_limit: int = 2000  # fault after this many slip-detected steps
-    free_spin_time: float = 2.0  # s extra spin to fully withdraw the screw
+    # s of extra spin to fully withdraw the screw: FREE lasts
+    # max(1, round(free_spin_time / DT)) steps, the last entering DONE
+    free_spin_time: float = 2.0
     positive: ClassVar[tuple] = (
         "nu", "margin", "theta_slip", "base_ramp", "slip_ramp", "k_spring_est",
         "spindle_speed", "approach_speed", "contact_threshold", "travel_limit",
@@ -206,6 +222,7 @@ class ControllerConfig:
 
     def __post_init__(self):
         check_numbers(self)
+        _check_periods(self, "free_spin_time")
         if self.theta_slip >= 1.0:
             raise ScenarioError("theta_slip: must be < 1")
         if self.f_min > self.f_max:
@@ -239,10 +256,7 @@ class Scenario:
             raise ScenarioError(
                 f"duration: must be at least one sample period "
                 f"({sensor.DT} s)")
-        if not math.isfinite(self.duration / sensor.DT):
-            raise ScenarioError(
-                f"duration: too large to count in sample periods, "
-                f"got {self.duration!r}")
+        _check_periods(self, "duration")
 
     @property
     def direction(self) -> Direction:

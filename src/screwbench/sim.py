@@ -9,6 +9,14 @@ friction, affine in the engaged thread length and independent of rotation
 speed. Cam-out (tip slippage) is a per-step Bernoulli event whose probability
 is logistic in the ratio of applied force to the slippage-threshold force.
 
+Every timer counts whole sample periods. A cam-out holds the screw still on
+its onset step and on the n = max(1, round(slip_dwell / DT)) steps after
+it. `slipping` reads True on the onset step and the next n - 1, and False
+on the last held step, so back-to-back cam-outs give separate rising
+edges. At the default 0.1 s the screw holds for 11 steps, 10 of them
+`slipping`. The clock is the int `step`; `time` is `step / SAMPLE_HZ`, so
+the k-th sample's `t` is the float nearest `k / 100` s.
+
 Randomness comes from the caller's `rng`, which needs only a `random()`
 method giving uniforms in [0, 1) (a `random.Random`). Each step draws
 exactly three of them, in a fixed order whatever the run's state: one in
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .scenario import CONTACT_Z, Direction, SubstrateKind
-from .sensor import DT
+from .sensor import DT, SAMPLE_HZ
 
 if TYPE_CHECKING:
     from .control import ToolCommand
@@ -48,8 +56,13 @@ class WorldState:
     seat_angle: float = 0.0  # rad at first head contact
     contact_z: float = 0.0  # m, position where the spring starts compressing
     slipping: bool = False
-    slip_time_left: float = 0.0  # s
-    time: float = 0.0  # s
+    slip_steps_left: int = 0  # dwell steps left in the cam-out
+    step: int = 0  # sample periods elapsed
+
+    @property
+    def time(self) -> float:
+        """Seconds elapsed: the float nearest `step / SAMPLE_HZ`."""
+        return self.step / SAMPLE_HZ
 
 
 def initial_world(screw: ScrewSpec, direction: Direction,
@@ -64,8 +77,8 @@ def initial_world(screw: ScrewSpec, direction: Direction,
     return WorldState(engaged_depth=depth, contact_z=contact_z)
 
 
-def required_torque(world: WorldState, screw: ScrewSpec,
-                    substrate: SubstrateSpec, direction: Direction) -> float:
+def required_torque(world: WorldState, substrate: SubstrateSpec,
+                    direction: Direction) -> float:
     """Torque needed to turn the screw in its current state.
 
     Pure function of the state: no rotation-speed input exists, so the
@@ -118,22 +131,20 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
 
     direction = (Direction.SCREWING if cmd.spindle_speed >= 0.0
                  else Direction.UNSCREWING)
-    tau_req = required_torque(world, screw, substrate, direction)
+    tau_req = required_torque(world, substrate, direction)
     engaged = deflection > 0.0 and cmd.spindle_speed != 0.0 and (
         world.engaged_depth > 0.0 or world.seated)
 
     mz = 0.0
     if world.slipping:
-        world.slip_time_left -= DT
-        if world.slip_time_left <= 0.0:
-            world.slipping = False
-            world.slip_time_left = 0.0
+        world.slip_steps_left -= 1
+        world.slipping = world.slip_steps_left > 0
     elif engaged:
         p = slip_probability(force, tau_req, screw, params)
         if p > 0.0 and u < p:
             # tip skips one recess lobe; screw does not move this dwell
             world.slipping = True
-            world.slip_time_left = params.slip_dwell
+            world.slip_steps_left = max(1, round(params.slip_dwell / DT))
         else:
             mz = tau_req
             turn = cmd.spindle_speed * DT  # rad, signed like the spindle
@@ -151,7 +162,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
                 world.engaged_depth = new
                 world.contact_z += new - old  # the head moves with the thread
 
-    world.time += DT
+    world.step += 1
     return FtSample(t=world.time, fz=force, mz=mz)
 
 

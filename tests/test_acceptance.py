@@ -39,7 +39,7 @@ def test_1_speed_invariance():
                                       spindle_speed=-speed)
             sim.step_world(world, cmd, screw, sub, params, rng)
             depths.append(world.engaged_depth)
-            taus.append(sim.required_torque(world, screw, sub,
+            taus.append(sim.required_torque(world, sub,
                                             scenario.Direction.UNSCREWING))
         # reverse so depth is increasing for interpolation
         curves[deg] = (np.asarray(depths)[::-1], np.asarray(taus)[::-1])
@@ -64,7 +64,7 @@ def test_2_screwing_force_ramp_reproduction():
         rows, peak_torque = [], 0.0
         for world, truth, sensed, state in runner.closed_loop(sc):
             rows.append((world.time, truth.fz,
-                         sim.required_torque(world, sc.screw, sc.substrate,
+                         sim.required_torque(world, sc.substrate,
                                              sc.direction),
                          state.phase.value, world.slipping))
             peak_torque = max(peak_torque, sensed.mz)

@@ -368,6 +368,19 @@ class TestLogIo:
                         series.channel("mz")], axis=1)
         assert got.tobytes() == np.array(samples).tobytes()
 
+    def test_simulated_log_times_are_whole_periods(self, tmp_path):
+        """Row k of a simulated log, counting from 1, has the time `k / 100`
+        as `repr` writes it: the clock counts whole sample periods, so no
+        time carries float residue."""
+        for direction in ("screwing", "unscrewing"):
+            sc = scenario.default_scenario(direction, seed=0)
+            path = tmp_path / f"{direction}.csv"
+            logio.write_log(path, runner.run_scenario(sc).samples)
+            times = [row.split(",")[0]
+                     for row in path.read_text().splitlines()[1:]]
+            assert len(times) > 1000
+            assert times == [repr(k / 100) for k in range(1, len(times) + 1)]
+
     def test_header_schema(self, tmp_path):
         path = tmp_path / "log.csv"
         logio.write_log(path, [FtSample(0.01, 1.0, 0.1)])

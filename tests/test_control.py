@@ -128,14 +128,26 @@ class TestDetectTerminal:
         assert world.engaged_depth == sc.screw.shank_length
 
     # Plastic-hole unscrewing runs whose chained cam-outs emptied the torque
-    # window, so that FREE was once entered with 6.5-7.6 mm still engaged.
+    # window, so that FREE was entered with 5.6-8.0 mm still engaged and the
+    # run returned to DRIVE: every such phillips and internal_hex run in
+    # seeds 0..99, and the first four mismatched_driver ones.
     CHAINED_CAMOUT_RUNS = [
+        *(("phillips", s) for s in (2, 28, 54, 66, 71, 77, 91, 96, 97)),
+        *(("internal_hex", s) for s in (28, 71, 77, 96, 97)),
+        *(("mismatched_driver", s) for s in (1, 2, 4, 9)),
+    ]
+    # The runs the same rule picked while the float dwell timer held a
+    # cam-out for 12 steps, not 11: without the return to DRIVE each ended
+    # `done` with the screw in. They no longer chain, and stay as
+    # regression runs.
+    EARLIER_CHAINED_CAMOUT_RUNS = [
         *(("phillips", s) for s in (27, 36, 45, 55, 64, 89, 95)),
         *(("internal_hex", s) for s in (36, 45, 89, 95)),
         *(("mismatched_driver", s) for s in (22, 23, 24, 25)),
     ]
 
-    @pytest.mark.parametrize("head, seed", CHAINED_CAMOUT_RUNS)
+    @pytest.mark.parametrize(
+        "head, seed", CHAINED_CAMOUT_RUNS + EARLIER_CHAINED_CAMOUT_RUNS)
     def test_no_false_free_after_chained_camouts(self, head, seed):
         sc = scenario.default_scenario("unscrewing", seed=seed,
                                        screw={"head_type": head})
@@ -298,10 +310,24 @@ class TestUpdate:
         state.phase = Phase.FREE
         limit = control.FREE_REENGAGE_FLOORS * cfg.noise_floor
         control.update(state, sim.FtSample(0.0, 5.0, limit), cfg)
-        assert state.phase == Phase.FREE and state.free_time > 0
+        assert (state.phase, state.free_steps) == (Phase.FREE, 1)
         cmd = control.update(state, sim.FtSample(0.01, 5.0, 0.06), cfg)
-        assert (state.phase, state.free_time) == (Phase.DRIVE, 0.0)
+        assert (state.phase, state.free_steps) == (Phase.DRIVE, 0)
         assert cmd.spindle_speed == -cfg.spindle_speed
+
+    def test_free_lasts_whole_steps(self):
+        """FREE spins for `round(free_spin_time / DT)` updates, the last of
+        which enters DONE: 10 at 0.1 s and 200 at the default 2.0 s."""
+        for spin, steps in ((0.1, 10), (2.0, 200)):
+            cfg = cfg_with(direction="unscrewing", free_spin_time=spin)
+            state = drive_state(cfg)
+            state.phase = Phase.FREE
+            phases = []
+            for i in range(steps + 5):
+                control.update(state, sim.FtSample(i * 0.01, 0.0, 0.0), cfg)
+                phases.append(state.phase)
+            assert steps == round(spin / sensor.DT)
+            assert phases == [Phase.FREE] * (steps - 1) + [Phase.DONE] * 6
 
     def test_seating_stops_the_spindle_and_ends_the_run(self):
         """The step whose window rises across `tau_stop` enters DONE, and
@@ -360,7 +386,7 @@ class TestUpdate:
 
 
 @pytest.mark.parametrize("fields, outcome, steps", [
-    ({}, runner.Outcome.DONE, 1666),
+    ({}, runner.Outcome.DONE, 1674),
     ({"controller": {"overload_torque": 0.05}}, runner.Outcome.FAULT, 137),
     ({"duration": 1.0}, runner.Outcome.TIMEOUT, 100),
 ], ids=["done", "fault", "timeout"])

@@ -3,12 +3,15 @@ for the bundled scenarios at fixed seeds.
 
 A change that alters any of these bytes on purpose (a new RNG stream
 layout, a model change) updates the table in the same change and says so;
-any other difference is a regression.
+any other difference is a regression. `python tests/test_golden.py` (with
+the package importable, for example under `PYTHONPATH=src`) prints the
+table as the current code gives it, ready to paste over `GOLDEN`.
 """
 
 import contextlib
 import hashlib
 import io
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,29 +24,29 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # analyze stdout for that log)
 GOLDEN = {
     ("screw_phillips_plastic", 0): (
-        "cab18670566ecbf02405963503ff7fb7a383606752da02b62f5d4795d9dad8b2",
-        "cb0ff3129896a72342e7a8064b27f484952196fcec75103fc96fe4eda8e8af32",
-        "d4d9148c02be2d7dd2d71539b4f6289e23c7dffc2a7c454ca6a277315ea121b2"),
+        "7bea45a856005d77c15310d97edc6d1200d534c6d42759e37faba127b12ff0e2",
+        "0d5e0ac6706543a89c4f0450fa1002b0258edfb162bdb037e1eac7fcd7832c70",
+        "cdd2fbe8095e2d78b36e1b4c10e3326c01ffe4aa325b0e89459c7fc3d45b0a38"),
     ("screw_phillips_plastic", 5): (
-        "68c24df79f1339cf10d402d1e12f40b388aec70c046d07bc9fe21ab0a7831c31",
-        "52dba7af131e08b261b7cf75b4c95ce7098f8e032ecf633c8153fea5f9b19b25",
-        "628f672b3b3d7e0b680df80aac02565f182d4b34172470a8082479d606a664e3"),
+        "e489f6bf70a67d8c22bd4dc89b01f98fe6ea07378838247f8d1b24f89eb23e66",
+        "5446799a87f983d1cd204201dd119f3d68813cff3aa712f686254b73a2f7d6de",
+        "9d2b5482a93e3bc47a37a6238df89a9b426b0180914fa4e021c084bc3eb5fd10"),
     ("screw_phillips_plastic", 42): (
-        "0e45dfaa18113055da4d171b4a09b32b134f93099f73d2a5748d18a0ba36b5e6",
-        "df3bc426e5a570694a1488f9c574b67834c7912a9a2d3b0631a00f8d3e7fbd48",
-        "3ea4ebaaaf3b6908a5b17d42c99cefb078ef67e70dc6e28f8132331d39cff359"),
+        "66093fb6f1bdf8392057d9ee818691103fd88f9a91d94f1180fa77e7a5fc2524",
+        "eee3c7521b99407788352c912ecee8c76ae796000710c0250365b8060dba57a0",
+        "d6269e59ea94bf03d09dcc95bd7de19a6ff9463007a4f8d397756fcec30230d2"),
     ("unscrew_phillips_plastic", 0): (
-        "7c035dfee3c5c75fbef5a8ebe85088eb4e5633ca4e0343ea7949fbe45218d66e",
-        "3e6fd7dde583352c6562e92ad26cbe636ec959ef4399048d7be7722678ac1f47",
-        "fe0c446958e1dc63e6b214f199957a68a80549f04bd473b459f736bd4fff5d3a"),
+        "3f967d6b7291a205461b4998dc79100597685998d9f71a723d7b43485a027b60",
+        "887c13ad5883bee4bfa0df9409136fb166e9d984f867e641da1720290d828b91",
+        "5f9c8327eccccdbfc967eef653def1d1ef9778c403c67b665a9bed2b02105d96"),
     ("unscrew_phillips_plastic", 5): (
-        "3806b341244b5f6de4ff0382faa5a1b5ead9666b56ef065933cccd082805ff5b",
-        "18b3b7918e6ec17e75850373b04b8d57664749cf9485b45c13ab9667b7ebc682",
-        "246567ebd90551387a00ee74e26f82877c92963b4efe56cc91eb8df770d58930"),
+        "15942791c4bbd195bd6187eb426c2352de279e238049ddc950ce4a8570502d46",
+        "3236004dea182c61d731d3d474943ef5636975def360c8789ee3287f91965547",
+        "2fa9318e0608579311e174d33baa97868fada136ebf5e645e75440a88c136957"),
     ("unscrew_phillips_plastic", 42): (
-        "fa18726327799aca71e5e3b83cf26ec3a037b67d8b0afeab0f10ce51b1e0e219",
-        "d2b6ff33fc4235f37036776d48132bc3c52188d704728b1230d650f80286043c",
-        "1bb668091260a514027fd12029c6b5b6462c3a13a19c3b85690914c5c129fabd"),
+        "7a1ebcbfc46e337be02ad182dc892ff14bb17581fe33e0d1b92db535db15d6fd",
+        "30cfe1d217a8a314620f7db526ea872ddda0e5428a02e754fe8218dae1759bec",
+        "ee1ba754089e73705df38fa37751b636ec29735b38131dc77dd2046b694cf299"),
 }
 
 
@@ -51,9 +54,9 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name, seed", sorted(GOLDEN))
-def test_outputs_match_golden_hashes(tmp_path, name, seed):
-    log, report = tmp_path / "run.csv", tmp_path / "report.yaml"
+def output_hashes(name, seed, directory: Path) -> tuple:
+    """The three hashes of one `GOLDEN` row, from files under `directory`."""
+    log, report = directory / "run.csv", directory / "report.yaml"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["simulate", str(SCENARIOS / f"{name}.yaml"),
                          "--seed", str(seed), "--out", str(log),
@@ -61,6 +64,20 @@ def test_outputs_match_golden_hashes(tmp_path, name, seed):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert cli.main(["analyze", str(log)]) == 0
-    got = (sha256(log.read_bytes()), sha256(report.read_bytes()),
-           sha256(stdout.getvalue().encode()))
-    assert got == GOLDEN[(name, seed)]
+    return (sha256(log.read_bytes()), sha256(report.read_bytes()),
+            sha256(stdout.getvalue().encode()))
+
+
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN))
+def test_outputs_match_golden_hashes(tmp_path, name, seed):
+    assert output_hashes(name, seed, tmp_path) == GOLDEN[(name, seed)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name, seed in GOLDEN:
+            hashes = output_hashes(name, seed, Path(tmp))
+            print(f'    ("{name}", {seed}): (')
+            print(",\n".join(f'        "{h}"' for h in hashes) + "),")
+        print("}")

@@ -21,34 +21,29 @@ def make_world(**kw):
 class TestRequiredTorque:
     def test_disengaged_unscrewing_is_free(self):
         w = make_world(engaged_depth=0.0)
-        tau = sim.required_torque(w, scenario.ScrewSpec(),
-                                  scenario.SubstrateSpec(),
+        tau = sim.required_torque(w, scenario.SubstrateSpec(),
                                   scenario.Direction.UNSCREWING)
         assert tau == 0.0
 
     def test_full_engagement_unscrewing_matches_calibration(self):
         # default plastic calibration: 0.19 N·m at full 8 mm engagement
         w = make_world(engaged_depth=0.008)
-        tau = sim.required_torque(w, scenario.ScrewSpec(),
-                                  scenario.SubstrateSpec(),
+        tau = sim.required_torque(w, scenario.SubstrateSpec(),
                                   scenario.Direction.UNSCREWING)
         assert tau == pytest.approx(0.19, rel=1e-12)
 
     def test_screwing_adds_thread_cutting_torque(self):
         w = make_world(engaged_depth=0.004)
         sub = scenario.SubstrateSpec()
-        tau_in = sim.required_torque(w, scenario.ScrewSpec(), sub,
-                                     scenario.Direction.SCREWING)
-        tau_out = sim.required_torque(w, scenario.ScrewSpec(), sub,
-                                      scenario.Direction.UNSCREWING)
+        tau_in = sim.required_torque(w, sub, scenario.Direction.SCREWING)
+        tau_out = sim.required_torque(w, sub, scenario.Direction.UNSCREWING)
         assert tau_in == pytest.approx(tau_out + sub.tau_cut)
 
     def test_seating_term(self):
         sub = scenario.SubstrateSpec()
         w = make_world(engaged_depth=0.008, seated=True, seat_angle=10.0,
                        screw_angle=12.0)
-        tau = sim.required_torque(w, scenario.ScrewSpec(), sub,
-                                  scenario.Direction.SCREWING)
+        tau = sim.required_torque(w, sub, scenario.Direction.SCREWING)
         expected = sub.tau_cut + sub.k_depth * 0.008 + sub.k_seat * 2.0
         assert tau == pytest.approx(expected)
 
@@ -56,8 +51,7 @@ class TestRequiredTorque:
         sub = scenario.SubstrateSpec(kind="nut")
         params = scenario.SimParams()
         w = make_world(engaged_depth=0.004)
-        tau = sim.required_torque(w, scenario.ScrewSpec(), sub,
-                                  scenario.Direction.SCREWING)
+        tau = sim.required_torque(w, sub, scenario.Direction.SCREWING)
         assert 0.0 < tau < params.torque_noise_std
 
     def test_same_state_same_torque_regardless_of_speed_history(self):
@@ -74,7 +68,7 @@ class TestRequiredTorque:
                 cmd = control.ToolCommand(
                     z_cmd=world.contact_z + 0.006, spindle_speed=-speed)
                 sim.step_world(world, cmd, screw, sub, params, rng)
-            taus[speed] = sim.required_torque(world, screw, sub,
+            taus[speed] = sim.required_torque(world, sub,
                                               scenario.Direction.UNSCREWING)
         vals = list(taus.values())
         assert vals[0] == pytest.approx(vals[1], rel=1e-9)
@@ -184,6 +178,26 @@ class TestStepWorld:
         truth = sim.step_world(world, cmd, self.screw, self.sub, params, rng)
         assert truth.mz == 0.0
         assert world.screw_angle == angle_before
+
+    def test_camout_holds_the_screw_for_whole_steps(self):
+        """A cam-out holds the screw on its onset step and the next
+        max(1, round(slip_dwell / DT)) steps: 11 at the default 0.1 s.
+        `slipping` reads False on the last of them, so a cam-out on the
+        next step is a new onset."""
+        cmd = control.ToolCommand(z_cmd=0.0051, spindle_speed=2 * math.pi)
+        for dwell, held in ((0.1, 11), (0.03, 4), (0.0, 2)):
+            params = scenario.SimParams(slip_dwell=dwell)
+            world = make_world(engaged_depth=0.004, contact_z=0.005)
+            slipping = []
+            # the first draw slips, no later one does
+            for u in [0.0] + [params.p_max] * 20:
+                sim.step_world(world, cmd, self.screw, self.sub, params,
+                               CountingRng(u))
+                slipping.append(world.slipping)
+                if world.screw_angle != 0.0:  # this step turned the screw
+                    break
+            assert held == 1 + max(1, round(dwell / sensor.DT))
+            assert slipping == [True] * (held - 1) + [False, False], dwell
 
     def test_seating_clamps_depth(self):
         params = scenario.SimParams(p_max=1e-15)
@@ -325,11 +339,12 @@ class TestStreamContract:
 
     def test_slip_onset_and_dwell_draw_once_per_step(self):
         world = make_world(engaged_depth=0.004, contact_z=0.005)
-        assert self.step(world, self.pressed, u=0.0) == 1
-        assert world.slipping
-        for _ in range(round(self.params.slip_dwell / sensor.DT)):
+        n = round(self.params.slip_dwell / sensor.DT)
+        slipping = []
+        for _ in range(1 + n):  # the onset step, then the dwell
             assert self.step(world, self.pressed, u=0.0) == 1
-            assert world.slipping
+            slipping.append(world.slipping)
+        assert slipping == [True] * n + [False]
 
     def test_read_sensors_draws_one_box_muller_pair(self):
         """u1 = 1 - exp(-1/2) gives radius 1; u2 = 1/4 gives angle pi/2,
@@ -427,6 +442,10 @@ def _sign_rows(section, positive, non_negative):
     ({"controller": [1]}, "controller: expected a mapping"),
     ({"duration": 0.004}, "duration"),
     ({"duration": 1.0e308}, "duration"),
+    ({"sim": {"slip_dwell": 1.0e308}},
+     r"sim\.slip_dwell: too large to count in sample periods, got 1e\+308$"),
+    ({"controller": {"free_spin_time": 1.0e308}},
+     r"controller\.free_spin_time: too large to count in sample periods"),
     *_sign_rows("controller",
                 ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
                  "spindle_speed", "approach_speed", "contact_threshold",
