@@ -1,9 +1,14 @@
 """Run settings: the screw, substrate, model and controller settings of one
 run, their field rules, and the scenario files that describe them.
 
-Each settings class lists its sign rules in the class tuples `positive`
-(> 0) and `non_negative` (>= 0); a bad setting, in a file or in code, is a
-`ScenarioError` naming the field (`substrate.tau_cut: must be >= 0, ...`).
+The settings classes are dataclasses built through one shared keyword-only
+constructor, which applies the field rule to the fields it is given, in
+field order, and then the class's cross-field rules (`__post_init__`).
+Their shared `repr` and `==` give what dataclass-generated ones would, so
+no class generates methods of its own at import. Each class lists its
+sign rules in the class tuples `positive` (> 0) and `non_negative` (>= 0);
+a bad setting, in a file or in code, is a `ScenarioError` naming the field
+(`substrate.tau_cut: must be >= 0, ...`).
 
 A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
@@ -25,8 +30,9 @@ import enum
 import functools
 import math
 import numbers
+import reprlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
 
@@ -67,17 +73,18 @@ _KINDS = {"float": float, "float | None": float, "int": int,
 
 
 @functools.cache
-def _checked_fields(cls) -> tuple:
-    """(name, annotation, default, sign) of each number or enum field."""
+def _layout(cls) -> tuple:
+    """`cls`'s field defaults in field order (MISSING for a field without
+    one), the fields without one, and (name, kind, default, sign) of each
+    number or enum field in field order."""
     signs = {**dict.fromkeys(cls.non_negative, ">="),
              **dict.fromkeys(cls.positive, ">")}
-    return tuple((f.name, f.type, f.default, signs.get(f.name))
-                 for f in fields(cls) if f.type in _KINDS)
-
-
-@functools.cache
-def _field_names(cls) -> frozenset:
-    return frozenset(f.name for f in fields(cls))
+    defaults = {f.name: f.default for f in fields(cls)}
+    required = tuple(name for name, default in defaults.items()
+                     if default is MISSING)
+    checked = tuple((f.name, _KINDS[f.type], f.default, signs.get(f.name))
+                    for f in fields(cls) if f.type in _KINDS)
+    return defaults, required, checked
 
 
 def _member(kind, name: str, value):
@@ -88,30 +95,67 @@ def _member(kind, name: str, value):
                             f"got {value!r}") from None
 
 
-def check_numbers(obj) -> None:
-    """The field rules of a settings dataclass: a `float` field holds a finite
-    real, stored as a float, an `int` field an integer, stored as an int, and
-    neither a bool, and obeys the class's sign tables; an enum field holds a
-    member. Fields at their (known-good) class default are skipped."""
-    for name, annotation, default, sign in _checked_fields(type(obj)):
-        value = getattr(obj, name)
-        if value is default or value is None and annotation == "float | None":
-            continue
-        kind = _KINDS[annotation]
-        if issubclass(kind, enum.Enum):
-            setattr(obj, name, _member(kind, name, value))
-            continue
-        try:
-            ok = (isinstance(value, numbers.Integral) if kind is int else
-                  isinstance(value, numbers.Real) and math.isfinite(value))
-        except OverflowError:  # an int too large to be a float
-            ok = False
-        if not ok or isinstance(value, bool):
-            what = "an integer" if kind is int else "a finite number"
-            raise ScenarioError(f"{name}: expected {what}, got {value!r}")
-        if sign and not (value > 0 if sign == ">" else value >= 0):
-            raise ScenarioError(f"{name}: must be {sign} 0, got {value!r}")
-        setattr(obj, name, kind(value))
+class _Settings:
+    """The base of the settings classes: a keyword-only constructor that
+    applies the field rule, and a `repr` and `==` over the fields, the same
+    as a dataclass's.
+
+    The field rule: a `float` field holds a finite real, stored as a float,
+    an `int` field an integer, stored as an int, and neither a bool, and
+    obeys the class's sign tables; an enum field holds a member. Only the
+    given fields are checked, in field order, and one given as its
+    (known-good) class default object is skipped. The class's
+    `__post_init__` then applies its cross-field rules."""
+
+    positive: ClassVar[tuple] = ()  # fields that must be > 0
+    non_negative: ClassVar[tuple] = ()  # fields that must be >= 0
+
+    def __init__(self, **given):
+        cls = type(self)
+        defaults, required, checked = _layout(cls)
+        values = {**defaults, **given}
+        if len(values) > len(defaults):
+            name = next(name for name in given if name not in defaults)
+            raise TypeError(f"{cls.__name__}() got an unknown field {name!r}")
+        for name in required:
+            if name not in given:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        for name, kind, default, sign in checked:
+            if name not in given:
+                continue
+            value = given[name]
+            if value is default:
+                continue
+            if issubclass(kind, enum.Enum):
+                values[name] = _member(kind, name, value)
+                continue
+            try:
+                ok = (isinstance(value, numbers.Integral) if kind is int else
+                      isinstance(value, numbers.Real) and math.isfinite(value))
+            except OverflowError:  # an int too large to be a float
+                ok = False
+            if not ok or isinstance(value, bool):
+                what = "an integer" if kind is int else "a finite number"
+                raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+            if sign and not (value > 0 if sign == ">" else value >= 0):
+                raise ScenarioError(f"{name}: must be {sign} 0, got {value!r}")
+            values[name] = kind(value)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The class's cross-field rules; none here."""
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        items = ", ".join(f"{name}={value!r}"
+                          for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
 
 
 def _check_periods(obj, *names) -> None:
@@ -124,8 +168,8 @@ def _check_periods(obj, *names) -> None:
                                 f"periods, got {value!r}")
 
 
-@dataclass
-class ScrewSpec:
+@dataclass(init=False, repr=False, eq=False)
+class ScrewSpec(_Settings):
     """Fastener geometry and head/driver pairing (M3 x 8 mm defaults)."""
 
     head_type: HeadType = HeadType.PHILLIPS
@@ -133,16 +177,14 @@ class ScrewSpec:
     shank_length: float = 0.008  # m
     nu_char: float | None = None  # 1/m; default depends on head_type
     positive: ClassVar[tuple] = ("thread_pitch", "shank_length", "nu_char")
-    non_negative: ClassVar[tuple] = ()
 
     def __post_init__(self):
-        check_numbers(self)
         if self.nu_char is None:
             self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
 
 
-@dataclass
-class SubstrateSpec:
+@dataclass(init=False, repr=False, eq=False)
+class SubstrateSpec(_Settings):
     """Environment the screw threads into.
 
     k_depth defaults to 0.19 N·m of running torque at full 8 mm engagement.
@@ -157,12 +199,9 @@ class SubstrateSpec:
     positive: ClassVar[tuple] = ("k_seat",)
     non_negative: ClassVar[tuple] = ("tau_cut", "k_depth", "tau_run_nut")
 
-    def __post_init__(self):
-        check_numbers(self)
 
-
-@dataclass
-class SimParams:
+@dataclass(init=False, repr=False, eq=False)
+class SimParams(_Settings):
     """Mount spring, sensor noise and cam-out model of the world stepper."""
 
     k_spring: float = 5000.0  # N/m, compliant mount spring constant
@@ -179,14 +218,13 @@ class SimParams:
                                      "slip_dwell")
 
     def __post_init__(self):
-        check_numbers(self)
         _check_periods(self, "slip_dwell")
         if self.p_max > 1.0:
             raise ScenarioError("p_max: must be <= 1")
 
 
-@dataclass
-class ControllerConfig:
+@dataclass(init=False, repr=False, eq=False)
+class ControllerConfig(_Settings):
     """Force law, PI loop, detector and phase-machine settings of a run."""
 
     direction: Direction = Direction.UNSCREWING  # the run's one direction
@@ -221,7 +259,6 @@ class ControllerConfig:
                                      "integrator_limit", "free_spin_time")
 
     def __post_init__(self):
-        check_numbers(self)
         _check_periods(self, "free_spin_time")
         if self.theta_slip >= 1.0:
             raise ScenarioError("theta_slip: must be < 1")
@@ -236,8 +273,8 @@ class ControllerConfig:
             raise ScenarioError("tau_stop: must be > noise_floor")
 
 
-@dataclass
-class Scenario:
+@dataclass(init=False, repr=False, eq=False)
+class Scenario(_Settings):
     """One run: its settings, seed, duration and contact position."""
 
     screw: ScrewSpec
@@ -247,11 +284,9 @@ class Scenario:
     seed: int
     duration: float = 40.0  # s
     contact_z: float = CONTACT_Z  # m, where the tool meets the screw head
-    positive: ClassVar[tuple] = ()
     non_negative: ClassVar[tuple] = ("seed",)
 
     def __post_init__(self):
-        check_numbers(self)
         if self.duration < sensor.DT:
             raise ScenarioError(
                 f"duration: must be at least one sample period "
@@ -270,7 +305,7 @@ def _build(cls, section: str | None, data: dict, **given):
     if not isinstance(data, dict):
         raise ScenarioError(f"{section or 'scenario'}: expected a mapping")
     prefix = f"{section}." if section else ""
-    names = _field_names(cls)
+    names = _layout(cls)[0]
     for key in data:
         if key not in names or key in given:
             raise ScenarioError(f"{prefix}{key}: unknown field")

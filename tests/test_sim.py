@@ -407,7 +407,7 @@ def test_invalid_specs_raise():
         scenario.SubstrateSpec(k_seat=0.0)
     with pytest.raises(ValueError):
         scenario.SimParams(p_max=0.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="'dt'"):
         scenario.SimParams(dt=-0.01)
 
 
@@ -465,6 +465,9 @@ def _sign_rows(section, positive, non_negative):
     # a negative sharpness inverts the logistic: more force, more cam-outs
     ({"sim": {"slip_sharpness": -6.0}},
      r"sim\.slip_sharpness: must be > 0, got -6\.0$"),
+    # of two bad fields, the first in field order is named
+    ({"sim": {"slip_dwell": -1, "k_spring": -1}},
+     r"sim\.k_spring: must be > 0, got -1$"),
     # cross-field rules name their first field
     ({"sim": {"p_max": 2}}, r"sim\.p_max: must be <= 1$"),
     ({"controller": {"theta_slip": 1}},
@@ -488,9 +491,9 @@ def test_invalid_scenario_value_names_field(overrides, field):
     scenario.ScrewSpec, scenario.SubstrateSpec, scenario.SimParams,
     scenario.ControllerConfig, scenario.Scenario], ids=lambda c: c.__name__)
 def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
-    """`check_numbers` skips a field at its class default, so a misspelled
-    name in a rule table, or a default that breaks its own rule, would never
-    be checked."""
+    """The settings constructor skips a field given as its class default, so
+    a misspelled name in a rule table, or a default that breaks its own
+    rule, would never be checked."""
     number_fields = {f.name: f.default for f in dataclasses.fields(cls)
                      if f.type in ("float", "float | None", "int")}
     assert set(cls.positive) <= number_fields.keys()
@@ -622,18 +625,107 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: scenario.SimParams(p_max=True), "p_max"),
     (lambda: scenario.ControllerConfig(margin=math.nan), "margin"),
     (lambda: scenario.ControllerConfig(window=30.5), "window"),
+    # of two bad fields, the first in field order is named
+    (lambda: scenario.ControllerConfig(margin=math.nan, nu=math.nan), "nu:"),
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  contact_z=math.nan), "contact_z"),
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  duration=math.nan),
      "duration: expected a finite number"),
-], ids=["thread_pitch", "k_seat", "p_max", "margin", "window", "contact_z",
-        "duration"])
+], ids=["thread_pitch", "k_seat", "p_max", "margin", "window",
+        "margin_and_nu", "contact_z", "duration"])
 def test_settings_built_in_code_follow_the_number_rule(build, field):
     """Settings built in code obey the number rule a scenario file obeys,
     so no run starts from a non-finite or mistyped setting."""
     with pytest.raises(ScenarioError, match=rf"^{field}"):
         build()
+
+
+def test_settings_share_one_keyword_constructor():
+    """Every settings class is built through one checking constructor,
+    which takes fields by keyword and names a field it lacks."""
+    parts = {"substrate": scenario.SubstrateSpec(),
+             "sim": scenario.SimParams(),
+             "controller": scenario.ControllerConfig(), "seed": 1}
+    with pytest.raises(TypeError, match="'screw'"):
+        scenario.Scenario(**parts)
+    with pytest.raises(TypeError):
+        scenario.ScrewSpec(scenario.HeadType.PHILLIPS)
+    assert scenario.ScrewSpec.__init__ is scenario.ControllerConfig.__init__
+
+
+# A few named settings per class, each built afresh on every call: the
+# default, one that differs from it in the first field only, one in the
+# last field only, and one in several.
+_SETTINGS_EXAMPLES = {
+    scenario.ScrewSpec: lambda: [
+        scenario.ScrewSpec(),
+        scenario.ScrewSpec(head_type="internal_hex", nu_char=106),
+        scenario.ScrewSpec(nu_char=80),
+        scenario.ScrewSpec(thread_pitch=0.001, shank_length=0.01)],
+    scenario.SubstrateSpec: lambda: [
+        scenario.SubstrateSpec(), scenario.SubstrateSpec(kind="nut"),
+        scenario.SubstrateSpec(k_seat=0.1),
+        scenario.SubstrateSpec(tau_cut=0, k_depth=20)],
+    scenario.SimParams: lambda: [
+        scenario.SimParams(), scenario.SimParams(k_spring=4000),
+        scenario.SimParams(slip_dwell=0),
+        scenario.SimParams(p_max=0.5, slip_sharpness=3)],
+    scenario.ControllerConfig: lambda: [
+        scenario.ControllerConfig(),
+        scenario.ControllerConfig(direction="screwing"),
+        scenario.ControllerConfig(free_spin_time=1),
+        scenario.ControllerConfig(window=10, margin=3)],
+    scenario.Scenario: lambda: [
+        scenario.default_scenario("screwing"),
+        scenario.default_scenario("screwing", screw={"thread_pitch": 0.001}),
+        scenario.default_scenario("screwing", contact_z=0.004),
+        scenario.default_scenario("unscrewing", seed=5, duration=10)],
+}
+# Each class's twin: a plain dataclass with the same fields, whose `repr`,
+# `==` and hashing the dataclass machinery generates.
+_TWINS = {cls: dataclasses.make_dataclass(
+    cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)])
+    for cls in _SETTINGS_EXAMPLES}
+
+
+def _twin(value):
+    """`value` with each settings object in it replaced by its twin."""
+    if type(value) not in _TWINS:
+        return value
+    return _TWINS[type(value)](**{f.name: _twin(getattr(value, f.name))
+                                  for f in dataclasses.fields(value)})
+
+
+@pytest.mark.parametrize("cls", list(_SETTINGS_EXAMPLES),
+                         ids=lambda c: c.__name__)
+def test_settings_methods_match_generated_dataclass_methods(cls):
+    """`repr`, `==`, `!=`, hashing and `dataclasses.replace` of a settings
+    class agree with those of its generated twin."""
+    objs, again = _SETTINGS_EXAMPLES[cls](), _SETTINGS_EXAMPLES[cls]()
+    for a in objs:
+        assert repr(a) == repr(_twin(a))
+        for obj in (a, _twin(a)):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+        other = next(make()[0] for c, make in _SETTINGS_EXAMPLES.items()
+                     if c is not cls)
+        for b in [*objs, *again, other, None, 1.0]:
+            assert a.__eq__(b) == _twin(a).__eq__(_twin(b))  # NotImplemented
+            assert (a == b) == (_twin(a) == _twin(b))
+            assert (a != b) == (_twin(a) != _twin(b))
+        # a settings object holding itself prints as `...` there
+        last = dataclasses.fields(cls)[-1].name
+        loop, twin_loop = (dataclasses.replace(obj) for obj in (a, _twin(a)))
+        setattr(loop, last, loop)
+        setattr(twin_loop, last, twin_loop)
+        assert repr(loop) == repr(twin_loop)
+        # each field of every example put into the first
+        for f in dataclasses.fields(cls):
+            value = getattr(a, f.name)
+            assert (repr(dataclasses.replace(objs[0], **{f.name: value}))
+                    == repr(dataclasses.replace(_twin(objs[0]),
+                                                **{f.name: _twin(value)})))
 
 
 def test_integer_too_large_for_a_float_names_field():
