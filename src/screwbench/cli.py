@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (DegenerateFitError, LogFormatError, ScrewbenchError,
+from .errors import (DegenerateFitError, ScrewbenchError,
                      UndefinedFrequencyError)
 
 if TYPE_CHECKING:
@@ -141,6 +141,7 @@ def cmd_analyze(args) -> int:
 
 
 def _group_nus(directory: Path) -> list:
+    """Each log's nu; `logio` names a bad log, a failed fit is named here."""
     from . import analysis, logio
     logs = sorted(directory.glob("*.csv"))
     if not logs:
@@ -149,8 +150,7 @@ def _group_nus(directory: Path) -> list:
     for log in logs:
         try:
             nus.append(analysis.estimate_nu(logio.read_log(log)).nu)
-        except (LogFormatError, DegenerateFitError) as exc:
-            # one bad log among many: say which (a read error already does)
+        except DegenerateFitError as exc:
             raise ScrewbenchError(f"{log}: {exc}") from exc
     return nus
 

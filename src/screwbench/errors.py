@@ -10,13 +10,8 @@ class ScenarioError(ScrewbenchError, ValueError):
 
 
 class LogFormatError(ScrewbenchError):
-    """A CSV log violates the t_s,fz_n,mz_nm schema."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """A CSV log violates the t_s,fz_n,mz_nm schema. `logio` raises it
+    citing the log: `<path>:<line>: <what>`, or `<path>: <what>`."""
 
 
 class DegenerateFitError(ScrewbenchError):

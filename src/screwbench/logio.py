@@ -5,7 +5,8 @@ units written with full precision so write/load round-trips bit-exactly.
 Calibration pairs are ``pot_reading,ref_force`` CSV rows under an optional
 header. Reports are flat YAML key/value documents with deterministic key
 order. Only the log read path loads numpy and the analysis module; writing
-a log or a report needs neither.
+a log or a report needs neither. This module alone cites a bad input file:
+``<path>:<line>: <what>``, or ``<path>: <what>`` where no line is at fault.
 """
 
 from __future__ import annotations
@@ -93,29 +94,30 @@ def _read_log_lines(path) -> FtSeries:
     from .analysis import FtSeries
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
-        raise LogFormatError(f"expected header {LOG_HEADER!r}", line=1)
+        raise LogFormatError(f"{path}:1: expected header {LOG_HEADER!r}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise LogFormatError("expected 3 comma-separated values",
-                                 line=lineno)
+            raise LogFormatError(
+                f"{path}:{lineno}: expected 3 comma-separated values")
         try:
             t, fz, mz = (float(p) for p in parts)
         except ValueError:
-            raise LogFormatError(f"non-numeric value in {line!r}",
-                                 line=lineno) from None
+            raise LogFormatError(
+                f"{path}:{lineno}: non-numeric value in {line!r}") from None
         if not all(map(math.isfinite, (t, fz, mz))):
-            raise LogFormatError(f"non-finite value in {line!r}", line=lineno)
+            raise LogFormatError(
+                f"{path}:{lineno}: non-finite value in {line!r}")
         samples.append((t, fz, mz))
     if not samples:
-        raise LogFormatError("log contains no samples")
+        raise LogFormatError(f"{path}: log contains no samples")
     try:
         return FtSeries(samples=samples)
     except ValueError as exc:
-        raise LogFormatError(str(exc)) from exc
+        raise LogFormatError(f"{path}: {exc}") from exc
 
 
 def read_pairs(path) -> list:

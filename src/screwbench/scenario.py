@@ -33,7 +33,6 @@ import numbers
 import reprlib
 import sys
 from dataclasses import MISSING, dataclass, fields
-from pathlib import Path
 from typing import ClassVar
 
 from . import sensor
@@ -66,12 +65,6 @@ NU_CHAR_DEFAULTS = {
 }
 
 
-# Checked field annotations (strings under postponed evaluation).
-_KINDS = {"float": float, "float | None": float, "int": int,
-          "HeadType": HeadType, "SubstrateKind": SubstrateKind,
-          "Direction": Direction}
-
-
 @functools.cache
 def _layout(cls) -> tuple:
     """`cls`'s field defaults in field order (MISSING for a field without
@@ -102,9 +95,10 @@ class _Settings:
 
     The field rule: a `float` field holds a finite real, stored as a float,
     an `int` field an integer, stored as an int, and neither a bool, and
-    obeys the class's sign tables; an enum field holds a member. Only the
-    given fields are checked, in field order, and one given as its
-    (known-good) class default object is skipped. The class's
+    obeys the class's sign tables; an enum field holds a member, and a
+    settings field (a section of a `Scenario`) an instance of its class.
+    Only the given fields are checked, in field order, and one given as
+    its (known-good) class default object is skipped. The class's
     `__post_init__` then applies its cross-field rules."""
 
     positive: ClassVar[tuple] = ()  # fields that must be > 0
@@ -129,6 +123,11 @@ class _Settings:
             if issubclass(kind, enum.Enum):
                 values[name] = _member(kind, name, value)
                 continue
+            if issubclass(kind, _Settings):
+                if isinstance(value, kind):
+                    continue
+                raise ScenarioError(
+                    f"{name}: expected a {kind.__name__}, got {value!r}")
             try:
                 ok = (isinstance(value, numbers.Integral) if kind is int else
                       isinstance(value, numbers.Real) and math.isfinite(value))
@@ -158,14 +157,13 @@ class _Settings:
         return NotImplemented
 
 
-def _check_periods(obj, *names) -> None:
-    """Durations that a run counts in whole sample periods: each field's
+def _check_periods(obj, name: str) -> None:
+    """A duration that a run counts in whole sample periods: the field's
     number of periods must be a finite float."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value / sensor.DT):
-            raise ScenarioError(f"{name}: too large to count in sample "
-                                f"periods, got {value!r}")
+    value = getattr(obj, name)
+    if not math.isfinite(value / sensor.DT):
+        raise ScenarioError(f"{name}: too large to count in sample "
+                            f"periods, got {value!r}")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -273,6 +271,13 @@ class ControllerConfig(_Settings):
             raise ScenarioError("tau_stop: must be > noise_floor")
 
 
+# Checked field annotations (strings under postponed evaluation).
+_KINDS = {"float": float, "float | None": float, "int": int, **{
+    kind.__name__: kind for kind in (
+        HeadType, SubstrateKind, Direction,
+        ScrewSpec, SubstrateSpec, SimParams, ControllerConfig)}}
+
+
 @dataclass(init=False, repr=False, eq=False)
 class Scenario(_Settings):
     """One run: its settings, seed, duration and contact position."""
@@ -340,15 +345,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     import yaml
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    from .logio import read_text
     # an integer literal past Python's digit limit is a ValueError, and
     # nesting deeper than the parser's recursion limit a RecursionError
     try:
-        data = yaml.safe_load(text)
+        data = yaml.safe_load(read_text(path))
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     # an empty file is an empty mapping, so it still asks for the seed

@@ -261,29 +261,31 @@ def reference_read_log(path):
         raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != logio.LOG_HEADER:
-        raise LogFormatError(f"expected header {logio.LOG_HEADER!r}", line=1)
+        raise LogFormatError(
+            f"{path}:1: expected header {logio.LOG_HEADER!r}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise LogFormatError("expected 3 comma-separated values",
-                                 line=lineno)
+            raise LogFormatError(
+                f"{path}:{lineno}: expected 3 comma-separated values")
         try:
             row = tuple(float(p) for p in parts)
         except ValueError:
-            raise LogFormatError(f"non-numeric value in {line!r}",
-                                 line=lineno) from None
+            raise LogFormatError(
+                f"{path}:{lineno}: non-numeric value in {line!r}") from None
         if not all(map(math.isfinite, row)):
-            raise LogFormatError(f"non-finite value in {line!r}", line=lineno)
+            raise LogFormatError(
+                f"{path}:{lineno}: non-finite value in {line!r}")
         samples.append(row)
     if not samples:
-        raise LogFormatError("log contains no samples")
+        raise LogFormatError(f"{path}: log contains no samples")
     try:
         return analysis.FtSeries(samples=samples)
     except ValueError as exc:
-        raise LogFormatError(str(exc)) from exc
+        raise LogFormatError(f"{path}: {exc}") from exc
 
 
 def read_outcome(read, path):
@@ -389,7 +391,7 @@ class TestLogIo:
     def test_malformed_row_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,fz_n,mz_nm\n0.01,1.0,0.1\n0.02,oops,0.1\n")
-        with pytest.raises(LogFormatError, match="line 3"):
+        with pytest.raises(LogFormatError, match=re.escape(f"{path}:3: ")):
             logio.read_log(path)
 
     @pytest.mark.parametrize("row", ["0.02,nan,0.1", "0.02,1.0,inf",
@@ -397,13 +399,13 @@ class TestLogIo:
     def test_non_finite_value_cites_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"t_s,fz_n,mz_nm\n0.01,1.0,0.1\n{row}\n")
-        with pytest.raises(LogFormatError, match="line 3"):
+        with pytest.raises(LogFormatError, match=re.escape(f"{path}:3: ")):
             logio.read_log(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,force,torque\n0.01,1.0,0.1\n")
-        with pytest.raises(LogFormatError, match="line 1"):
+        with pytest.raises(LogFormatError, match=re.escape(f"{path}:1: ")):
             logio.read_log(path)
 
     def test_round_trip_extreme_floats_bit_exact(self, tmp_path, no_line_scan):
@@ -469,6 +471,43 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(named) in err
+
+
+@pytest.mark.parametrize("case", ["analyze_bad_row", "analyze_wrong_header",
+                                  "analyze_header_only",
+                                  "analyze_30ms_step",
+                                  "compare_bad_row_in_group_b",
+                                  "calibrate_bad_row"])
+def test_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, case):
+    """Each read failure is one `error:` line that starts with the path of
+    the bad file and names it once."""
+    header = "t_s,fz_n,mz_nm\n"
+    texts = {
+        "analyze_bad_row": header + "0.01,1.0,0.1\n0.02,oops,0.1\n",
+        "analyze_wrong_header": "time,force,torque\n0.01,1.0,0.1\n",
+        "analyze_header_only": header,
+        "analyze_30ms_step": header + "0.03,1.0,0.1\n0.06,1.0,0.1\n",
+        "calibrate_bad_row": "pot,ref\n1,2\nx,y\n",
+    }
+    if case in texts:
+        bad = tmp_path / "bad.csv"
+        bad.write_text(texts[case])
+        argv = [case.split("_")[0], bad]
+    else:  # the second log of the second group has a bad fifth line
+        for group, n in (("a", 2), ("b", 3)):
+            (tmp_path / group).mkdir()
+            for i in range(n):
+                write_line_log(tmp_path / group / f"run{i}.csv", n=200)
+        bad = tmp_path / "b" / "run1.csv"
+        lines = bad.read_text().splitlines(keepends=True)
+        lines[4] = "0.05,abc,1\n"
+        bad.write_text("".join(lines))
+        argv = ["compare", tmp_path / "a", tmp_path / "b"]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}")
+    assert err.count(str(bad)) == 1
 
 
 def reference_slip_count(mz):
@@ -678,7 +717,7 @@ class TestCompare:
         bad.write_text("".join(lines))
         assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 1
         assert capsys.readouterr().err == (
-            f"error: {bad}: line 5: non-numeric value in '0.05,abc,1'\n")
+            f"error: {bad}:5: non-numeric value in '0.05,abc,1'\n")
 
     def test_degenerate_fit_names_log(self, tmp_path, capsys):
         self.make_group(tmp_path / "a", [100.0, 110.0])

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from screwbench import control, runner, scenario, sensor, sim
-from screwbench.errors import ScenarioError
+from screwbench.errors import ScenarioError, ScrewbenchError
 
 
 def make_world(**kw):
@@ -654,6 +654,23 @@ def test_settings_share_one_keyword_constructor():
     assert scenario.ScrewSpec.__init__ is scenario.ControllerConfig.__init__
 
 
+@pytest.mark.parametrize("section", ["screw", "substrate", "sim",
+                                     "controller"])
+@pytest.mark.parametrize("wrong", ["none", "other_section"])
+def test_scenario_built_in_code_checks_its_sections(section, wrong):
+    """A section given as None or as another section's object is refused
+    where the scenario is built, naming the section, instead of failing in
+    the run's first step."""
+    sc = scenario.default_scenario("screwing")
+    value = {"none": None,
+             "other_section": sc.sim if section == "controller"
+             else sc.controller}[wrong]
+    expected = type(getattr(sc, section)).__name__
+    message = f"{section}: expected a {expected}, got {value!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(sc, **{section: value})
+
+
 # A few named settings per class, each built afresh on every call: the
 # default, one that differs from it in the first field only, one in the
 # last field only, and one in several.
@@ -748,15 +765,18 @@ def test_scenario_file_with_a_list_at_top_level_is_refused(tmp_path, text):
                        match="^scenario: expected a mapping at top level$"):
         scenario.load_scenario(path)
 
-@pytest.mark.parametrize("text", [
-    b"seed: 1" + b"0" * 5000 + b"\n",  # int beyond Python's digit limit
-    b"\xff\xfe seed: 1\n",  # not UTF-8
+@pytest.mark.parametrize("text, error", [
+    # int beyond Python's digit limit: a readable file with a bad value
+    (b"seed: 1" + b"0" * 5000 + b"\n", ScenarioError),
+    # not UTF-8: `logio` cannot read it
+    (b"\xff\xfe seed: 1\n", ScrewbenchError),
 ], ids=["long_int", "not_utf8"])
-def test_unparsable_scenario_file_names_it(tmp_path, text):
+def test_unparsable_scenario_file_names_it(tmp_path, text, error):
     path = tmp_path / "bad.yaml"
     path.write_bytes(text)
-    with pytest.raises(ScenarioError, match="bad.yaml"):
+    with pytest.raises(error, match="bad.yaml") as info:
         scenario.load_scenario(path)
+    assert info.type is error
 
 
 def test_readme_scenario_block_loads():
