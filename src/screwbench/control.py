@@ -4,8 +4,9 @@ Force law: the axial-force setpoint tracks the running torque times a
 human-derived force/torque ratio (with a safety margin), slew-rate limited
 so the force builds gradually. A detected cam-out (sharp torque drop)
 switches to the faster escalation rate. Position commands come from a PI
-force loop with a spring feed-forward term. Pure step function: the caller
-owns the loop and the state.
+force loop with a spring feed-forward term, whose integrator holds while
+the command is at the travel limit. Pure step function: the caller owns
+the loop and the state.
 
 This module holds the phases (`Phase`), the command and state types and the
 step functions. The settings they read (`ControllerConfig`) live in
@@ -134,13 +135,14 @@ def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
 
     Returns the carriage offset from the estimated contact position:
     kp*e + ki*int(e) + f_target/k_spring_est, clamped to the travel limit.
-    The integrator is held (anti-windup) whenever the unclamped command
-    would exceed the travel limit. The name is kept for the benchmark's
-    per-layer traces.
+    Anti-windup is conditional integration: the integrator holds whenever
+    the unclamped command would leave the travel limit. With ki > 0 and
+    targets in [0, f_max] it therefore stays within
+    [-(travel_limit + f_max/k_spring_est)/ki, travel_limit/ki]. The name
+    is kept for the benchmark's per-layer traces.
     """
     e = f_target - f_meas
     integ = state.integrator + e * DT
-    integ = min(cfg.integrator_limit, max(-cfg.integrator_limit, integ))
     u = cfg.kp * e + cfg.ki * integ + f_target / cfg.k_spring_est
     if -cfg.travel_limit <= u <= cfg.travel_limit:
         state.integrator = integ

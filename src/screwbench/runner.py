@@ -53,12 +53,10 @@ class RunResult:
     def report(self, scenario: Scenario) -> dict:
         """The run's report. A run whose first sample was not finite
         records none, and reports its peak torque and final force as None."""
-        completion = (scenario.duration if self.outcome == Outcome.TIMEOUT
-                      else self.world.time)
         return {
             "outcome": self.outcome.value,
             "slip_events": len(self.slip_times),
-            "completion_time": float(completion),
+            "completion_time": self.world.time,
             "peak_torque": self.peak_torque,
             "final_force": self.samples[-1].fz if self.samples else None,
             "nu_applied": scenario.controller.margin * scenario.controller.nu,

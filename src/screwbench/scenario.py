@@ -243,7 +243,6 @@ class ControllerConfig(_Settings):
     approach_speed: float = 0.005  # m/s carriage advance before contact
     contact_threshold: float = 0.5  # N, force that marks contact
     travel_limit: float = 0.02  # m, carriage offset limit around contact
-    integrator_limit: float = 4.0  # N·s anti-windup clamp
     overload_torque: float = 0.4  # N·m, fault threshold
     slip_limit: int = 2000  # fault after this many slip-detected steps
     # s of extra spin to fully withdraw the screw: FREE lasts
@@ -254,7 +253,7 @@ class ControllerConfig(_Settings):
         "spindle_speed", "approach_speed", "contact_threshold", "travel_limit",
         "overload_torque", "slip_limit")
     non_negative: ClassVar[tuple] = ("f_min", "kp", "ki", "noise_floor",
-                                     "integrator_limit", "free_spin_time")
+                                     "free_spin_time")
 
     def __post_init__(self):
         _check_periods(self, "free_spin_time")

@@ -199,12 +199,31 @@ class TestPidForceStep:
             f = 5000.0 * u
         assert f == pytest.approx(10.0, rel=0.05)
 
-    def test_anti_windup_bounds_integrator(self):
+    def test_saturated_command_holds_integrator(self):
+        """Anti-windup is conditional integration: a target the travel
+        limit cannot reach leaves the integrator where it was."""
         cfg = cfg_with()
         state = control.new_controller_state(cfg)
         for _ in range(10_000):
-            control.pid_force_step(state, 0.0, 1e6, cfg)
-            assert abs(state.integrator) <= cfg.integrator_limit
+            u = control.pid_force_step(state, 0.0, 1e6, cfg)
+            assert u == cfg.travel_limit
+            assert state.integrator == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1.0, 50.0), st.floats(1.0, 50.0),
+                              st.integers(1, 100)), max_size=20))
+    def test_integrator_stays_within_travel_bounds(self, stream):
+        """Forces in [f_min, f_max], each pair held for some steps, keep
+        the integrator where an unclamped command fits inside the travel
+        limit."""
+        cfg = cfg_with()
+        state = control.new_controller_state(cfg)
+        lo = -(cfg.travel_limit + cfg.f_max / cfg.k_spring_est) / cfg.ki
+        hi = cfg.travel_limit / cfg.ki
+        for f_meas, f_target, steps in stream:
+            for _ in range(steps):
+                control.pid_force_step(state, f_meas, f_target, cfg)
+                assert lo <= state.integrator <= hi
 
 
 def drive_state(cfg):
@@ -389,7 +408,9 @@ class TestUpdate:
     ({}, runner.Outcome.DONE, 1674),
     ({"controller": {"overload_torque": 0.05}}, runner.Outcome.FAULT, 137),
     ({"duration": 1.0}, runner.Outcome.TIMEOUT, 100),
-], ids=["done", "fault", "timeout"])
+    # 100.5 periods step 100 times, so the run ends at t = 1.0
+    ({"duration": 1.005}, runner.Outcome.TIMEOUT, 100),
+], ids=["done", "fault", "timeout", "timeout_part_period"])
 def test_run_scenario_folds_the_closed_loop(fields, outcome, steps):
     """`run_scenario` agrees with one pass of `closed_loop`: its samples,
     slip onsets, final states and report come from the yielded steps."""
@@ -411,10 +432,9 @@ def test_run_scenario_folds_the_closed_loop(fields, outcome, steps):
     report = result.report(sc)
     if outcome == runner.Outcome.TIMEOUT:
         assert state.phase not in (Phase.DONE, Phase.FAULT)
-        assert report["completion_time"] == sc.duration
     else:
         assert state.phase.value == outcome.value
-        assert report["completion_time"] == times[-1]
+    assert report["completion_time"] == times[-1]
     assert report["peak_torque"] == result.peak_torque == max(
         s.mz for s in sensed)
     assert report["final_force"] == sensed[-1].fz

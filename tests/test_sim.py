@@ -453,8 +453,7 @@ def _sign_rows(section, positive, non_negative):
     ({"controller": {"approach_speed": -0.005}},
      r"controller\.approach_speed: must be > 0, got -0\.005$"),
     *_sign_rows("controller", (),
-                ("f_min", "kp", "ki", "integrator_limit", "noise_floor",
-                 "free_spin_time")),
+                ("f_min", "kp", "ki", "noise_floor", "free_spin_time")),
     *_sign_rows("controller", ("slip_limit", "theta_slip"), ()),
     *_sign_rows("screw", ("thread_pitch", "shank_length", "nu_char"), ()),
     *_sign_rows("substrate", ("k_seat",), ("tau_cut", "k_depth",
@@ -605,8 +604,10 @@ def test_integer_literals_are_numbers():
     ("substrate", "orientation", "vertical"),
     ("controller", "direction", "screwing"),
     ("controller", "kd", 0.1),
+    ("controller", "integrator_limit", 4.0),
 ], ids=["sim.dt", "screw.cam_geometry_angle", "substrate.orientation",
-        "controller.direction", "controller.kd"])
+        "controller.direction", "controller.kd",
+        "controller.integrator_limit"])
 def test_removed_setting_is_not_a_scenario_field(section, key, value):
     with pytest.raises(ScenarioError, match=rf"{section}\.{key}: unknown"):
         scenario.scenario_from_dict({"seed": 1, section: {key: value}})
