@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import sensor
-from .errors import DegenerateFitError, UndefinedFrequencyError
+from .errors import DegenerateFitError
 
 # Default peak filter of `analyze` and `regrasp_frequency`: a prominence
 # of 3x the channel's sensor noise std and a 0.2 s separation.
@@ -77,12 +77,11 @@ class PeakSet:
     def __len__(self):
         return len(self.indices)
 
-    def frequency(self) -> float:
+    def frequency(self) -> float | None:
         """Oscillation frequency as the reciprocal median inter-peak
-        interval."""
+        interval, or None when fewer than 3 peaks define none."""
         if len(self) < 3:
-            raise UndefinedFrequencyError(
-                f"found {len(self)} peaks; need >= 3 to define a frequency")
+            return None
         return float(1.0 / np.median(np.diff(self.times)))
 
 
@@ -289,8 +288,9 @@ def fit_envelope(peaks: PeakSet) -> EnvelopeFit:
 
 def regrasp_frequency(series: FtSeries, channel: str,
                       min_prominence: float | None = None,
-                      min_separation: float = DEFAULT_SEPARATION) -> float:
-    """`PeakSet.frequency` of the channel's peaks under the given filter."""
+                      min_separation: float = DEFAULT_SEPARATION
+                      ) -> float | None:
+    """`PeakSet.frequency` of the channel's peaks under the filter, or None."""
     if min_prominence is None:
         min_prominence = DEFAULT_PROMINENCE[channel]
     return local_maxima(series, channel, min_prominence=min_prominence,

@@ -32,8 +32,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import (DegenerateFitError, ScrewbenchError,
-                     UndefinedFrequencyError)
+from .errors import DegenerateFitError, ScrewbenchError
 
 if TYPE_CHECKING:
     import argparse
@@ -115,7 +114,7 @@ def cmd_analyze(args) -> int:
     elif points > n_samples:
         raise ScrewbenchError(f"--envelope-points: must be at most the "
                               f"log's {n_samples} samples")
-    report = asdict(analysis.estimate_nu(series))
+    report = asdict(_fit_nu(args.log, series))
     peaks = analysis.local_maxima(
         series, "mz",
         min_prominence=analysis.DEFAULT_PROMINENCE["mz"],
@@ -123,10 +122,7 @@ def cmd_analyze(args) -> int:
     report["peak_count"] = len(peaks)
     report["peak_times"] = [float(t) for t in peaks.times]
     report["peak_values"] = [float(v) for v in peaks.values]
-    try:
-        report["regrasp_frequency_hz"] = peaks.frequency()
-    except UndefinedFrequencyError:
-        report["regrasp_frequency_hz"] = None
+    report["regrasp_frequency_hz"] = peaks.frequency()
     if len(peaks) >= 2:
         env = analysis.fit_envelope(peaks)
         grid = np.linspace(env.t_min, env.t_max, points)
@@ -140,19 +136,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _fit_nu(log, series):
+    """`estimate_nu` of the series read from `log`, naming it on failure."""
+    from . import analysis
+    try:
+        return analysis.estimate_nu(series)
+    except DegenerateFitError as exc:
+        raise ScrewbenchError(f"{log}: {exc}") from exc
+
+
 def _group_nus(directory: Path) -> list:
-    """Each log's nu; `logio` names a bad log, a failed fit is named here."""
-    from . import analysis, logio
+    """Each log's nu, in file-name order."""
+    from . import logio
     logs = sorted(directory.glob("*.csv"))
     if not logs:
         raise ScrewbenchError(f"no CSV logs in {directory}")
-    nus = []
-    for log in logs:
-        try:
-            nus.append(analysis.estimate_nu(logio.read_log(log)).nu)
-        except DegenerateFitError as exc:
-            raise ScrewbenchError(f"{log}: {exc}") from exc
-    return nus
+    return [_fit_nu(log, logio.read_log(log)).nu for log in logs]
 
 
 def cmd_compare(args) -> int:

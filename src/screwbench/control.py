@@ -138,16 +138,18 @@ def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
     Anti-windup is conditional integration: the integrator holds whenever
     the unclamped command would leave the travel limit. With ki > 0 and
     targets in [0, f_max] it therefore stays within
-    [-(travel_limit + f_max/k_spring_est)/ki, travel_limit/ki]. The name
-    is kept for the benchmark's per-layer traces.
+    [-(travel_limit + f_max/k_spring_est)/ki, travel_limit/ki]. A NaN
+    command, from terms that overflow near the float limit, is returned
+    as NaN with the integrator held, and `update` then enters FAULT. The
+    name is kept for the benchmark's per-layer traces.
     """
     e = f_target - f_meas
     integ = state.integrator + e * DT
     u = cfg.kp * e + cfg.ki * integ + f_target / cfg.k_spring_est
     if -cfg.travel_limit <= u <= cfg.travel_limit:
         state.integrator = integ
-    else:
-        u = min(cfg.travel_limit, max(-cfg.travel_limit, u))
+    elif not math.isnan(u):
+        u = math.copysign(cfg.travel_limit, u)
     return u
 
 

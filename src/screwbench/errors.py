@@ -17,7 +17,3 @@ class LogFormatError(ScrewbenchError):
 class DegenerateFitError(ScrewbenchError):
     """Regression input gives no finite fit: the regressor has zero
     variance, or the values overflow or lose rank near the float limit."""
-
-
-class UndefinedFrequencyError(ScrewbenchError):
-    """Too few peaks to define an oscillation frequency."""

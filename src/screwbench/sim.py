@@ -10,12 +10,12 @@ speed. Cam-out (tip slippage) is a per-step Bernoulli event whose probability
 is logistic in the ratio of applied force to the slippage-threshold force.
 
 Every timer counts whole sample periods. A cam-out holds the screw still on
-its onset step and on the n = max(1, round(slip_dwell / DT)) steps after
-it. `slipping` reads True on the onset step and the next n - 1, and False
-on the last held step, so back-to-back cam-outs give separate rising
-edges. At the default 0.1 s the screw holds for 11 steps, 10 of them
-`slipping`. The clock is the int `step`; `time` is `step / SAMPLE_HZ`, so
-the k-th sample's `t` is the float nearest `k / 100` s.
+its onset step and on the n = max(1, round(slip_dwell / DT)) steps after it.
+`slipping`, `slip_steps_left > 0`, reads True on the onset step and the next
+n - 1, and False on the last held step, so back-to-back cam-outs give
+separate rising edges. At the default 0.1 s the screw holds for 11 steps, 10
+of them `slipping`. The clock is the int `step`, and `time` is
+`step / SAMPLE_HZ`, so the k-th sample's `t` is the float nearest `k / 100` s.
 
 Randomness comes from the caller's `rng`, which needs only a `random()`
 method giving uniforms in [0, 1) (a `random.Random`). Each step draws
@@ -55,9 +55,13 @@ class WorldState:
     seated: bool = False
     seat_angle: float = 0.0  # rad at first head contact
     contact_z: float = 0.0  # m, position where the spring starts compressing
-    slipping: bool = False
     slip_steps_left: int = 0  # dwell steps left in the cam-out
     step: int = 0  # sample periods elapsed
+
+    @property
+    def slipping(self) -> bool:
+        """In a cam-out with dwell steps left to hold."""
+        return self.slip_steps_left > 0
 
     @property
     def time(self) -> float:
@@ -138,12 +142,10 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
     mz = 0.0
     if world.slipping:
         world.slip_steps_left -= 1
-        world.slipping = world.slip_steps_left > 0
     elif engaged:
         p = slip_probability(force, tau_req, screw, params)
-        if p > 0.0 and u < p:
+        if u < p:  # never at p == 0, as u >= 0
             # tip skips one recess lobe; screw does not move this dwell
-            world.slipping = True
             world.slip_steps_left = max(1, round(params.slip_dwell / DT))
         else:
             mz = tau_req

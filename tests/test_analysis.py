@@ -13,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 
 from screwbench import analysis, logio, runner, scenario, sensor
 from screwbench.analysis import FtSeries, UTestMethod
-from screwbench.errors import DegenerateFitError, UndefinedFrequencyError
+from screwbench.errors import DegenerateFitError
 from screwbench.scenario import SimParams
 from screwbench.sim import FtSample
 
@@ -334,8 +334,15 @@ class TestRegraspFrequency:
         assert f == pytest.approx(2.0, abs=0.05)
 
     def test_constant_series_has_no_frequency(self):
-        with pytest.raises(UndefinedFrequencyError):
-            analysis.regrasp_frequency(series_from(np.ones(500)), "mz")
+        assert analysis.regrasp_frequency(series_from(np.ones(500)),
+                                          "mz") is None
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_three_peaks_define_a_frequency(self, n):
+        times = np.arange(n) * 0.5
+        peaks = analysis.PeakSet(indices=np.arange(n), times=times,
+                                 values=np.ones(n))
+        assert peaks.frequency() == (2.0 if n == 3 else None)
 
 
 class TestEstimateNu:

@@ -591,7 +591,7 @@ class TestAnalyze:
                                          (3.0, 2e-300), (1.0, 0.0)])])
         assert run_cli("analyze", log) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: force/torque fit is degenerate")
+        assert err.startswith(f"error: {log}: force/torque fit is degenerate")
         assert err.count("\n") == 1
 
     def test_negative_envelope_points_rejected(self, tmp_path, capsys):
@@ -719,15 +719,40 @@ class TestCompare:
         assert capsys.readouterr().err == (
             f"error: {bad}:5: non-numeric value in '0.05,abc,1'\n")
 
-    def test_degenerate_fit_names_log(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_degenerate_fit_names_log(self, tmp_path, capsys, command):
+        """Both commands fit a log through one path, which names the log
+        of a failed fit."""
         self.make_group(tmp_path / "a", [100.0, 110.0])
         self.make_group(tmp_path / "b", [100.0, 110.0])
         flat = tmp_path / "b" / "run2.csv"
         logio.write_log(flat, [FtSample(i * 0.01, 1.0, 0.1)
                                for i in range(1, 100)])
-        assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 1
+        argv = ([flat] if command == "analyze"
+                else [tmp_path / "a", tmp_path / "b"])
+        assert run_cli(command, *argv) == 1
         assert capsys.readouterr().err == (
             f"error: {flat}: torque has zero variance\n")
+
+    def test_mismatched_driver_inverts_the_applied_order(self, tmp_path,
+                                                         capsys):
+        """The mismatched driver's law, 600 * tau, asks more than the
+        50 N `f_max` clamp, so its analysed ratio falls below Phillips'
+        (212 * tau) although its applied one is higher."""
+        for head, name in (("phillips", "a"), ("mismatched_driver", "b")):
+            (tmp_path / name).mkdir()
+            for seed in range(8):
+                sc = scenario.default_scenario(
+                    "screwing", seed=seed, screw={"head_type": head})
+                logio.write_log(tmp_path / name / f"{seed}.csv",
+                                runner.run_scenario(sc).samples)
+        assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 0
+        report = yaml.safe_load(capsys.readouterr().out)
+        assert (report["u"], report["method"], report["p"]) == (
+            64.0, "exact", 2 / math.comb(16, 8)), (
+            "every Phillips log should fit a higher ratio than every "
+            "mismatched-driver log: the clamp at f_max inverts the heads' "
+            "applied order")
 
     def test_unreadable_log_named_once(self, tmp_path, capsys):
         self.make_group(tmp_path / "a", [100.0, 110.0])

@@ -209,6 +209,28 @@ class TestPidForceStep:
             assert u == cfg.travel_limit
             assert state.integrator == 0.0
 
+    def test_overflowed_command_is_nan(self):
+        """With ki = 0 the integrator is unbounded; once it overflows,
+        0 * inf makes the command NaN, which is returned as it is rather
+        than clamped to a travel limit."""
+        cfg = cfg_with(ki=0.0, kp=0.0, travel_limit=1e308, f_min=1e308,
+                       f_max=1e308)
+        state = control.new_controller_state(cfg)
+        for _ in range(179):
+            assert control.pid_force_step(state, 0.0, 1e308, cfg) == (
+                1e308 / cfg.k_spring_est)
+        held = state.integrator
+        assert np.isnan(control.pid_force_step(state, 0.0, 1e308, cfg))
+        assert state.integrator == held
+
+    def test_infinite_command_clamps_and_holds(self):
+        cfg = cfg_with(kp=1e308, travel_limit=1e308, f_min=1e308,
+                       f_max=1e308)
+        state = control.new_controller_state(cfg)
+        assert control.pid_force_step(state, 0.0, 1e308, cfg) == (
+            cfg.travel_limit)
+        assert state.integrator == 0.0
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(1.0, 50.0), st.floats(1.0, 50.0),
                               st.integers(1, 100)), max_size=20))
@@ -296,6 +318,16 @@ class TestUpdate:
         cmd = control.update(state, sim.FtSample(0.05, fz, mz), cfg)
         assert state.phase == Phase.FAULT
         assert cmd == control.ToolCommand(z_cmd=z_last, spindle_speed=0.0)
+
+    def test_nan_command_faults_and_holds(self):
+        cfg = cfg_with(direction="screwing", ki=0.0, kp=0.0,
+                       travel_limit=1e308, f_min=1e308, f_max=1e308)
+        state = drive_state(cfg)
+        state.integrator = 1.79e308
+        state.z_cmd = 0.004
+        cmd = control.update(state, sim.FtSample(0.0, 0.0, 0.15), cfg)
+        assert state.phase == Phase.FAULT
+        assert cmd == control.ToolCommand(z_cmd=0.004, spindle_speed=0.0)
 
     def test_slip_limit_faults(self):
         cfg = cfg_with(direction="screwing", slip_limit=1)
