@@ -8,9 +8,7 @@ Subcommands:
 
 Validation failures, bad arguments included, print one `error:` line and
 exit 1; physical outcomes (fault, timeout) are recorded in the report and
-exit zero. Bare scenario names are resolved against --scenario-dir, the
-SCREWBENCH_SCENARIO_DIR environment variable, or ./scenarios, in that
-order.
+exit zero.
 
 Each subcommand parses its arguments and writes its report; the file
 formats live in `logio` and the fits in `analysis`. Imports at the point
@@ -27,7 +25,6 @@ first access.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -39,8 +36,7 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-SCENARIO_DIR_ENV = "SCREWBENCH_SCENARIO_DIR"
-ENVELOPE_POINTS = 50  # default envelope grid size in the `analyze` report
+ENVELOPE_POINTS = 50  # envelope grid size in the `analyze` report
 
 
 def __getattr__(name):
@@ -52,25 +48,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _resolve_scenario(name: str, scenario_dir: str | None) -> Path:
-    path = Path(name)
-    if path.exists():
-        return path
-    base = scenario_dir or os.environ.get(SCENARIO_DIR_ENV, "scenarios")
-    candidate = Path(base) / name
-    if candidate.exists():
-        return candidate
-    with_ext = candidate.with_name(candidate.name + ".yaml")
-    if with_ext.exists():
-        return with_ext
-    raise ScrewbenchError(f"scenario not found: {name}")
-
-
 def cmd_simulate(args) -> int:
     from . import logio, runner
     from .scenario import load_scenario
-    scenario_path = _resolve_scenario(args.scenario, args.scenario_dir)
-    scenario = load_scenario(scenario_path)
+    scenario = load_scenario(args.scenario)
     if args.seed is not None:
         if args.seed < 0:
             raise ScrewbenchError("--seed: must be >= 0")
@@ -100,21 +81,12 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from . import analysis, logio
-    if args.envelope_points is not None and args.envelope_points < 0:
-        raise ScrewbenchError("--envelope-points: must be >= 0")
     min_separation = (analysis.DEFAULT_SEPARATION
                       if args.min_separation is None else args.min_separation)
     if not (math.isfinite(min_separation) and min_separation >= 0):
         raise ScrewbenchError("--min-separation: must be a finite number >= 0")
     series = logio.read_log(args.log)
-    n_samples = len(series.times())
-    points = args.envelope_points
-    if points is None:
-        points = ENVELOPE_POINTS
-    elif points > n_samples:
-        raise ScrewbenchError(f"--envelope-points: must be at most the "
-                              f"log's {n_samples} samples")
-    report = asdict(_fit_nu(args.log, series))
+    report = asdict(_fit(args.log, analysis.estimate_nu, series))
     peaks = analysis.local_maxima(
         series, "mz",
         min_prominence=analysis.DEFAULT_PROMINENCE["mz"],
@@ -125,7 +97,7 @@ def cmd_analyze(args) -> int:
     report["regrasp_frequency_hz"] = peaks.frequency()
     if len(peaks) >= 2:
         env = analysis.fit_envelope(peaks)
-        grid = np.linspace(env.t_min, env.t_max, points)
+        grid = np.linspace(env.t_min, env.t_max, ENVELOPE_POINTS)
         report["envelope_t"] = [float(t) for t in grid]
         report["envelope_mz"] = [float(v) for v in env(grid)]
     report["slip_events"] = _count_slip_flags(series.channel("mz"))
@@ -136,22 +108,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _fit_nu(log, series):
-    """`estimate_nu` of the series read from `log`, naming it on failure."""
-    from . import analysis
+def _fit(path, fit, data):
+    """`fit(data)` of the data read from `path`, naming it on failure."""
     try:
-        return analysis.estimate_nu(series)
+        return fit(data)
     except DegenerateFitError as exc:
-        raise ScrewbenchError(f"{log}: {exc}") from exc
+        raise ScrewbenchError(f"{path}: {exc}") from exc
 
 
 def _group_nus(directory: Path) -> list:
     """Each log's nu, in file-name order."""
-    from . import logio
+    from . import analysis, logio
     logs = sorted(directory.glob("*.csv"))
     if not logs:
         raise ScrewbenchError(f"no CSV logs in {directory}")
-    return [_fit_nu(log, logio.read_log(log)).nu for log in logs]
+    return [_fit(log, analysis.estimate_nu, logio.read_log(log)).nu
+            for log in logs]
 
 
 def cmd_compare(args) -> int:
@@ -177,7 +149,7 @@ def cmd_calibrate(args) -> int:
 
     from . import analysis, logio
     pairs = logio.read_pairs(args.pairs)
-    result = analysis.calibrate_force(pairs)
+    result = _fit(args.pairs, analysis.calibrate_force, pairs)
     sys.stdout.write(logio.format_report({**asdict(result), "n": len(pairs)}))
     return 0
 
@@ -198,15 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a scenario closed-loop")
-    p_sim.add_argument("scenario", help="scenario file or bare name")
+    p_sim.add_argument("scenario", help="scenario file")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
     p_sim.add_argument("--out", default="run.csv", help="output CSV log")
     p_sim.add_argument("--report", default="report.yaml",
                        help="output run report")
-    p_sim.add_argument("--scenario-dir", default=None,
-                       help=f"scenario directory (default ${SCENARIO_DIR_ENV}"
-                            " or ./scenarios)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="analyze a CSV log")
@@ -214,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--report", default=None, help="also write the report")
     p_an.add_argument("--min-separation", type=float, default=None,
                       help="minimum peak separation in seconds")
-    p_an.add_argument("--envelope-points", type=int, default=None,
-                      help=f"envelope grid size (default {ENVELOPE_POINTS};"
-                           " at most the log's sample count)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare",

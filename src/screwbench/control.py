@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from . import sensor
 from .scenario import Direction
-from .sensor import DT
+from .sensor import DT, periods
 
 if TYPE_CHECKING:
     from .scenario import ControllerConfig
@@ -220,7 +220,7 @@ def update(state: ControllerState, sample: FtSample,
         else:
             # keep spinning briefly so the last threads fully disengage
             state.free_steps += 1
-            if state.free_steps >= round(cfg.free_spin_time / DT):
+            if state.free_steps >= periods(cfg.free_spin_time):
                 state.phase = Phase.DONE
 
     if state.phase in (Phase.DONE, Phase.FAULT):

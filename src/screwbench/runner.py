@@ -73,7 +73,8 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
     `world` and `state` are the run's own `WorldState` and
     `ControllerState`, updated in place by the next step, so read what you
     need from them before advancing the generator. The loop stops after
-    the step that enters DONE or FAULT, or after `duration / sensor.DT` steps.
+    the step that enters DONE or FAULT, or after `sensor.periods(duration)`
+    steps.
     """
     rng = random.Random(scenario.seed)
     world = sim.initial_world(scenario.screw, scenario.direction,
@@ -81,7 +82,7 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
     cfg = scenario.controller
     state = control.new_controller_state(cfg)
     cmd = control.ToolCommand(z_cmd=0.0, spindle_speed=0.0)
-    for _ in range(int(round(scenario.duration / sensor.DT))):
+    for _ in range(sensor.periods(scenario.duration)):
         truth = sim.step_world(world, cmd, scenario.screw,
                                scenario.substrate, scenario.sim, rng)
         sensed = sim.read_sensors(truth, scenario.sim, rng)

@@ -159,11 +159,13 @@ class _Settings:
 
 def _check_periods(obj, name: str) -> None:
     """A duration that a run counts in whole sample periods: the field's
-    number of periods must be a finite float."""
+    count, `sensor.periods`, must be finite."""
     value = getattr(obj, name)
-    if not math.isfinite(value / sensor.DT):
+    try:
+        sensor.periods(value)
+    except OverflowError:
         raise ScenarioError(f"{name}: too large to count in sample "
-                            f"periods, got {value!r}")
+                            f"periods, got {value!r}") from None
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -207,9 +209,9 @@ class SimParams(_Settings):
     torque_noise_std: float = sensor.TORQUE_NOISE_STD  # N·m
     p_max: float = 0.1  # peak per-step slip probability
     slip_sharpness: float = 6.0  # logistic steepness
-    # s, how long a cam-out reports `slipping`: max(1, round(slip_dwell /
-    # DT)) steps from the onset step; the screw also holds on the step that
-    # ends it (`sim`)
+    # s, how long a cam-out reports `slipping`: `sensor.periods(slip_dwell)`
+    # steps from the onset step; the screw also holds on the step that ends
+    # it (`sim`)
     slip_dwell: float = 0.1
     positive: ClassVar[tuple] = ("k_spring", "p_max", "slip_sharpness")
     non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std",
@@ -246,7 +248,7 @@ class ControllerConfig(_Settings):
     overload_torque: float = 0.4  # N·m, fault threshold
     slip_limit: int = 2000  # fault after this many slip-detected steps
     # s of extra spin to fully withdraw the screw: FREE lasts
-    # max(1, round(free_spin_time / DT)) steps, the last entering DONE
+    # `sensor.periods(free_spin_time)` steps, the last entering DONE
     free_spin_time: float = 2.0
     positive: ClassVar[tuple] = (
         "nu", "margin", "theta_slip", "base_ramp", "slip_ramp", "k_spring_est",

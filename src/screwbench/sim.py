@@ -10,7 +10,7 @@ speed. Cam-out (tip slippage) is a per-step Bernoulli event whose probability
 is logistic in the ratio of applied force to the slippage-threshold force.
 
 Every timer counts whole sample periods. A cam-out holds the screw still on
-its onset step and on the n = max(1, round(slip_dwell / DT)) steps after it.
+its onset step and on the n = sensor.periods(slip_dwell) steps after it.
 `slipping`, `slip_steps_left > 0`, reads True on the onset step and the next
 n - 1, and False on the last held step, so back-to-back cam-outs give
 separate rising edges. At the default 0.1 s the screw holds for 11 steps, 10
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .scenario import CONTACT_Z, Direction, SubstrateKind
-from .sensor import DT, SAMPLE_HZ
+from .sensor import DT, SAMPLE_HZ, periods
 
 if TYPE_CHECKING:
     from .control import ToolCommand
@@ -146,7 +146,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
         p = slip_probability(force, tau_req, screw, params)
         if u < p:  # never at p == 0, as u >= 0
             # tip skips one recess lobe; screw does not move this dwell
-            world.slip_steps_left = max(1, round(params.slip_dwell / DT))
+            world.slip_steps_left = periods(params.slip_dwell)
         else:
             mz = tau_req
             turn = cmd.spindle_speed * DT  # rad, signed like the spindle

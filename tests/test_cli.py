@@ -115,44 +115,6 @@ class TestSimulate:
                        "--report", tmp_path / "r.yaml") == 1
         assert "--seed" in capsys.readouterr().err
 
-    def test_scenario_dir_env(self, tmp_path, monkeypatch):
-        (tmp_path / "named.yaml").write_text(SCENARIO_TEXT)
-        monkeypatch.setenv(cli.SCENARIO_DIR_ENV, str(tmp_path))
-        assert run_cli("simulate", "named", "--out", tmp_path / "o.csv",
-                       "--report", tmp_path / "r.yaml") == 0
-
-    def test_exact_name_in_scenario_dir(self, tmp_path, monkeypatch):
-        """A name with its suffix resolves to that file in the directory."""
-        scenarios = tmp_path / "scenarios"
-        scenarios.mkdir()
-        (scenarios / "run.yml").write_text(SCENARIO_TEXT)
-        monkeypatch.chdir(tmp_path)  # no run.yml here
-        assert cli._resolve_scenario("run.yml", str(scenarios)) == (
-            scenarios / "run.yml")
-
-    @pytest.mark.parametrize("seeds, name, ran", [
-        ({"run": 1}, "run.v2", None),
-        ({"run": 1, "run.v2": 2}, "run.v2", 2),
-    ], ids=["dotted_name_missing", "dotted_name_present"])
-    def test_bare_name_gains_yaml_suffix(self, tmp_path, capsys, seeds,
-                                         name, ran):
-        """A bare name resolves to `<name>.yaml`: the part after a dot in
-        the name is kept, not replaced."""
-        for stem, seed in seeds.items():
-            (tmp_path / f"{stem}.yaml").write_text(
-                f"direction: unscrewing\nduration: 1.0\nseed: {seed}\n")
-        report = tmp_path / "r.yaml"
-        code = run_cli("simulate", name, "--scenario-dir", tmp_path,
-                       "--out", tmp_path / "o.csv", "--report", report)
-        if ran is None:
-            assert code == 1
-            assert capsys.readouterr().err == (
-                f"error: scenario not found: {name}\n")
-        else:
-            assert code == 0
-            assert yaml.safe_load(report.read_text())["seed"] == ran
-
-
     @pytest.mark.parametrize("text, rows", [
         ("seed: 0\nduration: 2.0\ndirection: screwing\n"
          "sim: {force_noise_std: 1.0e+9}\n"
@@ -473,11 +435,44 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
     assert str(named) in err
 
 
+@pytest.mark.parametrize("case", ["analyze_envelope_points",
+                                  "simulate_scenario_dir",
+                                  "simulate_bare_name"])
+def test_no_scenario_lookup_or_envelope_size(tmp_path, scenario_file,
+                                             monkeypatch, capsys, case):
+    """`simulate` reads the scenario path it is given, with no directory
+    search or `.yaml` suffix, and `analyze` reports its envelope on a
+    fixed grid: each of these is one `error:` line and exit 1."""
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "run.yaml").write_text(SCENARIO_TEXT)
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "line.csv"
+    write_line_log(log)
+    out = ["--out", tmp_path / "o.csv", "--report", tmp_path / "r.yaml"]
+    argv = {
+        "analyze_envelope_points": ["analyze", log, "--envelope-points", 5],
+        "simulate_scenario_dir": ["simulate", scenario_file,
+                                  "--scenario-dir", tmp_path / "scenarios",
+                                  *out],
+        "simulate_bare_name": ["simulate", "run", *out],
+    }[case]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    if case == "simulate_bare_name":
+        assert captured.err.startswith("error: cannot read run: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["analyze_bad_row", "analyze_wrong_header",
                                   "analyze_header_only",
                                   "analyze_30ms_step",
                                   "compare_bad_row_in_group_b",
-                                  "calibrate_bad_row"])
+                                  "calibrate_bad_row",
+                                  "calibrate_constant_readings",
+                                  "calibrate_header_only"])
 def test_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, case):
     """Each read failure is one `error:` line that starts with the path of
     the bad file and names it once."""
@@ -488,6 +483,8 @@ def test_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, case):
         "analyze_header_only": header,
         "analyze_30ms_step": header + "0.03,1.0,0.1\n0.06,1.0,0.1\n",
         "calibrate_bad_row": "pot,ref\n1,2\nx,y\n",
+        "calibrate_constant_readings": "0,1\n0,2\n0,3\n",
+        "calibrate_header_only": "pot_reading,ref_force\n",
     }
     if case in texts:
         bad = tmp_path / "bad.csv"
@@ -593,38 +590,6 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {log}: force/torque fit is degenerate")
         assert err.count("\n") == 1
-
-    def test_negative_envelope_points_rejected(self, tmp_path, capsys):
-        log = tmp_path / "line.csv"
-        write_line_log(log)  # enough peaks for an envelope
-        assert run_cli("analyze", log, "--envelope-points", -1) == 1
-        assert capsys.readouterr().err == (
-            "error: --envelope-points: must be >= 0\n")
-        # checked before the log is read
-        assert run_cli("analyze", tmp_path / "missing.csv",
-                       "--envelope-points", -1) == 1
-        assert "--envelope-points" in capsys.readouterr().err
-        rep = tmp_path / "an.yaml"
-        assert run_cli("analyze", log, "--envelope-points", 0,
-                       "--report", rep) == 0
-        report = yaml.safe_load(rep.read_text())
-        assert report["envelope_t"] == report["envelope_mz"] == []
-
-    @pytest.mark.parametrize("points", [601, 10**11, 10**12])
-    def test_envelope_points_above_sample_count_rejected(self, tmp_path,
-                                                         capsys, points):
-        log = tmp_path / "line.csv"
-        write_line_log(log, n=600)
-        assert run_cli("analyze", log, "--envelope-points", points) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: --envelope-points: must be at most the log's 600 "
-            "samples\n")
-        rep = tmp_path / "an.yaml"
-        assert run_cli("analyze", log, "--envelope-points", 600,
-                       "--report", rep) == 0
-        assert len(yaml.safe_load(rep.read_text())["envelope_t"]) == 600
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
     def test_bad_min_separation_rejected(self, tmp_path, capsys, value):
@@ -888,7 +853,8 @@ class TestCalibrate:
             assert run_cli("calibrate", path) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: calibration fit is degenerate")
+        assert captured.err.startswith(
+            f"error: {path}: calibration fit is degenerate")
         assert captured.err.count("\n") == 1
 
     @settings(max_examples=200, deadline=None,
@@ -939,10 +905,11 @@ def argv_files(tmp_path_factory):
 # operands three times in four, and each option value from one list.
 _OPERANDS = {"simulate": ("scenario",), "analyze": ("log",),
              "compare": ("group", "group"), "calibrate": ("pairs",)}
-_OWN_OPTIONS = {"simulate": ["--seed"],
-                "analyze": ["--min-separation", "--envelope-points"],
+_OWN_OPTIONS = {"simulate": ["--seed"], "analyze": ["--min-separation"],
                 "compare": [], "calibrate": []}
-_OPTIONS = ["--seed", "--min-separation", "--envelope-points"]
+# foreign to every subcommand as well: the unknown-option path
+_OPTIONS = ["--seed", "--min-separation", "--envelope-points",
+            "--scenario-dir"]
 _OPTION_VALUES = ["-1", "0", "2", "50", "1e308", "nan", "inf"]
 
 
@@ -954,10 +921,7 @@ def argv_draws(draw):
     flags = st.sampled_from(_OWN_OPTIONS[command] * 6 + _OPTIONS)
     options = []
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        flag = draw(flags)
-        values = _OPTION_VALUES + (
-            [str(10**12)] if flag == "--envelope-points" else [])
-        options += [flag, draw(st.sampled_from(values))]
+        options += [draw(flags), draw(st.sampled_from(_OPTION_VALUES))]
     return command, operands, options
 
 
@@ -1022,13 +986,13 @@ def test_no_command_loads_scipy(tmp_path):
         assert not unused_loaded(), unused_loaded()
 
         tmp = Path({str(tmp_path)!r})
-        for group, name in (("a", "screw_phillips_plastic"),
-                            ("b", "unscrew_phillips_plastic")):
+        scenarios = Path({str(scenarios)!r})
+        for group, name in (("a", "screw_phillips_plastic.yaml"),
+                            ("b", "unscrew_phillips_plastic.yaml")):
             (tmp / group).mkdir()
             for seed in (0, 1):
                 assert cli.main([
-                    "simulate", name, "--seed", str(seed),
-                    "--scenario-dir", {str(scenarios)!r},
+                    "simulate", str(scenarios / name), "--seed", str(seed),
                     "--out", str(tmp / group / f"{{seed}}.csv"),
                     "--report", str(tmp / "r.yaml")]) == 0
         assert "numpy" not in sys.modules

@@ -393,6 +393,14 @@ class TestStreamContract:
             assert statistics.stdev(values) == pytest.approx(std, rel=0.02)
 
 
+@pytest.mark.parametrize("seconds, count", [
+    (0.0, 1), (0.004, 1), (0.006, 1), (0.03, 3), (0.1, 10), (40.0, 4000)])
+def test_periods_is_the_nearest_count_and_at_least_one(seconds, count):
+    """The one rule the dwell, the FREE spin and the run length count
+    whole sample periods by."""
+    assert sensor.periods(seconds) == count
+
+
 def test_nu_char_ordering_across_heads():
     hex_nu = scenario.ScrewSpec(head_type="internal_hex").nu_char
     phil_nu = scenario.ScrewSpec(head_type="phillips").nu_char
