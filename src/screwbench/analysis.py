@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import sensor
-from .errors import DegenerateFitError
+from .errors import ScrewbenchError
 
 # Default peak filter of `analyze` and `regrasp_frequency`: a prominence
 # of 3x the channel's sensor noise std and a 0.2 s separation.
@@ -31,17 +31,13 @@ DEFAULT_PROMINENCE = {"fz": 3.0 * sensor.FORCE_NOISE_STD,
 DEFAULT_SEPARATION = 0.2  # s
 
 
-@dataclass(eq=False)
 class FtSeries:
     """A force/torque recording sampled every `sensor.DT` (100 Hz, within
     1%). `samples` are finite (t, fz, mz) triples, such as `FtSample`s or
     the rows of an (n, 3) array, copied once into the columns `times()` and
-    `channel()` return (read-only)."""
+    `channel()` return (read-only). Compares by identity."""
 
-    samples: InitVar[list]
-    _columns: dict = field(init=False, repr=False)
-
-    def __post_init__(self, samples):
+    def __init__(self, samples):
         if len(samples) == 0:
             raise ValueError("empty series")
         rows = np.asarray(samples, dtype=float)
@@ -318,14 +314,14 @@ def _fit_line(x: np.ndarray, y: np.ndarray, what: str,
     `<what> is degenerate` or `<what> is not finite`."""
     with np.errstate(all="ignore"):
         if np.ptp(x) == 0.0:
-            raise DegenerateFitError(constant)
+            raise ScrewbenchError(constant)
         dx, dy = x - x.mean(), y - y.mean()
         sxx, sxy, syy = np.sum(dx * dx), np.sum(dx * dy), np.sum(dy * dy)
         # numpy polyfit's rank test (rcond = n * eps) to first order: a spread
         # lost to rounding is no spread
         lost = (2 * len(x) * np.finfo(float).eps) ** 2 * np.sum(x * x)
         if not (np.isfinite(sxx) and np.isfinite(sxy)) or sxx <= lost:
-            raise DegenerateFitError(f"{what} is degenerate")
+            raise ScrewbenchError(f"{what} is degenerate")
         slope = sxy / sxx
         intercept = y.mean() - slope * x.mean()
         # the product may overflow or underflow where the two roots do not
@@ -336,7 +332,7 @@ def _fit_line(x: np.ndarray, y: np.ndarray, what: str,
     fit = float(slope), float(intercept), float(r)
     # with an overflowed y spread, r would read 0
     if not all(map(math.isfinite, (*fit, syy))):
-        raise DegenerateFitError(f"{what} is not finite")
+        raise ScrewbenchError(f"{what} is not finite")
     return fit
 
 
@@ -344,7 +340,7 @@ def estimate_nu(series: FtSeries) -> NuEstimate:
     """OLS of |F| on |tau| with intercept; slope is the force/torque ratio."""
     f = series.channel("fz")
     if len(f) < 3:
-        raise DegenerateFitError("need at least 3 samples")
+        raise ScrewbenchError("need at least 3 samples")
     nu, intercept, r = _fit_line(series.channel("mz"), f, "force/torque fit",
                                  "torque has zero variance")
     return NuEstimate(nu=nu, intercept=intercept, r=r, n=len(f))
@@ -354,7 +350,7 @@ def calibrate_force(pairs) -> CalibrationResult:
     """Least-squares line ref_force ~ gain * pot_reading + offset."""
     pairs = list(pairs)
     if len(pairs) < 2:
-        raise DegenerateFitError("need at least 2 calibration pairs")
+        raise ScrewbenchError("need at least 2 calibration pairs")
     x = np.asarray([p[0] for p in pairs], dtype=float)
     y = np.asarray([p[1] for p in pairs], dtype=float)
     gain, offset, _ = _fit_line(x, y, "calibration fit",
@@ -362,7 +358,7 @@ def calibrate_force(pairs) -> CalibrationResult:
     with np.errstate(all="ignore"):
         rms = float(np.sqrt(np.mean((y - (gain * x + offset)) ** 2)))
     if not math.isfinite(rms):
-        raise DegenerateFitError("calibration fit is not finite")
+        raise ScrewbenchError("calibration fit is not finite")
     return CalibrationResult(gain=gain, offset=offset, residual_rms=rms)
 
 

@@ -24,12 +24,11 @@ first access.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateFitError, ScrewbenchError
+from .errors import ScrewbenchError
 
 if TYPE_CHECKING:
     import argparse
@@ -81,25 +80,21 @@ def cmd_analyze(args) -> int:
     import numpy as np
 
     from . import analysis, logio
-    min_separation = (analysis.DEFAULT_SEPARATION
-                      if args.min_separation is None else args.min_separation)
-    if not (math.isfinite(min_separation) and min_separation >= 0):
-        raise ScrewbenchError("--min-separation: must be a finite number >= 0")
     series = logio.read_log(args.log)
     report = asdict(_fit(args.log, analysis.estimate_nu, series))
     peaks = analysis.local_maxima(
         series, "mz",
         min_prominence=analysis.DEFAULT_PROMINENCE["mz"],
-        min_separation=min_separation)
+        min_separation=analysis.DEFAULT_SEPARATION)
     report["peak_count"] = len(peaks)
-    report["peak_times"] = [float(t) for t in peaks.times]
-    report["peak_values"] = [float(v) for v in peaks.values]
+    report["peak_times"] = peaks.times.tolist()
+    report["peak_values"] = peaks.values.tolist()
     report["regrasp_frequency_hz"] = peaks.frequency()
     if len(peaks) >= 2:
         env = analysis.fit_envelope(peaks)
         grid = np.linspace(env.t_min, env.t_max, ENVELOPE_POINTS)
-        report["envelope_t"] = [float(t) for t in grid]
-        report["envelope_mz"] = [float(v) for v in env(grid)]
+        report["envelope_t"] = grid.tolist()
+        report["envelope_mz"] = env(grid).tolist()
     report["slip_events"] = _count_slip_flags(series.channel("mz"))
     text = logio.format_report(report)
     if args.report:
@@ -112,7 +107,7 @@ def _fit(path, fit, data):
     """`fit(data)` of the data read from `path`, naming it on failure."""
     try:
         return fit(data)
-    except DegenerateFitError as exc:
+    except ScrewbenchError as exc:
         raise ScrewbenchError(f"{path}: {exc}") from exc
 
 
@@ -181,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="analyze a CSV log")
     p_an.add_argument("log")
     p_an.add_argument("--report", default=None, help="also write the report")
-    p_an.add_argument("--min-separation", type=float, default=None,
-                      help="minimum peak separation in seconds")
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare",

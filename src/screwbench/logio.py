@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import LogFormatError, ScrewbenchError
+from .errors import ScrewbenchError
 
 if TYPE_CHECKING:
     from .analysis import FtSeries
@@ -94,30 +94,30 @@ def _read_log_lines(path) -> FtSeries:
     from .analysis import FtSeries
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
-        raise LogFormatError(f"{path}:1: expected header {LOG_HEADER!r}")
+        raise ScrewbenchError(f"{path}:1: expected header {LOG_HEADER!r}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise LogFormatError(
+            raise ScrewbenchError(
                 f"{path}:{lineno}: expected 3 comma-separated values")
         try:
             t, fz, mz = (float(p) for p in parts)
         except ValueError:
-            raise LogFormatError(
+            raise ScrewbenchError(
                 f"{path}:{lineno}: non-numeric value in {line!r}") from None
         if not all(map(math.isfinite, (t, fz, mz))):
-            raise LogFormatError(
+            raise ScrewbenchError(
                 f"{path}:{lineno}: non-finite value in {line!r}")
         samples.append((t, fz, mz))
     if not samples:
-        raise LogFormatError(f"{path}: log contains no samples")
+        raise ScrewbenchError(f"{path}: log contains no samples")
     try:
         return FtSeries(samples=samples)
     except ValueError as exc:
-        raise LogFormatError(f"{path}: {exc}") from exc
+        raise ScrewbenchError(f"{path}: {exc}") from exc
 
 
 def read_pairs(path) -> list:

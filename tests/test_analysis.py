@@ -13,7 +13,7 @@ from scipy.interpolate import PchipInterpolator
 
 from screwbench import analysis, logio, runner, scenario, sensor
 from screwbench.analysis import FtSeries, UTestMethod
-from screwbench.errors import DegenerateFitError
+from screwbench.errors import ScrewbenchError
 from screwbench.scenario import SimParams
 from screwbench.sim import FtSample
 
@@ -381,7 +381,8 @@ class TestEstimateNu:
         assert 106 - 37 <= np.mean(nus) <= 106 + 37
 
     def test_degenerate_torque_rejected(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(ScrewbenchError,
+                           match="^torque has zero variance$"):
             analysis.estimate_nu(fz_mz_series(np.ones(10), np.ones(10)))
 
     def test_constant_force_gives_flat_line(self):
@@ -391,7 +392,8 @@ class TestEstimateNu:
         assert est.intercept == 12.5
 
     def test_too_short_rejected(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(ScrewbenchError,
+                           match="^need at least 3 samples$"):
             analysis.estimate_nu(fz_mz_series([1, 2], [0.1, 0.2]))
 
     @pytest.mark.parametrize("fz, mz", [
@@ -402,7 +404,8 @@ class TestEstimateNu:
         series = fz_mz_series(fz, mz)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateFitError):
+            with pytest.raises(ScrewbenchError,
+                               match="^force/torque fit is degenerate$"):
                 analysis.estimate_nu(series)
 
     @given(c=st.floats(0.1, 50), shift=st.floats(-5, 5))
@@ -438,27 +441,31 @@ class TestCalibrateForce:
         assert result.offset == pytest.approx(offset, rel=1e-10)
 
     def test_constant_readings_rejected(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(ScrewbenchError,
+                           match="^potentiometer readings are constant$"):
             analysis.calibrate_force([(1.0, 0.0), (1.0, 5.0), (1.0, 7.0)])
 
     def test_too_few_pairs_rejected(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(ScrewbenchError,
+                           match="^need at least 2 calibration pairs$"):
             analysis.calibrate_force([(1.0, 2.0)])
 
-    @pytest.mark.parametrize("pairs", [
-        [(1e308, 1e308), (-1e308, -1e308), (0.0, 0.0)],
-        [(0.0, 1e308), (1.0, -1e308)],
-        [(1.0, 0.0), (1.0 + 1e-15, 1.0), (1.0 + 2e-15, 2.0)],
+    @pytest.mark.parametrize("pairs, message", [
+        ([(1e308, 1e308), (-1e308, -1e308), (0.0, 0.0)], "degenerate"),
+        ([(0.0, 1e308), (1.0, -1e308)], "not finite"),
+        ([(1.0, 0.0), (1.0 + 1e-15, 1.0), (1.0 + 2e-15, 2.0)], "degenerate"),
     ], ids=["overflow", "slope_overflow", "lost_rank"])
-    def test_fit_near_float_limits_rejected_without_warning(self, pairs):
+    def test_fit_near_float_limits_rejected_without_warning(self, pairs,
+                                                             message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DegenerateFitError):
+            with pytest.raises(ScrewbenchError,
+                               match=f"^calibration fit is {message}$"):
                 analysis.calibrate_force(pairs)
 
     def test_non_finite_fit_rejected_when_numpy_does_not_warn(self):
         with np.errstate(all="ignore"), pytest.raises(
-                DegenerateFitError, match="not finite"):
+                ScrewbenchError, match="not finite"):
             analysis.calibrate_force([(0.0, 1e308), (1.0, -1e308)])
 
 
@@ -469,7 +476,7 @@ def fit_or_reject(fit, x, y):
         warnings.simplefilter("error")
         try:
             fit(x, y)
-        except (DegenerateFitError, np.exceptions.RankWarning):
+        except (ScrewbenchError, np.exceptions.RankWarning):
             return True
     return False
 
@@ -524,7 +531,7 @@ class TestFitLine:
 
     def test_overflowing_y_spread_is_not_finite(self):
         """The slope 1e100 fits, but r would read 0."""
-        with pytest.raises(DegenerateFitError, match="^fit is not finite$"):
+        with pytest.raises(ScrewbenchError, match="^fit is not finite$"):
             self.fit([0.0, 1e100], [0.0, 1e200])
 
     @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
@@ -535,7 +542,7 @@ class TestFitLine:
             warnings.simplefilter("error")
             try:
                 fit = self.fit(*xy)
-            except DegenerateFitError:
+            except ScrewbenchError:
                 return
         assert all(map(math.isfinite, fit))
         assert -1.0 <= fit[2] <= 1.0

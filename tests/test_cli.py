@@ -15,7 +15,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from screwbench import analysis, cli, logio, runner, scenario
-from screwbench.errors import LogFormatError, ScenarioError, ScrewbenchError
+from screwbench.errors import ScenarioError, ScrewbenchError
 from screwbench.sim import FtSample
 
 SCENARIO_TEXT = """\
@@ -223,7 +223,7 @@ def reference_read_log(path):
         raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != logio.LOG_HEADER:
-        raise LogFormatError(
+        raise ScrewbenchError(
             f"{path}:1: expected header {logio.LOG_HEADER!r}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -231,23 +231,23 @@ def reference_read_log(path):
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise LogFormatError(
+            raise ScrewbenchError(
                 f"{path}:{lineno}: expected 3 comma-separated values")
         try:
             row = tuple(float(p) for p in parts)
         except ValueError:
-            raise LogFormatError(
+            raise ScrewbenchError(
                 f"{path}:{lineno}: non-numeric value in {line!r}") from None
         if not all(map(math.isfinite, row)):
-            raise LogFormatError(
+            raise ScrewbenchError(
                 f"{path}:{lineno}: non-finite value in {line!r}")
         samples.append(row)
     if not samples:
-        raise LogFormatError(f"{path}: log contains no samples")
+        raise ScrewbenchError(f"{path}: log contains no samples")
     try:
         return analysis.FtSeries(samples=samples)
     except ValueError as exc:
-        raise LogFormatError(f"{path}: {exc}") from exc
+        raise ScrewbenchError(f"{path}: {exc}") from exc
 
 
 def read_outcome(read, path):
@@ -353,7 +353,7 @@ class TestLogIo:
     def test_malformed_row_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,fz_n,mz_nm\n0.01,1.0,0.1\n0.02,oops,0.1\n")
-        with pytest.raises(LogFormatError, match=re.escape(f"{path}:3: ")):
+        with pytest.raises(ScrewbenchError, match=re.escape(f"{path}:3: ")):
             logio.read_log(path)
 
     @pytest.mark.parametrize("row", ["0.02,nan,0.1", "0.02,1.0,inf",
@@ -361,13 +361,13 @@ class TestLogIo:
     def test_non_finite_value_cites_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"t_s,fz_n,mz_nm\n0.01,1.0,0.1\n{row}\n")
-        with pytest.raises(LogFormatError, match=re.escape(f"{path}:3: ")):
+        with pytest.raises(ScrewbenchError, match=re.escape(f"{path}:3: ")):
             logio.read_log(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,force,torque\n0.01,1.0,0.1\n")
-        with pytest.raises(LogFormatError, match=re.escape(f"{path}:1: ")):
+        with pytest.raises(ScrewbenchError, match=re.escape(f"{path}:1: ")):
             logio.read_log(path)
 
     def test_round_trip_extreme_floats_bit_exact(self, tmp_path, no_line_scan):
@@ -436,13 +436,15 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
 
 
 @pytest.mark.parametrize("case", ["analyze_envelope_points",
+                                  "analyze_min_separation",
                                   "simulate_scenario_dir",
                                   "simulate_bare_name"])
 def test_no_scenario_lookup_or_envelope_size(tmp_path, scenario_file,
                                              monkeypatch, capsys, case):
     """`simulate` reads the scenario path it is given, with no directory
     search or `.yaml` suffix, and `analyze` reports its envelope on a
-    fixed grid: each of these is one `error:` line and exit 1."""
+    fixed grid with a fixed peak filter: each of these is one `error:`
+    line and exit 1."""
     (tmp_path / "scenarios").mkdir()
     (tmp_path / "scenarios" / "run.yaml").write_text(SCENARIO_TEXT)
     monkeypatch.chdir(tmp_path)
@@ -451,6 +453,7 @@ def test_no_scenario_lookup_or_envelope_size(tmp_path, scenario_file,
     out = ["--out", tmp_path / "o.csv", "--report", tmp_path / "r.yaml"]
     argv = {
         "analyze_envelope_points": ["analyze", log, "--envelope-points", 5],
+        "analyze_min_separation": ["analyze", log, "--min-separation", 0.5],
         "simulate_scenario_dir": ["simulate", scenario_file,
                                   "--scenario-dir", tmp_path / "scenarios",
                                   *out],
@@ -505,6 +508,43 @@ def test_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, case):
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {bad}")
     assert err.count(str(bad)) == 1
+
+
+@pytest.mark.parametrize("case", ["log_bad_row", "log_header_only",
+                                  "log_30ms_step", "nu_constant_torque",
+                                  "calibration_constant_readings",
+                                  "pairs_bad_row"])
+def test_bad_input_or_fit_raises_the_base_error(tmp_path, case):
+    """A bad file or a fit with no finite answer raises `ScrewbenchError`
+    itself, with its message."""
+    path = tmp_path / "in.csv"
+    header = "t_s,fz_n,mz_nm\n"
+    ramp = analysis.FtSeries(samples=[(k / 100, float(k), 0.1)
+                                      for k in range(1, 11)])
+    text, call, message = {
+        "log_bad_row": (header + "0.01,1.0,0.1\n0.02,oops,0.1\n",
+                        logio.read_log,
+                        f"{path}:3: non-numeric value in '0.02,oops,0.1'"),
+        "log_header_only": (header, logio.read_log,
+                            f"{path}: log contains no samples"),
+        "log_30ms_step": (header + "0.03,1.0,0.1\n0.06,1.0,0.1\n",
+                          logio.read_log,
+                          f"{path}: sampling must be uniform 100 Hz"
+                          " within 1%"),
+        "nu_constant_torque": ("", lambda _: analysis.estimate_nu(ramp),
+                               "torque has zero variance"),
+        "calibration_constant_readings": (
+            "", lambda _: analysis.calibrate_force([(1.0, 0.0), (1.0, 5.0)]),
+            "potentiometer readings are constant"),
+        "pairs_bad_row": ("pot_reading,ref_force\n0,0.1\n1,x\n",
+                          logio.read_pairs,
+                          f"{path}:3: non-numeric pair '1,x'"),
+    }[case]
+    path.write_text(text)
+    with pytest.raises(ScrewbenchError) as info:
+        call(path)
+    assert type(info.value) is ScrewbenchError
+    assert str(info.value) == message
 
 
 def reference_slip_count(mz):
@@ -591,27 +631,12 @@ class TestAnalyze:
         assert err.startswith(f"error: {log}: force/torque fit is degenerate")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-    def test_bad_min_separation_rejected(self, tmp_path, capsys, value):
-        log = tmp_path / "line.csv"
-        write_line_log(log)
-        assert run_cli("analyze", log, f"--min-separation={value}") == 1
-        assert capsys.readouterr().err == (
-            "error: --min-separation: must be a finite number >= 0\n")
-        # checked before the log is read
-        assert run_cli("analyze", tmp_path / "missing.csv",
-                       f"--min-separation={value}") == 1
-        assert "--min-separation" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("separation", [0, 1.0])
-    def test_regrasp_frequency_follows_min_separation(self, tmp_path,
-                                                      capsys, separation):
-        """The frequency is read from the peaks the report lists."""
+    def test_regrasp_frequency_read_from_reported_peaks(self, tmp_path,
+                                                        capsys):
         log = tmp_path / "line.csv"
         write_line_log(log, n=1000)
         rep = tmp_path / "an.yaml"
-        assert run_cli("analyze", log, "--min-separation", separation,
-                       "--report", rep) == 0
+        assert run_cli("analyze", log, "--report", rep) == 0
         report = yaml.safe_load(rep.read_text())
         assert report["peak_count"] >= 3
         assert report["regrasp_frequency_hz"] == (
@@ -905,8 +930,8 @@ def argv_files(tmp_path_factory):
 # operands three times in four, and each option value from one list.
 _OPERANDS = {"simulate": ("scenario",), "analyze": ("log",),
              "compare": ("group", "group"), "calibrate": ("pairs",)}
-_OWN_OPTIONS = {"simulate": ["--seed"], "analyze": ["--min-separation"],
-                "compare": [], "calibrate": []}
+_OWN_OPTIONS = {"simulate": ["--seed"], "analyze": [], "compare": [],
+                "calibrate": []}
 # foreign to every subcommand as well: the unknown-option path
 _OPTIONS = ["--seed", "--min-separation", "--envelope-points",
             "--scenario-dir"]
