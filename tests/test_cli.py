@@ -631,14 +631,19 @@ class TestAnalyze:
         assert err.startswith(f"error: {log}: force/torque fit is degenerate")
         assert err.count("\n") == 1
 
-    def test_regrasp_frequency_read_from_reported_peaks(self, tmp_path,
-                                                        capsys):
+    @pytest.mark.parametrize("separation", [0, 1.0])
+    def test_regrasp_frequency_follows_min_separation(self, tmp_path, capsys,
+                                                      monkeypatch, separation):
+        """The frequency is read from the peaks the report lists, which
+        keep the separation that analysis.DEFAULT_SEPARATION sets."""
+        monkeypatch.setattr(analysis, "DEFAULT_SEPARATION", separation)
         log = tmp_path / "line.csv"
         write_line_log(log, n=1000)
         rep = tmp_path / "an.yaml"
         assert run_cli("analyze", log, "--report", rep) == 0
         report = yaml.safe_load(rep.read_text())
         assert report["peak_count"] >= 3
+        assert np.all(np.diff(report["peak_times"]) >= separation)
         assert report["regrasp_frequency_hz"] == (
             1.0 / np.median(np.diff(report["peak_times"])))
 
