@@ -293,15 +293,16 @@ def regrasp_frequency(series: FtSeries, channel: str,
                         min_separation=min_separation).frequency()
 
 
-def camout_flags(mz, *, window: int = sensor.CAMOUT_WINDOW,
-                 noise_floor: float = sensor.NOISE_FLOOR,
-                 theta_slip: float = sensor.THETA_SLIP) -> np.ndarray:
+def camout_flags(mz, *, noise_floor: float = sensor.NOISE_FLOOR
+                 ) -> np.ndarray:
     """`sensor.camout` at every sample i of a torque record, over the
-    trailing window mz[max(0, i - window + 1):i + 1] the controller holds."""
+    trailing window mz[max(0, i - w + 1):i + 1] the controller holds,
+    w = `sensor.CAMOUT_WINDOW`."""
     mz = np.asarray(mz, dtype=float)
+    window = sensor.CAMOUT_WINDOW
     padded = np.concatenate([np.full(window - 1, -np.inf), mz])
     windows = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return sensor.camout(windows.max(axis=1), mz, noise_floor, theta_slip)
+    return sensor.camout(windows.max(axis=1), mz, noise_floor)
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray, what: str,

@@ -48,13 +48,14 @@ def __getattr__(name):
 
 
 def cmd_simulate(args) -> int:
+    import dataclasses
+
     from . import logio, runner
     from .scenario import load_scenario
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ScrewbenchError("--seed: must be >= 0")
-        scenario.seed = args.seed
+        # through the settings rule, like a `seed:` in the file
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     result = runner.run_scenario(scenario)
     logio.write_log(args.out, result.samples)
     logio.write_text(args.report,

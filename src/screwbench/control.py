@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import sensor
@@ -69,9 +69,11 @@ class ToolCommand:
 
 @dataclass
 class ControllerState:
-    """State carried between steps, built by `new_controller_state`."""
+    """State carried between steps. Its torque window holds the last
+    `sensor.CAMOUT_WINDOW` samples, the cam-out rule's window."""
 
-    torque_window: deque
+    torque_window: deque = field(
+        default_factory=lambda: deque(maxlen=sensor.CAMOUT_WINDOW))
     phase: Phase = Phase.APPROACH
     integrator: float = 0.0  # N·s
     force_target: float = 0.0  # N
@@ -84,10 +86,6 @@ class ControllerState:
     camout_prev: bool = False
 
 
-def new_controller_state(cfg: ControllerConfig) -> ControllerState:
-    return ControllerState(torque_window=deque(maxlen=cfg.window))
-
-
 def target_force(tau_filtered: float, cfg: ControllerConfig) -> float:
     """Force setpoint from torque: clamp(margin * nu * tau, f_min, f_max)."""
     if tau_filtered < 0:
@@ -96,12 +94,12 @@ def target_force(tau_filtered: float, cfg: ControllerConfig) -> float:
 
 
 def detect_camout(torque_window, cfg: ControllerConfig) -> bool:
-    """Sharp torque drop: latest below theta_slip of the window maximum,
-    with the maximum above the noise floor."""
+    """Sharp torque drop: latest below `sensor.THETA_SLIP` of the window
+    maximum, with the maximum above the noise floor."""
     if len(torque_window) < 2:
         raise ValueError("window length must be >= 2")
     return sensor.camout(max(torque_window), torque_window[-1],
-                         cfg.noise_floor, cfg.theta_slip)
+                         cfg.noise_floor)
 
 
 def detect_terminal(torque_window, cfg: ControllerConfig) -> Phase | None:
@@ -195,8 +193,8 @@ def update(state: ControllerState, sample: FtSample,
 
     w = state.torque_window
     if state.phase in (Phase.ENGAGE, Phase.DRIVE):
-        # ENGAGE follows an APPROACH step's sample and window >= 2, so w
-        # holds at least two samples here
+        # ENGAGE follows an APPROACH step's sample and the window holds
+        # `sensor.CAMOUT_WINDOW` (30) samples, so w holds at least two here
         camout = detect_camout(w, cfg)
         tau_f = max(w)  # moving-window maximum: the torque envelope
         _slew_force_target(state, camout, target_force(tau_f, cfg), cfg)

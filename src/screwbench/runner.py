@@ -80,7 +80,7 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
     world = sim.initial_world(scenario.screw, scenario.direction,
                               contact_z=scenario.contact_z)
     cfg = scenario.controller
-    state = control.new_controller_state(cfg)
+    state = control.ControllerState()
     cmd = control.ToolCommand(z_cmd=0.0, spindle_speed=0.0)
     for _ in range(sensor.periods(scenario.duration)):
         truth = sim.step_world(world, cmd, scenario.screw,

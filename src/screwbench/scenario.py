@@ -31,7 +31,6 @@ import functools
 import math
 import numbers
 import reprlib
-import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
@@ -234,10 +233,8 @@ class ControllerConfig(_Settings):
     f_max: float = 50.0  # N
     kp: float = 1.0e-4  # m/N
     ki: float = 5.0e-3  # m/(N·s)
-    theta_slip: float = sensor.THETA_SLIP  # torque-drop fraction
     tau_stop: float = 0.25  # N·m, seating threshold
     noise_floor: float = sensor.NOISE_FLOOR  # N·m, torque floor
-    window: int = sensor.CAMOUT_WINDOW  # samples in the torque window
     base_ramp: float = 3.0  # N/s, force-target slew rate
     slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
     k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
@@ -251,7 +248,7 @@ class ControllerConfig(_Settings):
     # `sensor.periods(free_spin_time)` steps, the last entering DONE
     free_spin_time: float = 2.0
     positive: ClassVar[tuple] = (
-        "nu", "margin", "theta_slip", "base_ramp", "slip_ramp", "k_spring_est",
+        "nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
         "spindle_speed", "approach_speed", "contact_threshold", "travel_limit",
         "overload_torque", "slip_limit")
     non_negative: ClassVar[tuple] = ("f_min", "kp", "ki", "noise_floor",
@@ -259,15 +256,11 @@ class ControllerConfig(_Settings):
 
     def __post_init__(self):
         _check_periods(self, "free_spin_time")
-        if self.theta_slip >= 1.0:
-            raise ScenarioError("theta_slip: must be < 1")
         if self.f_min > self.f_max:
             raise ScenarioError("f_min: must be <= f_max")
         if not math.isfinite(self.margin * self.nu):
             raise ScenarioError(f"margin: margin * nu must be finite, got "
                                 f"{self.margin!r} * {self.nu!r}")
-        if not 2 <= self.window <= sys.maxsize:
-            raise ScenarioError(f"window: must be in [2, {sys.maxsize}]")
         if self.tau_stop <= self.noise_floor:
             raise ScenarioError("tau_stop: must be > noise_floor")
 

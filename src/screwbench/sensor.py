@@ -1,8 +1,8 @@
 """The force/torque sensor's sample rate and noise defaults, the count of
-sample periods in a duration, and the cam-out rule read from its torque,
-the one home of each. Imports nothing:
-`scenario` takes its period, noise and detector defaults from here, and
-`analysis` reads them without loading the run settings.
+sample periods in a duration, and the cam-out rule read from its torque
+with its fixed window and drop fraction, the one home of each. Imports
+nothing: `scenario` takes its period, noise and floor defaults from here,
+and `analysis` reads them without loading the run settings.
 """
 
 SAMPLE_HZ = 100  # Hz, the fixed sample rate of sensor, model and controller
@@ -10,8 +10,8 @@ DT = 1 / SAMPLE_HZ  # s, the sample period
 FORCE_NOISE_STD = 0.1  # N, default axial force noise std
 TORQUE_NOISE_STD = 0.003  # N·m, default torque noise std
 NOISE_FLOOR = 0.01  # N·m, default torque treated as zero below this
-THETA_SLIP = 0.5  # default torque-drop fraction for cam-out detection
-CAMOUT_WINDOW = 30  # default samples in the torque moving window
+THETA_SLIP = 0.5  # torque-drop fraction of the cam-out rule
+CAMOUT_WINDOW = 30  # samples in the cam-out rule's torque window
 
 
 def periods(seconds):
@@ -20,6 +20,8 @@ def periods(seconds):
     return max(1, round(seconds / DT))
 
 
-def camout(peak, latest, noise_floor, theta_slip):
-    """The cam-out rule, on floats or numpy arrays alike."""
-    return (peak > noise_floor) & (latest < theta_slip * peak)
+def camout(peak, latest, noise_floor):
+    """The cam-out rule, on floats or numpy arrays alike: the latest
+    torque below `THETA_SLIP` of the window's peak, with the peak above
+    the noise floor."""
+    return (peak > noise_floor) & (latest < THETA_SLIP * peak)

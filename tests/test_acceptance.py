@@ -214,7 +214,7 @@ def test_7_controller_safety_properties():
     for _ in range(10_000):
         direction = "screwing" if rng.random() < 0.5 else "unscrewing"
         cfg = scenario.ControllerConfig(direction=direction)
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         prev_phase = state.phase
         n = int(rng.integers(5, 40))
         fz = rng.uniform(0, 80, n)
@@ -222,7 +222,8 @@ def test_7_controller_safety_properties():
         for i in range(n):
             in_loop = state.phase in (control.Phase.ENGAGE,
                                       control.Phase.DRIVE)
-            window = (list(state.torque_window) + [mz[i]])[-cfg.window:]
+            window = (list(state.torque_window) + [mz[i]])[
+                -sensor.CAMOUT_WINDOW:]
             slip_seen = (in_loop and len(window) >= 2
                          and control.detect_camout(window, cfg))
             before = state.force_target

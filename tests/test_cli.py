@@ -110,10 +110,25 @@ class TestSimulate:
 
     def test_negative_seed_override_rejected(self, tmp_path, scenario_file,
                                              capsys):
+        """`--seed` goes through the settings rule, like a `seed:` in the
+        file."""
         assert run_cli("simulate", scenario_file, "--seed", -1,
                        "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 1
-        assert "--seed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: seed: must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("name", ["window", "theta_slip"])
+    def test_camout_rule_is_not_a_setting(self, tmp_path, capsys, name):
+        """The cam-out rule's window and drop fraction are fixed, so a file
+        that sets either names it as an unknown field."""
+        scen = tmp_path / "rule.yaml"
+        scen.write_text(f"seed: 0\ncontroller: {{{name}: 10}}\n")
+        assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml") == 1
+        assert capsys.readouterr().err == (
+            f"error: controller.{name}: unknown field\n")
+        assert not (tmp_path / "r.yaml").exists()
 
     @pytest.mark.parametrize("text, rows", [
         ("seed: 0\nduration: 2.0\ndirection: screwing\n"

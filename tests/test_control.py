@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -42,15 +43,15 @@ class TestTargetForce:
 
 class TestDetectCamout:
     def test_sharp_drop(self):
-        cfg = cfg_with(theta_slip=0.5, noise_floor=0.01)
+        cfg = cfg_with(noise_floor=0.01)
         assert control.detect_camout([0.15, 0.16, 0.15, 0.02], cfg)
 
     def test_below_noise_floor(self):
-        cfg = cfg_with(theta_slip=0.5, noise_floor=0.01)
+        cfg = cfg_with(noise_floor=0.01)
         assert not control.detect_camout([0.005, 0.005, 0.005], cfg)
 
     def test_gentle_decline(self):
-        cfg = cfg_with(theta_slip=0.5)
+        cfg = cfg_with()
         assert not control.detect_camout([0.15, 0.148, 0.146], cfg)
 
 
@@ -63,14 +64,12 @@ _levels = st.one_of(st.sampled_from([0.0, 0.005, 0.01, 0.02, 0.2]),
 class TestCamoutFlags:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(_levels, min_size=1, max_size=120),
-           window=st.integers(2, 40), theta=st.floats(0.05, 0.95),
            floor=st.sampled_from([0.0, 0.01, 0.05]))
-    def test_matches_detect_camout_on_trailing_windows(self, values, window,
-                                                       theta, floor):
-        cfg = cfg_with(window=window, theta_slip=theta, noise_floor=floor)
+    def test_matches_detect_camout_on_trailing_windows(self, values, floor):
+        cfg = cfg_with(noise_floor=floor)
         mz = np.asarray(values)
-        flags = analysis.camout_flags(mz, window=window, noise_floor=floor,
-                                      theta_slip=theta)
+        flags = analysis.camout_flags(mz, noise_floor=floor)
+        window = sensor.CAMOUT_WINDOW
         assert len(flags) == len(mz)
         for i in range(1, len(mz)):
             expected = control.detect_camout(mz[max(0, i - window + 1):i + 1],
@@ -79,23 +78,23 @@ class TestCamoutFlags:
 
     def test_detector_defaults_have_one_home(self):
         """The controller's settings and the log pipeline's flags take the
-        window and both thresholds from `sensor`."""
-        defaults = {"window": sensor.CAMOUT_WINDOW,
-                    "noise_floor": sensor.NOISE_FLOOR,
-                    "theta_slip": sensor.THETA_SLIP}
-        cfg = cfg_with()
+        noise floor from `sensor`; the window and the drop fraction are
+        the rule's own constants, which no setting overrides."""
         params = inspect.signature(analysis.camout_flags).parameters
-        for name, value in defaults.items():
-            assert getattr(cfg, name) == params[name].default == value
+        assert [name for name, p in params.items()
+                if p.default is not p.empty] == ["noise_floor"]
+        assert (params["noise_floor"].default == cfg_with().noise_floor
+                == sensor.NOISE_FLOOR)
+        names = {f.name for f in dataclasses.fields(scenario.ControllerConfig)}
+        assert not names & {"window", "theta_slip"}
 
 
 def test_state_is_built_with_a_bounded_window():
-    """A state's torque window is the detector's window, never the whole
-    run, so there is no default to build one without it."""
-    with pytest.raises(TypeError):
-        control.ControllerState()
-    state = control.new_controller_state(cfg_with(window=7))
-    assert state.torque_window.maxlen == 7
+    """A state's torque window is the cam-out rule's window, never the
+    whole run."""
+    state = control.ControllerState()
+    assert state.torque_window.maxlen == sensor.CAMOUT_WINDOW
+    assert control.ControllerState().torque_window is not state.torque_window
 
 
 class TestDetectTerminal:
@@ -173,14 +172,14 @@ class TestDetectTerminal:
 class TestPidForceStep:
     def test_steady_state_is_feedforward_only(self):
         cfg = cfg_with()
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         u = control.pid_force_step(state, 10.0, 10.0, cfg)
         assert u == pytest.approx(10.0 / cfg.k_spring_est)
 
     def test_step_response_settles_within_one_second(self):
         # plant: pure spring, force = k * commanded offset
         cfg = cfg_with()
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         k = 5000.0
         f = 0.0
         history = []
@@ -192,7 +191,7 @@ class TestPidForceStep:
 
     def test_settles_with_spring_mismatch(self):
         cfg = cfg_with(k_spring_est=4000.0)
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         f = 0.0
         for _ in range(100):
             u = control.pid_force_step(state, f, 10.0, cfg)
@@ -203,7 +202,7 @@ class TestPidForceStep:
         """Anti-windup is conditional integration: a target the travel
         limit cannot reach leaves the integrator where it was."""
         cfg = cfg_with()
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         for _ in range(10_000):
             u = control.pid_force_step(state, 0.0, 1e6, cfg)
             assert u == cfg.travel_limit
@@ -215,7 +214,7 @@ class TestPidForceStep:
         than clamped to a travel limit."""
         cfg = cfg_with(ki=0.0, kp=0.0, travel_limit=1e308, f_min=1e308,
                        f_max=1e308)
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         for _ in range(179):
             assert control.pid_force_step(state, 0.0, 1e308, cfg) == (
                 1e308 / cfg.k_spring_est)
@@ -226,7 +225,7 @@ class TestPidForceStep:
     def test_infinite_command_clamps_and_holds(self):
         cfg = cfg_with(kp=1e308, travel_limit=1e308, f_min=1e308,
                        f_max=1e308)
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         assert control.pid_force_step(state, 0.0, 1e308, cfg) == (
             cfg.travel_limit)
         assert state.integrator == 0.0
@@ -239,7 +238,7 @@ class TestPidForceStep:
         the integrator where an unclamped command fits inside the travel
         limit."""
         cfg = cfg_with()
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         lo = -(cfg.travel_limit + cfg.f_max / cfg.k_spring_est) / cfg.ki
         hi = cfg.travel_limit / cfg.ki
         for f_meas, f_target, steps in stream:
@@ -252,7 +251,7 @@ def drive_state(cfg):
     """Controller state already in the drive phase with a warm window: it
     holds one sample at the tests' drive torque, 0.15 N·m, as a run that
     reached DRIVE holds at least one."""
-    state = control.new_controller_state(cfg)
+    state = control.ControllerState()
     state.phase = Phase.DRIVE
     state.force_target = cfg.f_min
     state.torque_window.append(0.15)
@@ -347,8 +346,8 @@ class TestUpdate:
         window below the noise floor ends DRIVE only, and DRIVE needs
         torque above the floor."""
         cfg = cfg_with(direction="unscrewing", noise_floor=0.01)
-        state = control.new_controller_state(cfg)
-        for i in range(cfg.window + 300):
+        state = control.ControllerState()
+        for i in range(sensor.CAMOUT_WINDOW + 300):
             control.update(state, sim.FtSample(i * 0.01, 5.0, 0.0), cfg)
             assert state.phase in (Phase.APPROACH, Phase.ENGAGE)
 
@@ -402,7 +401,7 @@ class TestUpdate:
     def test_done_and_fault_absorbing(self):
         cfg = cfg_with()
         for terminal in (Phase.DONE, Phase.FAULT):
-            state = control.new_controller_state(cfg)
+            state = control.ControllerState()
             state.phase = terminal
             for i in range(20):
                 cmd = control.update(
@@ -428,7 +427,7 @@ class TestUpdate:
                     min_size=5, max_size=60))
     def test_phase_graph_soundness(self, stream):
         cfg = cfg_with(direction="unscrewing")
-        state = control.new_controller_state(cfg)
+        state = control.ControllerState()
         prev = state.phase
         for i, (fz, mz) in enumerate(stream):
             control.update(state, sim.FtSample(i * 0.01, fz, mz), cfg)

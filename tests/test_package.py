@@ -21,8 +21,8 @@ HOMES = {
         "analysis"),
     **dict.fromkeys((
         "ControllerState", "Phase", "ToolCommand", "detect_camout",
-        "detect_terminal", "new_controller_state", "pid_force_step",
-        "target_force", "update"), "control"),
+        "detect_terminal", "pid_force_step", "target_force", "update"),
+        "control"),
     **dict.fromkeys((
         "Outcome", "RunResult", "closed_loop", "run_scenario"), "runner"),
     **dict.fromkeys((

@@ -441,11 +441,10 @@ def _sign_rows(section, positive, non_negative):
     ({"sim": {"k_spring": 0}}, "k_spring"),
     ({"controller": {"margin": float("inf")}}, r"controller\.margin"),
     ({"controller": {"margin": True}}, r"controller\.margin"),
-    ({"controller": {"window": 30.5}}, r"controller\.window"),
+    ({"controller": {"slip_limit": 30.5}},
+     r"controller\.slip_limit: expected an integer, got 30\.5$"),
     ({"controller": {"margin": 1e200, "nu": 1e200}},
      r"controller\.margin: margin \* nu must be finite, got 1e\+200 \*"),
-    ({"controller": {"window": 2 ** 63}},
-     r"controller\.window: must be in \[2, \d+\]$"),
     ({"controller": None}, "controller: expected a mapping"),
     ({"controller": [1]}, "controller: expected a mapping"),
     ({"duration": 0.004}, "duration"),
@@ -462,7 +461,7 @@ def _sign_rows(section, positive, non_negative):
      r"controller\.approach_speed: must be > 0, got -0\.005$"),
     *_sign_rows("controller", (),
                 ("f_min", "kp", "ki", "noise_floor", "free_spin_time")),
-    *_sign_rows("controller", ("slip_limit", "theta_slip"), ()),
+    *_sign_rows("controller", ("slip_limit",), ()),
     *_sign_rows("screw", ("thread_pitch", "shank_length", "nu_char"), ()),
     *_sign_rows("substrate", ("k_seat",), ("tau_cut", "k_depth",
                                            "tau_run_nut")),
@@ -477,12 +476,18 @@ def _sign_rows(section, positive, non_negative):
      r"sim\.k_spring: must be > 0, got -1$"),
     # cross-field rules name their first field
     ({"sim": {"p_max": 2}}, r"sim\.p_max: must be <= 1$"),
-    ({"controller": {"theta_slip": 1}},
-     r"controller\.theta_slip: must be < 1$"),
     ({"controller": {"f_min": 60}}, r"controller\.f_min: must be <= f_max$"),
-    ({"controller": {"window": 1}}, r"controller\.window: must be in \[2, "),
     ({"controller": {"tau_stop": 0.01}},
      r"controller\.tau_stop: must be > noise_floor$"),
+    # the cam-out rule's window and drop fraction are constants: a value
+    # that broke their old range rules, or any other, is an unknown field
+    ({"controller": {"theta_slip": 0}},
+     r"controller\.theta_slip: unknown field$"),
+    ({"controller": {"theta_slip": 1}},
+     r"controller\.theta_slip: unknown field$"),
+    ({"controller": {"window": 1}}, r"controller\.window: unknown field$"),
+    ({"controller": {"window": 2 ** 63}},
+     r"controller\.window: unknown field$"),
     # enum fields
     ({"screw": {"head_type": "torx"}},
      r"screw\.head_type: expected one of phillips, .*, got 'torx'$"),
@@ -593,17 +598,18 @@ def test_any_mapping_gives_scenario_or_scenario_error(data):
                 assert type(value) is float and math.isfinite(value), f.name
             elif f.type == "int":
                 assert type(value) is int, f.name
-    control.new_controller_state(scen.controller)
+    control.ControllerState()
     sim.initial_world(scen.screw, scen.direction, contact_z=scen.contact_z)
 
 
 def test_integer_literals_are_numbers():
     scen = scenario.scenario_from_dict({
         "seed": 3, "duration": 40, "contact_z": 0,
-        "sim": {"k_spring": 5000}, "controller": {"window": 30, "nu": 100},
+        "sim": {"k_spring": 5000},
+        "controller": {"slip_limit": 30, "nu": 100},
         "screw": {"nu_char": None}})
     assert scen.duration == 40.0 and scen.sim.k_spring == 5000
-    assert scen.controller.window == 30
+    assert scen.controller.slip_limit == 30
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -633,7 +639,7 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: scenario.SubstrateSpec(k_seat=math.inf), "k_seat"),
     (lambda: scenario.SimParams(p_max=True), "p_max"),
     (lambda: scenario.ControllerConfig(margin=math.nan), "margin"),
-    (lambda: scenario.ControllerConfig(window=30.5), "window"),
+    (lambda: scenario.ControllerConfig(slip_limit=30.5), "slip_limit"),
     # of two bad fields, the first in field order is named
     (lambda: scenario.ControllerConfig(margin=math.nan, nu=math.nan), "nu:"),
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
@@ -641,7 +647,7 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  duration=math.nan),
      "duration: expected a finite number"),
-], ids=["thread_pitch", "k_seat", "p_max", "margin", "window",
+], ids=["thread_pitch", "k_seat", "p_max", "margin", "slip_limit",
         "margin_and_nu", "contact_z", "duration"])
 def test_settings_built_in_code_follow_the_number_rule(build, field):
     """Settings built in code obey the number rule a scenario file obeys,
@@ -701,7 +707,7 @@ _SETTINGS_EXAMPLES = {
         scenario.ControllerConfig(),
         scenario.ControllerConfig(direction="screwing"),
         scenario.ControllerConfig(free_spin_time=1),
-        scenario.ControllerConfig(window=10, margin=3)],
+        scenario.ControllerConfig(slip_limit=10, margin=3)],
     scenario.Scenario: lambda: [
         scenario.default_scenario("screwing"),
         scenario.default_scenario("screwing", screw={"thread_pitch": 0.001}),
