@@ -10,14 +10,15 @@ Validation failures, bad arguments included, print one `error:` line and
 exit 1; physical outcomes (fault, timeout) are recorded in the report and
 exit zero.
 
-Each subcommand parses its arguments and writes its report; the file
-formats live in `logio` and the fits in `analysis`. Imports at the point
-of use: `import screwbench.cli` loads only the error types (`errors`), not
-even `argparse`, which loads when `main` builds the parser; each
-subcommand loads the rest where it uses it. Only `simulate` loads the
-closed loop (`runner`, `sim`), the controller (`control`) and the run
-settings (`scenario`); `analyze` reads the cam-out rule and its defaults
-from `sensor`.
+`simulate` writes its log and report to the two paths it is given, which
+must name different files; `analyze`, `compare` and `calibrate` print
+their one report on stdout. The file formats live in `logio` and the fits
+in `analysis`. Imports at the point of use: `import screwbench.cli` loads
+only the error types (`errors`), not even `argparse`, which loads when
+`main` builds the parser; each subcommand loads the rest where it uses
+it. Only `simulate` loads the closed loop (`runner`, `sim`), the
+controller (`control`) and the run settings (`scenario`); `analyze` reads
+the cam-out rule and its defaults from `sensor`.
 `cli.load_scenario` stays readable as `scenario.load_scenario`, loaded on
 first access.
 """
@@ -52,6 +53,9 @@ def cmd_simulate(args) -> int:
 
     from . import logio, runner
     from .scenario import load_scenario
+    if Path(args.out).resolve() == Path(args.report).resolve():
+        raise ScrewbenchError(
+            f"--out and --report name the same file: {args.out}")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         # through the settings rule, like a `seed:` in the file
@@ -97,10 +101,7 @@ def cmd_analyze(args) -> int:
         report["envelope_t"] = grid.tolist()
         report["envelope_mz"] = env(grid).tolist()
     report["slip_events"] = _count_slip_flags(series.channel("mz"))
-    text = logio.format_report(report)
-    if args.report:
-        logio.write_text(args.report, text)
-    sys.stdout.write(text)
+    sys.stdout.write(logio.format_report(report))
     return 0
 
 
@@ -176,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="analyze a CSV log")
     p_an.add_argument("log")
-    p_an.add_argument("--report", default=None, help="also write the report")
     p_an.set_defaults(func=cmd_analyze)
 
     p_cmp = sub.add_parser("compare",

@@ -13,7 +13,8 @@ a bad setting, in a file or in code, is a `ScenarioError` naming the field
 A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
 Any field left out takes the documented default, so a minimal file only
-needs to say what differs. `scenario_from_dict` and `default_scenario` give
+needs to say what differs; a key given twice in one mapping is an error
+naming it and its line. `scenario_from_dict` and `default_scenario` give
 the controller the screw's characteristic ratio as its nu gain (the
 human-derived value for that head type); a `ControllerConfig()` built in
 code keeps its own default (Phillips, 106/m). The top-level `direction` is
@@ -340,10 +341,32 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path) -> Scenario:
     import yaml
     from .logio import read_text
+
+    class Loader(yaml.SafeLoader):
+        """`yaml.safe_load`'s loader, except that a key repeated in one
+        mapping is an error rather than the last value kept."""
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # `<<: *base` may be overridden by design
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                except TypeError:  # unhashable: the base class refuses it
+                    continue
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r} on line "
+                                    f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
     # an integer literal past Python's digit limit is a ValueError, and
     # nesting deeper than the parser's recursion limit a RecursionError
     try:
-        data = yaml.safe_load(read_text(path))
+        data = yaml.load(read_text(path), Loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     # an empty file is an empty mapping, so it still asks for the seed

@@ -130,6 +130,37 @@ class TestSimulate:
             f"error: controller.{name}: unknown field\n")
         assert not (tmp_path / "r.yaml").exists()
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("seed: 0\nduration: 1.0\nduration: 2.0\n", "duration", 3),
+        ("seed: 0\nsim: {p_max: 0.5,\n      p_max: 0.2}\n", "p_max", 3),
+        ("seed: 0\nsim: {p_max: 0.5}\nsim: {k_spring: 100.0}\n", "sim", 3),
+    ], ids=["top_level_key", "key_in_section", "section"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, key, line):
+        """A key given twice in one mapping is an error naming the key and
+        its second line, not a silent choice of the last value."""
+        scen = tmp_path / "twice.yaml"
+        scen.write_text(text)
+        assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml") == 1
+        assert capsys.readouterr().err == (
+            f"error: {scen}: invalid YAML: duplicate key {key!r} "
+            f"on line {line}\n")
+        assert not (tmp_path / "o.csv").exists()
+        assert not (tmp_path / "r.yaml").exists()
+
+    def test_out_and_report_on_one_file_rejected(self, tmp_path, scenario_file,
+                                                 monkeypatch, capsys):
+        """The report would overwrite the log, so two spellings of one
+        path are refused before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", scenario_file, "--out", "both.out",
+                       "--report", tmp_path / "both.out") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --out and --report name the same file: both.out\n")
+        assert not (tmp_path / "both.out").exists()
+
     @pytest.mark.parametrize("text, rows", [
         ("seed: 0\nduration: 2.0\ndirection: screwing\n"
          "sim: {force_noise_std: 1.0e+9}\n"
@@ -620,9 +651,8 @@ class TestAnalyze:
     def test_exact_line_report(self, tmp_path, capsys):
         log = tmp_path / "line.csv"
         write_line_log(log, nu=106.0)
-        rep = tmp_path / "an.yaml"
-        assert run_cli("analyze", log, "--report", rep) == 0
-        report = yaml.safe_load(rep.read_text())
+        assert run_cli("analyze", log) == 0
+        report = yaml.safe_load(capsys.readouterr().out)
         assert report["nu"] == pytest.approx(106.0)
         assert report["r"] == pytest.approx(1.0)
         assert report["regrasp_frequency_hz"] == pytest.approx(1.3, abs=0.05)
@@ -654,9 +684,8 @@ class TestAnalyze:
         monkeypatch.setattr(analysis, "DEFAULT_SEPARATION", separation)
         log = tmp_path / "line.csv"
         write_line_log(log, n=1000)
-        rep = tmp_path / "an.yaml"
-        assert run_cli("analyze", log, "--report", rep) == 0
-        report = yaml.safe_load(rep.read_text())
+        assert run_cli("analyze", log) == 0
+        report = yaml.safe_load(capsys.readouterr().out)
         assert report["peak_count"] >= 3
         assert np.all(np.diff(report["peak_times"]) >= separation)
         assert report["regrasp_frequency_hz"] == (
@@ -668,10 +697,23 @@ class TestAnalyze:
         log = tmp_path / "screw.csv"
         run_cli("simulate", scen, "--out", log,
                 "--report", tmp_path / "r.yaml")
-        rep = tmp_path / "an.yaml"
-        assert run_cli("analyze", log, "--report", rep) == 0
-        report = yaml.safe_load(rep.read_text())
+        capsys.readouterr()
+        assert run_cli("analyze", log) == 0
+        report = yaml.safe_load(capsys.readouterr().out)
         assert report["slip_events"] >= 1
+
+    def test_report_is_not_an_option(self, tmp_path, capsys):
+        """`analyze` prints its one report; a path for it is an unknown
+        option, and no file is made."""
+        log = tmp_path / "line.csv"
+        write_line_log(log)
+        rep = tmp_path / "an.yaml"
+        assert run_cli("analyze", log, "--report", rep) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not rep.exists()
 
 
 class TestCompare:
@@ -1135,12 +1177,14 @@ def test_compare_and_analyze_load_no_closed_loop(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_module_entry_point_exit_status(tmp_path):
+def test_module_entry_point_exit_status(tmp_path, capsys):
     """`python -m screwbench.cli` exits with `main`'s status: 0 with the
     report on stdout, 1 with one `error:` line on stderr."""
     src = Path(cli.__file__).resolve().parents[1]
-    log, rep = tmp_path / "line.csv", tmp_path / "an.yaml"
+    log = tmp_path / "line.csv"
     write_line_log(log)
+    assert run_cli("analyze", log) == 0
+    printed = capsys.readouterr().out
 
     def run(*argv):
         return subprocess.run(
@@ -1148,9 +1192,9 @@ def test_module_entry_point_exit_status(tmp_path):
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=120)
 
-    ok = run("analyze", log, "--report", rep)
+    ok = run("analyze", log)
     assert (ok.returncode, ok.stderr) == (0, "")
-    assert ok.stdout == rep.read_text() != ""
+    assert ok.stdout == printed != ""
     bad = run("analyze", tmp_path / "missing.csv")
     assert (bad.returncode, bad.stdout) == (1, "")
     assert len(bad.stderr.splitlines()) == 1
