@@ -11,11 +11,12 @@ exit 1; physical outcomes (fault, timeout) are recorded in the report and
 exit zero.
 
 `simulate` writes its log and report to the two paths it is given, which
-must name different files; `analyze`, `compare` and `calibrate` print
-their one report on stdout. The file formats live in `logio` and the fits
-in `analysis`. Imports at the point of use: `import screwbench.cli` loads
-only the error types (`errors`), not even `argparse`, which loads when
-`main` builds the parser; each subcommand loads the rest where it uses
+must name different files, and removes the log file if the report cannot
+be written; `analyze`, `compare` and `calibrate` print their one report on
+stdout. The file formats live in `logio` and the fits in `analysis`.
+Imports at the point of use: `import screwbench.cli` loads only the error
+types (`errors`), not even `argparse`, which loads when `main` builds the
+parser; each subcommand loads the rest where it uses
 it. Only `simulate` loads the closed loop (`runner`, `sim`), the
 controller (`control`) and the run settings (`scenario`); `analyze` reads
 the cam-out rule and its defaults from `sensor`.
@@ -49,6 +50,7 @@ def __getattr__(name):
 
 
 def cmd_simulate(args) -> int:
+    import contextlib
     import dataclasses
 
     from . import logio, runner
@@ -62,8 +64,18 @@ def cmd_simulate(args) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     result = runner.run_scenario(scenario)
     logio.write_log(args.out, result.samples)
-    logio.write_text(args.report,
-                     logio.format_report(result.report(scenario)))
+    try:
+        logio.write_text(args.report,
+                         logio.format_report(result.report(scenario)))
+    except ScrewbenchError:
+        # a failed run leaves no log file behind; a link or a device such
+        # as /dev/stdout is not the run's to remove, and a log in a
+        # directory it cannot change stays, behind the report's error
+        out = Path(args.out)
+        if out.is_file() and not out.is_symlink():
+            with contextlib.suppress(OSError):
+                out.unlink()
+        raise
     print(f"outcome: {result.outcome.value}  "
           f"slip_events: {len(result.slip_times)}  "
           f"log: {args.out}  report: {args.report}")

@@ -8,9 +8,10 @@ force loop with a spring feed-forward term, whose integrator holds while
 the command is at the travel limit. Pure step function: the caller owns
 the loop and the state.
 
-This module holds the phases (`Phase`), the command and state types and the
-step functions. The settings they read (`ControllerConfig`) live in
-`scenario`; the sample period and the cam-out rule live in `sensor`.
+This module holds the phases (`Phase`), the phase machine's fixed speeds
+and limits, the command and state types and the step functions. The
+settings they read (`ControllerConfig`) live in `scenario`; the sample
+period and the cam-out rule live in `sensor`.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ ALLOWED_TRANSITIONS = {
 # caught only while more than 2.1 mm is engaged (0.05 N·m / `k_depth`),
 # and in a nut, whose running torque is below the floor, never.
 FREE_REENGAGE_FLOORS = 5.0
+
+SPINDLE_SPEED = math.tau  # rad/s magnitude while driving
+APPROACH_SPEED = 0.005  # m/s carriage advance before contact
+CONTACT_THRESHOLD = 0.5  # N, force that marks contact
+SLIP_RAMP = 8.0  # N/s, force-target slew rate while slippage is detected
+SLIP_LIMIT = 2000  # fault after this many slip-detected steps
 
 
 @dataclass
@@ -157,7 +164,7 @@ def _slew_force_target(state: ControllerState, camout: bool,
         state.slip_count += 1
         if not state.camout_prev:
             state.camout_events += 1
-        state.force_target += cfg.slip_ramp * DT
+        state.force_target += SLIP_RAMP * DT
     else:
         step = cfg.base_ramp * DT
         delta = goal - state.force_target
@@ -184,8 +191,8 @@ def update(state: ControllerState, sample: FtSample,
 
     state.torque_window.append(sample.mz)
     if state.phase == Phase.APPROACH:
-        z_cmd = state.z_cmd + cfg.approach_speed * DT
-        if sample.fz > cfg.contact_threshold:
+        z_cmd = state.z_cmd + APPROACH_SPEED * DT
+        if sample.fz > CONTACT_THRESHOLD:
             state.contact_z_est = z_cmd - sample.fz / cfg.k_spring_est
             state.force_target = cfg.f_min
             state.phase = Phase.ENGAGE
@@ -203,7 +210,7 @@ def update(state: ControllerState, sample: FtSample,
         if state.phase == Phase.ENGAGE and tau_f > cfg.noise_floor:
             state.phase = Phase.DRIVE
         elif state.phase == Phase.DRIVE:
-            if state.slip_count > cfg.slip_limit:
+            if state.slip_count > SLIP_LIMIT:
                 state.phase = Phase.FAULT
             else:
                 # DRIVE began above the floor, so a window below it is full
@@ -227,7 +234,7 @@ def update(state: ControllerState, sample: FtSample,
     offset = pid_force_step(state, sample.fz, state.force_target, cfg)
     sign = 1.0 if cfg.direction == Direction.SCREWING else -1.0
     return _command(state, state.contact_z_est + offset,
-                    sign * cfg.spindle_speed)
+                    sign * SPINDLE_SPEED)
 
 
 def _command(state: ControllerState, z_cmd: float,

@@ -225,7 +225,7 @@ class SimParams(_Settings):
 
 @dataclass(init=False, repr=False, eq=False)
 class ControllerConfig(_Settings):
-    """Force law, PI loop, detector and phase-machine settings of a run."""
+    """Force law, PI loop and detector settings of a run."""
 
     direction: Direction = Direction.UNSCREWING  # the run's one direction
     nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
@@ -237,21 +237,14 @@ class ControllerConfig(_Settings):
     tau_stop: float = 0.25  # N·m, seating threshold
     noise_floor: float = sensor.NOISE_FLOOR  # N·m, torque floor
     base_ramp: float = 3.0  # N/s, force-target slew rate
-    slip_ramp: float = 8.0  # N/s, slew rate while slippage is detected
     k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
-    spindle_speed: float = math.tau  # rad/s magnitude while driving
-    approach_speed: float = 0.005  # m/s carriage advance before contact
-    contact_threshold: float = 0.5  # N, force that marks contact
     travel_limit: float = 0.02  # m, carriage offset limit around contact
     overload_torque: float = 0.4  # N·m, fault threshold
-    slip_limit: int = 2000  # fault after this many slip-detected steps
     # s of extra spin to fully withdraw the screw: FREE lasts
     # `sensor.periods(free_spin_time)` steps, the last entering DONE
     free_spin_time: float = 2.0
-    positive: ClassVar[tuple] = (
-        "nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
-        "spindle_speed", "approach_speed", "contact_threshold", "travel_limit",
-        "overload_torque", "slip_limit")
+    positive: ClassVar[tuple] = ("nu", "margin", "base_ramp", "k_spring_est",
+                                 "travel_limit", "overload_torque")
     non_negative: ClassVar[tuple] = ("f_min", "kp", "ki", "noise_floor",
                                      "free_spin_time")
 

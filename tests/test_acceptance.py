@@ -186,7 +186,7 @@ def test_6_envelope_monotonicity():
         for _ in range(1500):
             cmd = control.ToolCommand(
                 z_cmd=world.contact_z + 30.0 / sc.sim.k_spring,
-                spindle_speed=-sc.controller.spindle_speed)
+                spindle_speed=-control.SPINDLE_SPEED)
             truth = sim.step_world(world, cmd, sc.screw, sc.substrate,
                                    sc.sim, rng)
             sensed.append(sim.read_sensors(truth, sc.sim, rng))

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from screwbench import analysis, cli, logio, runner, scenario
+from screwbench import analysis, cli, control, logio, runner, scenario
 from screwbench.errors import ScenarioError, ScrewbenchError
 from screwbench.sim import FtSample
 
@@ -161,23 +161,52 @@ class TestSimulate:
             "error: --out and --report name the same file: both.out\n")
         assert not (tmp_path / "both.out").exists()
 
-    @pytest.mark.parametrize("text, rows", [
+    def test_unwritable_report_leaves_no_log(self, tmp_path, scenario_file,
+                                             monkeypatch, capsys):
+        """A report that cannot be written fails the run, and the log
+        written before it is removed: a failed run leaves no file."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", scenario_file, "--out", "ok.csv",
+                       "--report", Path("missing", "r.yaml")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write missing/r.yaml: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "ok.csv").exists()
+
+    def test_unwritable_report_keeps_a_linked_log(self, tmp_path,
+                                                  scenario_file, capsys):
+        """A log written through a link, as to /dev/stdout, is not a file
+        the run made, so a failed report removes neither the link nor its
+        target."""
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        assert run_cli("simulate", scenario_file, "--out", link,
+                       "--report", tmp_path / "missing" / "r.yaml") == 1
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert link.is_symlink() and target.read_text().startswith("t_s,")
+
+    @pytest.mark.parametrize("text, constants, rows", [
         ("seed: 0\nduration: 2.0\ndirection: screwing\n"
          "sim: {force_noise_std: 1.0e+9}\n"
-         "controller: {k_spring_est: 1.0e-300}\n", 2),
-        ("seed: 1\nduration: 2.0\nsim: {k_spring: 1.0e+300}\n"
-         "controller: {approach_speed: 1.0e+300}\n", 1),
-        ("seed: 1\nduration: 1.0\nsim: {force_noise_std: 1.0e+308}\n", 0),
+         "controller: {k_spring_est: 1.0e-300}\n", {}, 2),
+        ("seed: 1\nduration: 2.0\nsim: {k_spring: 1.0e+300}\n",
+         {"APPROACH_SPEED": 1.0e+300}, 1),
+        ("seed: 1\nduration: 1.0\nsim: {force_noise_std: 1.0e+308}\n", {},
+         0),
         ("seed: 1\nduration: 1.0\ncontact_z: -1.0e+300\n"
-         "sim: {k_spring: 1.0e+300}\n", 0),
+         "sim: {k_spring: 1.0e+300}\n", {}, 0),
     ], ids=["carriage_command_overflows", "world_force_overflows",
             "first_sample_overflows", "first_contact_force_overflows"])
-    def test_overflowing_run_ends_in_fault(self, tmp_path, text, rows):
+    def test_overflowing_run_ends_in_fault(self, tmp_path, monkeypatch, text,
+                                           constants, rows):
         """Settings that load but overflow the carriage command or the
         sensed force end the run in `fault`, with the finite samples before
         it in the log and no inf in the report. A run whose first sample
         overflows records none and reports its peak torque and final force
-        as null."""
+        as null. `constants` replaces `control` constants for the run."""
+        for name, value in constants.items():
+            monkeypatch.setattr(control, name, value)
         scen, out, rep = (tmp_path / name for name in
                           ("s.yaml", "o.csv", "r.yaml"))
         scen.write_text(text)

@@ -282,7 +282,7 @@ class TestUpdate:
             state, sim.FtSample(0.05, 20.0, 0.002), cfg)  # sharp drop
         assert state.force_target > before
         assert (state.force_target - before) == pytest.approx(
-            cfg.slip_ramp * dt)
+            control.SLIP_RAMP * dt)
         assert state.slip_count == 1
 
     def test_force_target_clamped_after_engage(self):
@@ -329,16 +329,19 @@ class TestUpdate:
         assert cmd == control.ToolCommand(z_cmd=0.004, spindle_speed=0.0)
 
     def test_slip_limit_faults(self):
-        cfg = cfg_with(direction="screwing", slip_limit=1)
+        cfg = cfg_with(direction="screwing")
         state = drive_state(cfg)
         for i in range(5):
             control.update(state, sim.FtSample(i * 0.01, 20.0, 0.15), cfg)
+        state.slip_count = control.SLIP_LIMIT - 1
         control.update(
-            state, sim.FtSample(0.05, 20.0, 0.002), cfg)  # first cam-out step
-        assert (state.phase, state.slip_count) == (Phase.DRIVE, 1)
+            state, sim.FtSample(0.05, 20.0, 0.002), cfg)  # reaches the limit
+        assert (state.phase, state.slip_count) == (
+            Phase.DRIVE, control.SLIP_LIMIT)
         cmd = control.update(
-            state, sim.FtSample(0.06, 20.0, 0.002), cfg)  # second
-        assert (state.phase, state.slip_count) == (Phase.FAULT, 2)
+            state, sim.FtSample(0.06, 20.0, 0.002), cfg)  # passes it
+        assert (state.phase, state.slip_count) == (
+            Phase.FAULT, control.SLIP_LIMIT + 1)
         assert cmd.spindle_speed == 0.0
 
     def test_free_requires_prior_engagement(self):
@@ -363,7 +366,7 @@ class TestUpdate:
         assert (state.phase, state.free_steps) == (Phase.FREE, 1)
         cmd = control.update(state, sim.FtSample(0.01, 5.0, 0.06), cfg)
         assert (state.phase, state.free_steps) == (Phase.DRIVE, 0)
-        assert cmd.spindle_speed == -cfg.spindle_speed
+        assert cmd.spindle_speed == -control.SPINDLE_SPEED
 
     def test_free_lasts_whole_steps(self):
         """FREE spins for `round(free_spin_time / DT)` updates, the last of
@@ -389,7 +392,7 @@ class TestUpdate:
             cmd = control.update(state, sim.FtSample(i * 0.01, 20.0, mz),
                                  cfg)
         assert state.phase == Phase.DRIVE
-        assert cmd.spindle_speed == cfg.spindle_speed
+        assert cmd.spindle_speed == control.SPINDLE_SPEED
         z_last = cmd.z_cmd
         cmd = control.update(state, sim.FtSample(0.02, 20.0, 0.24), cfg)
         assert state.phase == Phase.DONE

@@ -441,8 +441,7 @@ def _sign_rows(section, positive, non_negative):
     ({"sim": {"k_spring": 0}}, "k_spring"),
     ({"controller": {"margin": float("inf")}}, r"controller\.margin"),
     ({"controller": {"margin": True}}, r"controller\.margin"),
-    ({"controller": {"slip_limit": 30.5}},
-     r"controller\.slip_limit: expected an integer, got 30\.5$"),
+    ({"seed": 30.5}, r"seed: expected an integer, got 30\.5$"),
     ({"controller": {"margin": 1e200, "nu": 1e200}},
      r"controller\.margin: margin \* nu must be finite, got 1e\+200 \*"),
     ({"controller": None}, "controller: expected a mapping"),
@@ -454,14 +453,10 @@ def _sign_rows(section, positive, non_negative):
     ({"controller": {"free_spin_time": 1.0e308}},
      r"controller\.free_spin_time: too large to count in sample periods"),
     *_sign_rows("controller",
-                ("nu", "margin", "base_ramp", "slip_ramp", "k_spring_est",
-                 "spindle_speed", "approach_speed", "contact_threshold",
-                 "travel_limit", "overload_torque"), ()),
-    ({"controller": {"approach_speed": -0.005}},
-     r"controller\.approach_speed: must be > 0, got -0\.005$"),
+                ("nu", "margin", "base_ramp", "k_spring_est", "travel_limit",
+                 "overload_torque"), ()),
     *_sign_rows("controller", (),
                 ("f_min", "kp", "ki", "noise_floor", "free_spin_time")),
-    *_sign_rows("controller", ("slip_limit",), ()),
     *_sign_rows("screw", ("thread_pitch", "shank_length", "nu_char"), ()),
     *_sign_rows("substrate", ("k_seat",), ("tau_cut", "k_depth",
                                            "tau_run_nut")),
@@ -606,10 +601,11 @@ def test_integer_literals_are_numbers():
     scen = scenario.scenario_from_dict({
         "seed": 3, "duration": 40, "contact_z": 0,
         "sim": {"k_spring": 5000},
-        "controller": {"slip_limit": 30, "nu": 100},
+        "controller": {"overload_torque": 1, "nu": 100},
         "screw": {"nu_char": None}})
     assert scen.duration == 40.0 and scen.sim.k_spring == 5000
-    assert scen.controller.slip_limit == 30
+    assert type(scen.controller.overload_torque) is float
+    assert scen.controller.overload_torque == 1.0
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -619,9 +615,16 @@ def test_integer_literals_are_numbers():
     ("controller", "direction", "screwing"),
     ("controller", "kd", 0.1),
     ("controller", "integrator_limit", 4.0),
+    ("controller", "spindle_speed", 3.0),
+    ("controller", "approach_speed", 0.01),
+    ("controller", "contact_threshold", 1.0),
+    ("controller", "slip_ramp", 4.0),
+    ("controller", "slip_limit", 10),
 ], ids=["sim.dt", "screw.cam_geometry_angle", "substrate.orientation",
         "controller.direction", "controller.kd",
-        "controller.integrator_limit"])
+        "controller.integrator_limit", "controller.spindle_speed",
+        "controller.approach_speed", "controller.contact_threshold",
+        "controller.slip_ramp", "controller.slip_limit"])
 def test_removed_setting_is_not_a_scenario_field(section, key, value):
     with pytest.raises(ScenarioError, match=rf"{section}\.{key}: unknown"):
         scenario.scenario_from_dict({"seed": 1, section: {key: value}})
@@ -639,7 +642,8 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: scenario.SubstrateSpec(k_seat=math.inf), "k_seat"),
     (lambda: scenario.SimParams(p_max=True), "p_max"),
     (lambda: scenario.ControllerConfig(margin=math.nan), "margin"),
-    (lambda: scenario.ControllerConfig(slip_limit=30.5), "slip_limit"),
+    (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
+                                 seed=30.5), "seed: expected an integer"),
     # of two bad fields, the first in field order is named
     (lambda: scenario.ControllerConfig(margin=math.nan, nu=math.nan), "nu:"),
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
@@ -647,8 +651,8 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  duration=math.nan),
      "duration: expected a finite number"),
-], ids=["thread_pitch", "k_seat", "p_max", "margin", "slip_limit",
-        "margin_and_nu", "contact_z", "duration"])
+], ids=["thread_pitch", "k_seat", "p_max", "margin", "seed", "margin_and_nu",
+        "contact_z", "duration"])
 def test_settings_built_in_code_follow_the_number_rule(build, field):
     """Settings built in code obey the number rule a scenario file obeys,
     so no run starts from a non-finite or mistyped setting."""
@@ -707,7 +711,7 @@ _SETTINGS_EXAMPLES = {
         scenario.ControllerConfig(),
         scenario.ControllerConfig(direction="screwing"),
         scenario.ControllerConfig(free_spin_time=1),
-        scenario.ControllerConfig(slip_limit=10, margin=3)],
+        scenario.ControllerConfig(overload_torque=1, margin=3)],
     scenario.Scenario: lambda: [
         scenario.default_scenario("screwing"),
         scenario.default_scenario("screwing", screw={"thread_pitch": 0.001}),
