@@ -9,9 +9,11 @@ the command is at the travel limit. Pure step function: the caller owns
 the loop and the state.
 
 This module holds the phases (`Phase`), the phase machine's fixed speeds
-and limits, the command and state types and the step functions. The
-settings they read (`ControllerConfig`) live in `scenario`; the sample
-period and the cam-out rule live in `sensor`.
+and limits, the PI loop's gains and travel limit, the overload fault and
+the FREE spin, the command and state types and the step functions. The
+settings they read (`ControllerConfig`: the force law and the detector
+thresholds) live in `scenario`; the sample period and the cam-out rule
+live in `sensor`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,13 @@ APPROACH_SPEED = 0.005  # m/s carriage advance before contact
 CONTACT_THRESHOLD = 0.5  # N, force that marks contact
 SLIP_RAMP = 8.0  # N/s, force-target slew rate while slippage is detected
 SLIP_LIMIT = 2000  # fault after this many slip-detected steps
+KP = 1.0e-4  # m/N, PI proportional gain
+KI = 5.0e-3  # m/(N·s), PI integral gain
+TRAVEL_LIMIT = 0.02  # m, carriage offset limit around contact
+OVERLOAD_TORQUE = 0.4  # N·m, fault threshold
+# s of extra spin to fully withdraw the screw: FREE lasts
+# `sensor.periods(FREE_SPIN_TIME)` steps, the last entering DONE
+FREE_SPIN_TIME = 2.0
 
 
 @dataclass
@@ -139,22 +148,22 @@ def pid_force_step(state: ControllerState, f_meas: float, f_target: float,
     """One PI + feed-forward step over the sample period `sensor.DT`.
 
     Returns the carriage offset from the estimated contact position:
-    kp*e + ki*int(e) + f_target/k_spring_est, clamped to the travel limit.
+    KP*e + KI*int(e) + f_target/k_spring_est, clamped to `TRAVEL_LIMIT`.
     Anti-windup is conditional integration: the integrator holds whenever
-    the unclamped command would leave the travel limit. With ki > 0 and
+    the unclamped command would leave the travel limit. With KI > 0 and
     targets in [0, f_max] it therefore stays within
-    [-(travel_limit + f_max/k_spring_est)/ki, travel_limit/ki]. A NaN
+    [-(TRAVEL_LIMIT + f_max/k_spring_est)/KI, TRAVEL_LIMIT/KI]. A NaN
     command, from terms that overflow near the float limit, is returned
     as NaN with the integrator held, and `update` then enters FAULT. The
     name is kept for the benchmark's per-layer traces.
     """
     e = f_target - f_meas
     integ = state.integrator + e * DT
-    u = cfg.kp * e + cfg.ki * integ + f_target / cfg.k_spring_est
-    if -cfg.travel_limit <= u <= cfg.travel_limit:
+    u = KP * e + KI * integ + f_target / cfg.k_spring_est
+    if -TRAVEL_LIMIT <= u <= TRAVEL_LIMIT:
         state.integrator = integ
     elif not math.isnan(u):
-        u = math.copysign(cfg.travel_limit, u)
+        u = math.copysign(TRAVEL_LIMIT, u)
     return u
 
 
@@ -179,13 +188,13 @@ def update(state: ControllerState, sample: FtSample,
 
     Updates `state` in place and returns the command for the next step.
     Fault is the error channel: a non-finite sample, a torque above
-    `overload_torque` or a command that is not finite enters FAULT, and
+    `OVERLOAD_TORQUE` or a command that is not finite enters FAULT, and
     in-band sensor values never raise.
     """
     if state.phase in (Phase.DONE, Phase.FAULT):
         return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
     if not (math.isfinite(sample.fz) and math.isfinite(sample.mz)
-            and sample.mz <= cfg.overload_torque):
+            and sample.mz <= OVERLOAD_TORQUE):
         state.phase = Phase.FAULT
         return ToolCommand(z_cmd=state.z_cmd, spindle_speed=0.0)
 
@@ -225,7 +234,7 @@ def update(state: ControllerState, sample: FtSample,
         else:
             # keep spinning briefly so the last threads fully disengage
             state.free_steps += 1
-            if state.free_steps >= periods(cfg.free_spin_time):
+            if state.free_steps >= periods(FREE_SPIN_TIME):
                 state.phase = Phase.DONE
 
     if state.phase in (Phase.DONE, Phase.FAULT):

@@ -225,31 +225,23 @@ class SimParams(_Settings):
 
 @dataclass(init=False, repr=False, eq=False)
 class ControllerConfig(_Settings):
-    """Force law, PI loop and detector settings of a run."""
+    """Force law and detector settings of a run. The PI loop's gains and
+    travel limit, the overload fault and the FREE spin are constants of
+    `control`."""
 
     direction: Direction = Direction.UNSCREWING  # the run's one direction
     nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
     margin: float = 2.0  # multiplier on nu
     f_min: float = 1.0  # N
     f_max: float = 50.0  # N
-    kp: float = 1.0e-4  # m/N
-    ki: float = 5.0e-3  # m/(N·s)
     tau_stop: float = 0.25  # N·m, seating threshold
     noise_floor: float = sensor.NOISE_FLOOR  # N·m, torque floor
     base_ramp: float = 3.0  # N/s, force-target slew rate
     k_spring_est: float = SimParams.k_spring  # N/m, feed-forward estimate
-    travel_limit: float = 0.02  # m, carriage offset limit around contact
-    overload_torque: float = 0.4  # N·m, fault threshold
-    # s of extra spin to fully withdraw the screw: FREE lasts
-    # `sensor.periods(free_spin_time)` steps, the last entering DONE
-    free_spin_time: float = 2.0
-    positive: ClassVar[tuple] = ("nu", "margin", "base_ramp", "k_spring_est",
-                                 "travel_limit", "overload_torque")
-    non_negative: ClassVar[tuple] = ("f_min", "kp", "ki", "noise_floor",
-                                     "free_spin_time")
+    positive: ClassVar[tuple] = ("nu", "margin", "base_ramp", "k_spring_est")
+    non_negative: ClassVar[tuple] = ("f_min", "noise_floor")
 
     def __post_init__(self):
-        _check_periods(self, "free_spin_time")
         if self.f_min > self.f_max:
             raise ScenarioError("f_min: must be <= f_max")
         if not math.isfinite(self.margin * self.nu):

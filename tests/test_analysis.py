@@ -696,6 +696,24 @@ def test_analysis_recovers_the_applied_force_law(tmp_path):
     assert test.p < 0.01
 
 
+def test_phillips_at_the_hex_ratio_slips_more():
+    """The head-type claim without its circle: a Phillips screw driven with
+    the internal hex head's lower ratio (57/m) still seats, but with more
+    than three times the slip onsets of its own ratio (106/m), seed by
+    seed (8/4/8/5 against 54/53/52/37)."""
+    for seed in range(4):
+        onsets = {}
+        for nu in (106.0, 57.0):
+            sc = scenario.default_scenario(
+                "screwing", seed=seed, screw={"head_type": "phillips"},
+                substrate={"kind": "plastic_hole"}, controller={"nu": nu})
+            result = runner.run_scenario(sc)
+            assert result.outcome == runner.Outcome.DONE, (seed, nu)
+            assert result.world.seated, (seed, nu)
+            onsets[nu] = len(result.slip_times)
+        assert onsets[57.0] > 3 * onsets[106.0], (seed, onsets)
+
+
 @pytest.mark.parametrize("seed", [0, 5, 42])
 def test_seated_screwing_log_ends_without_a_camout(seed):
     """A screwing run ends on the step that detects the seat, so its log's

@@ -130,6 +130,25 @@ class TestSimulate:
             f"error: controller.{name}: unknown field\n")
         assert not (tmp_path / "r.yaml").exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("kp", 1.0e-4), ("ki", 5.0e-3), ("travel_limit", 0.02),
+        ("overload_torque", 0.4), ("free_spin_time", 2.0),
+    ], ids=["kp", "ki", "travel_limit", "overload_torque", "free_spin_time"])
+    def test_controller_tuning_is_not_a_setting(self, tmp_path, capsys,
+                                                name, value):
+        """The PI gains, travel limit, overload fault and FREE spin are
+        constants of `control`: a file that sets one, even to its value,
+        names it as an unknown field, and so does code that passes it."""
+        scen = tmp_path / "tuning.yaml"
+        scen.write_text(f"seed: 0\ncontroller: {{{name}: {value!r}}}\n")
+        assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml") == 1
+        assert capsys.readouterr().err == (
+            f"error: controller.{name}: unknown field\n")
+        assert not (tmp_path / "r.yaml").exists()
+        with pytest.raises(TypeError, match=f"unknown field '{name}'"):
+            scenario.ControllerConfig(**{name: value})
+
     @pytest.mark.parametrize("text, key, line", [
         ("seed: 0\nduration: 1.0\nduration: 2.0\n", "duration", 3),
         ("seed: 0\nsim: {p_max: 0.5,\n      p_max: 0.2}\n", "p_max", 3),

@@ -13,6 +13,12 @@ def cfg_with(**kw):
     return scenario.ControllerConfig(**kw)
 
 
+def set_constants(monkeypatch, **constants):
+    """Replace `control` constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(control, name, value)
+
+
 class TestTargetForce:
     def test_zero_torque_floors_at_f_min(self):
         cfg = cfg_with()
@@ -205,15 +211,15 @@ class TestPidForceStep:
         state = control.ControllerState()
         for _ in range(10_000):
             u = control.pid_force_step(state, 0.0, 1e6, cfg)
-            assert u == cfg.travel_limit
+            assert u == control.TRAVEL_LIMIT
             assert state.integrator == 0.0
 
-    def test_overflowed_command_is_nan(self):
-        """With ki = 0 the integrator is unbounded; once it overflows,
+    def test_overflowed_command_is_nan(self, monkeypatch):
+        """With KI = 0 the integrator is unbounded; once it overflows,
         0 * inf makes the command NaN, which is returned as it is rather
         than clamped to a travel limit."""
-        cfg = cfg_with(ki=0.0, kp=0.0, travel_limit=1e308, f_min=1e308,
-                       f_max=1e308)
+        set_constants(monkeypatch, KI=0.0, KP=0.0, TRAVEL_LIMIT=1e308)
+        cfg = cfg_with(f_min=1e308, f_max=1e308)
         state = control.ControllerState()
         for _ in range(179):
             assert control.pid_force_step(state, 0.0, 1e308, cfg) == (
@@ -222,12 +228,12 @@ class TestPidForceStep:
         assert np.isnan(control.pid_force_step(state, 0.0, 1e308, cfg))
         assert state.integrator == held
 
-    def test_infinite_command_clamps_and_holds(self):
-        cfg = cfg_with(kp=1e308, travel_limit=1e308, f_min=1e308,
-                       f_max=1e308)
+    def test_infinite_command_clamps_and_holds(self, monkeypatch):
+        set_constants(monkeypatch, KP=1e308, TRAVEL_LIMIT=1e308)
+        cfg = cfg_with(f_min=1e308, f_max=1e308)
         state = control.ControllerState()
         assert control.pid_force_step(state, 0.0, 1e308, cfg) == (
-            cfg.travel_limit)
+            control.TRAVEL_LIMIT)
         assert state.integrator == 0.0
 
     @settings(max_examples=100, deadline=None)
@@ -239,8 +245,9 @@ class TestPidForceStep:
         limit."""
         cfg = cfg_with()
         state = control.ControllerState()
-        lo = -(cfg.travel_limit + cfg.f_max / cfg.k_spring_est) / cfg.ki
-        hi = cfg.travel_limit / cfg.ki
+        lo = -(control.TRAVEL_LIMIT
+               + cfg.f_max / cfg.k_spring_est) / control.KI
+        hi = control.TRAVEL_LIMIT / control.KI
         for f_meas, f_target, steps in stream:
             for _ in range(steps):
                 control.pid_force_step(state, f_meas, f_target, cfg)
@@ -301,7 +308,8 @@ class TestUpdate:
         cfg = cfg_with(direction="screwing")
         state = drive_state(cfg)
         control.update(
-            state, sim.FtSample(0.0, 10.0, cfg.overload_torque + 0.01), cfg)
+            state, sim.FtSample(0.0, 10.0, control.OVERLOAD_TORQUE + 0.01),
+            cfg)
         assert state.phase == Phase.FAULT
 
     @pytest.mark.parametrize("fz, mz", [(float("nan"), 0.15),
@@ -318,9 +326,9 @@ class TestUpdate:
         assert state.phase == Phase.FAULT
         assert cmd == control.ToolCommand(z_cmd=z_last, spindle_speed=0.0)
 
-    def test_nan_command_faults_and_holds(self):
-        cfg = cfg_with(direction="screwing", ki=0.0, kp=0.0,
-                       travel_limit=1e308, f_min=1e308, f_max=1e308)
+    def test_nan_command_faults_and_holds(self, monkeypatch):
+        set_constants(monkeypatch, KI=0.0, KP=0.0, TRAVEL_LIMIT=1e308)
+        cfg = cfg_with(direction="screwing", f_min=1e308, f_max=1e308)
         state = drive_state(cfg)
         state.integrator = 1.79e308
         state.z_cmd = 0.004
@@ -368,11 +376,13 @@ class TestUpdate:
         assert (state.phase, state.free_steps) == (Phase.DRIVE, 0)
         assert cmd.spindle_speed == -control.SPINDLE_SPEED
 
-    def test_free_lasts_whole_steps(self):
-        """FREE spins for `round(free_spin_time / DT)` updates, the last of
+    def test_free_lasts_whole_steps(self, monkeypatch):
+        """FREE spins for `round(FREE_SPIN_TIME / DT)` updates, the last of
         which enters DONE: 10 at 0.1 s and 200 at the default 2.0 s."""
+        assert control.FREE_SPIN_TIME == 2.0
         for spin, steps in ((0.1, 10), (2.0, 200)):
-            cfg = cfg_with(direction="unscrewing", free_spin_time=spin)
+            set_constants(monkeypatch, FREE_SPIN_TIME=spin)
+            cfg = cfg_with(direction="unscrewing")
             state = drive_state(cfg)
             state.phase = Phase.FREE
             phases = []
@@ -423,7 +433,7 @@ class TestUpdate:
         result = runner.run_scenario(sc)
         assert result.outcome == runner.Outcome.DONE
         assert result.world.seated
-        assert result.peak_torque < cfg_with().overload_torque
+        assert result.peak_torque < control.OVERLOAD_TORQUE
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 80), st.floats(0, 0.39)),
@@ -438,16 +448,19 @@ class TestUpdate:
             prev = state.phase
 
 
-@pytest.mark.parametrize("fields, outcome, steps", [
-    ({}, runner.Outcome.DONE, 1674),
-    ({"controller": {"overload_torque": 0.05}}, runner.Outcome.FAULT, 137),
-    ({"duration": 1.0}, runner.Outcome.TIMEOUT, 100),
+@pytest.mark.parametrize("fields, constants, outcome, steps", [
+    ({}, {}, runner.Outcome.DONE, 1674),
+    ({}, {"OVERLOAD_TORQUE": 0.05}, runner.Outcome.FAULT, 137),
+    ({"duration": 1.0}, {}, runner.Outcome.TIMEOUT, 100),
     # 100.5 periods step 100 times, so the run ends at t = 1.0
-    ({"duration": 1.005}, runner.Outcome.TIMEOUT, 100),
+    ({"duration": 1.005}, {}, runner.Outcome.TIMEOUT, 100),
 ], ids=["done", "fault", "timeout", "timeout_part_period"])
-def test_run_scenario_folds_the_closed_loop(fields, outcome, steps):
+def test_run_scenario_folds_the_closed_loop(monkeypatch, fields, constants,
+                                            outcome, steps):
     """`run_scenario` agrees with one pass of `closed_loop`: its samples,
-    slip onsets, final states and report come from the yielded steps."""
+    slip onsets, final states and report come from the yielded steps.
+    `constants` replaces `control` constants for the run."""
+    set_constants(monkeypatch, **constants)
     sc = scenario.default_scenario("screwing", seed=3, **fields)
     sensed, times, slipping = [], [], []
     for world, _, sample, state in runner.closed_loop(sc):

@@ -450,13 +450,14 @@ def _sign_rows(section, positive, non_negative):
     ({"duration": 1.0e308}, "duration"),
     ({"sim": {"slip_dwell": 1.0e308}},
      r"sim\.slip_dwell: too large to count in sample periods, got 1e\+308$"),
-    ({"controller": {"free_spin_time": 1.0e308}},
-     r"controller\.free_spin_time: too large to count in sample periods"),
-    *_sign_rows("controller",
-                ("nu", "margin", "base_ramp", "k_spring_est", "travel_limit",
-                 "overload_torque"), ()),
-    *_sign_rows("controller", (),
-                ("f_min", "kp", "ki", "noise_floor", "free_spin_time")),
+    *_sign_rows("controller", ("nu", "margin", "base_ramp", "k_spring_est"),
+                ("f_min", "noise_floor")),
+    # the PI gains, travel limit, overload fault and FREE spin are
+    # constants: a value that broke their old rules is an unknown field
+    *[({"controller": {name: value}}, rf"controller\.{name}: unknown field$")
+      for name, value in (("free_spin_time", 1.0e308), ("travel_limit", 0),
+                          ("overload_torque", 0), ("kp", -1), ("ki", -1),
+                          ("free_spin_time", -1))],
     *_sign_rows("screw", ("thread_pitch", "shank_length", "nu_char"), ()),
     *_sign_rows("substrate", ("k_seat",), ("tau_cut", "k_depth",
                                            "tau_run_nut")),
@@ -601,11 +602,11 @@ def test_integer_literals_are_numbers():
     scen = scenario.scenario_from_dict({
         "seed": 3, "duration": 40, "contact_z": 0,
         "sim": {"k_spring": 5000},
-        "controller": {"overload_torque": 1, "nu": 100},
+        "controller": {"base_ramp": 1, "nu": 100},
         "screw": {"nu_char": None}})
     assert scen.duration == 40.0 and scen.sim.k_spring == 5000
-    assert type(scen.controller.overload_torque) is float
-    assert scen.controller.overload_torque == 1.0
+    assert type(scen.controller.base_ramp) is float
+    assert scen.controller.base_ramp == 1.0
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -710,8 +711,8 @@ _SETTINGS_EXAMPLES = {
     scenario.ControllerConfig: lambda: [
         scenario.ControllerConfig(),
         scenario.ControllerConfig(direction="screwing"),
-        scenario.ControllerConfig(free_spin_time=1),
-        scenario.ControllerConfig(overload_torque=1, margin=3)],
+        scenario.ControllerConfig(k_spring_est=4000),
+        scenario.ControllerConfig(base_ramp=1, tau_stop=1, margin=3)],
     scenario.Scenario: lambda: [
         scenario.default_scenario("screwing"),
         scenario.default_scenario("screwing", screw={"thread_pitch": 0.001}),
