@@ -14,8 +14,9 @@ A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
 Any field left out takes the documented default, so a minimal file only
 needs to say what differs; a key given twice in one mapping is an error
-naming it and its line. `scenario_from_dict` and `default_scenario` give
-the controller the screw's characteristic ratio as its nu gain (the
+naming it and its line. `NU_CHAR[head_type]` is the head's slippage
+ratio: `sim` takes it as the cam-out threshold, and `scenario_from_dict`
+and `default_scenario` give it to the controller as its nu gain (the
 human-derived value for that head type); a `ControllerConfig()` built in
 code keeps its own default (Phillips, 106/m). The top-level `direction` is
 stored once, in `ControllerConfig.direction`, so `controller.direction` is
@@ -57,8 +58,9 @@ class Direction(str, enum.Enum):
     UNSCREWING = "unscrewing"
 
 
-# Slippage-threshold force/torque ratios (1/m), per driver/recess pairing.
-NU_CHAR_DEFAULTS = {
+# Slippage-threshold force/torque ratios (1/m), per driver/recess pairing:
+# the model's cam-out threshold and the controller's default nu gain.
+NU_CHAR = {
     HeadType.PHILLIPS: 106.0,
     HeadType.INTERNAL_HEX: 57.0,
     HeadType.MISMATCHED_DRIVER: 300.0,
@@ -157,30 +159,15 @@ class _Settings:
         return NotImplemented
 
 
-def _check_periods(obj, name: str) -> None:
-    """A duration that a run counts in whole sample periods: the field's
-    count, `sensor.periods`, must be finite."""
-    value = getattr(obj, name)
-    try:
-        sensor.periods(value)
-    except OverflowError:
-        raise ScenarioError(f"{name}: too large to count in sample "
-                            f"periods, got {value!r}") from None
-
-
 @dataclass(init=False, repr=False, eq=False)
 class ScrewSpec(_Settings):
-    """Fastener geometry and head/driver pairing (M3 x 8 mm defaults)."""
+    """Head/driver pairing and shank length (M3 x 8 mm defaults). The
+    head's slippage ratio is `NU_CHAR[head_type]`, and the pitch is
+    `sim.THREAD_PITCH`."""
 
     head_type: HeadType = HeadType.PHILLIPS
-    thread_pitch: float = 0.0005  # m per revolution
     shank_length: float = 0.008  # m
-    nu_char: float | None = None  # 1/m; default depends on head_type
-    positive: ClassVar[tuple] = ("thread_pitch", "shank_length", "nu_char")
-
-    def __post_init__(self):
-        if self.nu_char is None:
-            self.nu_char = NU_CHAR_DEFAULTS[self.head_type]
+    positive: ClassVar[tuple] = ("shank_length",)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -202,23 +189,18 @@ class SubstrateSpec(_Settings):
 
 @dataclass(init=False, repr=False, eq=False)
 class SimParams(_Settings):
-    """Mount spring, sensor noise and cam-out model of the world stepper."""
+    """Mount spring, sensor noise and peak cam-out rate of the world
+    stepper. The cam-out logistic's sharpness and dwell are constants of
+    `sim`."""
 
     k_spring: float = 5000.0  # N/m, compliant mount spring constant
     force_noise_std: float = sensor.FORCE_NOISE_STD  # N
     torque_noise_std: float = sensor.TORQUE_NOISE_STD  # N·m
     p_max: float = 0.1  # peak per-step slip probability
-    slip_sharpness: float = 6.0  # logistic steepness
-    # s, how long a cam-out reports `slipping`: `sensor.periods(slip_dwell)`
-    # steps from the onset step; the screw also holds on the step that ends
-    # it (`sim`)
-    slip_dwell: float = 0.1
-    positive: ClassVar[tuple] = ("k_spring", "p_max", "slip_sharpness")
-    non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std",
-                                     "slip_dwell")
+    positive: ClassVar[tuple] = ("k_spring", "p_max")
+    non_negative: ClassVar[tuple] = ("force_noise_std", "torque_noise_std")
 
     def __post_init__(self):
-        _check_periods(self, "slip_dwell")
         if self.p_max > 1.0:
             raise ScenarioError("p_max: must be <= 1")
 
@@ -230,7 +212,7 @@ class ControllerConfig(_Settings):
     `control`."""
 
     direction: Direction = Direction.UNSCREWING  # the run's one direction
-    nu: float = NU_CHAR_DEFAULTS[HeadType.PHILLIPS]  # 1/m, human-derived gain
+    nu: float = NU_CHAR[HeadType.PHILLIPS]  # 1/m, human-derived gain
     margin: float = 2.0  # multiplier on nu
     f_min: float = 1.0  # N
     f_max: float = 50.0  # N
@@ -252,7 +234,7 @@ class ControllerConfig(_Settings):
 
 
 # Checked field annotations (strings under postponed evaluation).
-_KINDS = {"float": float, "float | None": float, "int": int, **{
+_KINDS = {"float": float, "int": int, **{
     kind.__name__: kind for kind in (
         HeadType, SubstrateKind, Direction,
         ScrewSpec, SubstrateSpec, SimParams, ControllerConfig)}}
@@ -276,7 +258,11 @@ class Scenario(_Settings):
             raise ScenarioError(
                 f"duration: must be at least one sample period "
                 f"({sensor.DT} s)")
-        _check_periods(self, "duration")
+        try:
+            sensor.periods(self.duration)  # the run counts it in periods
+        except OverflowError:
+            raise ScenarioError(f"duration: too large to count in sample "
+                                f"periods, got {self.duration!r}") from None
 
     @property
     def direction(self) -> Direction:
@@ -317,7 +303,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(ctrl_data, dict):
         raise ScenarioError("controller: expected a mapping")
     controller = _build(ControllerConfig, "controller",
-                        {"nu": screw.nu_char, **ctrl_data},
+                        {"nu": NU_CHAR[screw.head_type], **ctrl_data},
                         direction=direction)
     return _build(Scenario, None, data, screw=screw, substrate=substrate,
                   sim=sim, controller=controller)

@@ -1,21 +1,22 @@
 """Fixed-step physical model of a screwdriver/screw/substrate system: the
 world state (`WorldState`), the sample type (`FtSample`) and the step
-functions. The settings they read (`ScrewSpec`, `SubstrateSpec`,
-`SimParams`) live in `scenario`.
+functions, and the thread pitch and cam-out constants. The settings they
+read (`ScrewSpec`, `SubstrateSpec`, `SimParams`) live in `scenario`.
 
 The tool is carried on a spring-compliant mount: commanded carriage position
 maps to axial force through the spring constant. Running torque is Coulomb
 friction, affine in the engaged thread length and independent of rotation
 speed. Cam-out (tip slippage) is a per-step Bernoulli event whose probability
-is logistic in the ratio of applied force to the slippage-threshold force.
+is logistic, with sharpness `SLIP_SHARPNESS`, in the ratio of applied force
+to the slippage-threshold force `NU_CHAR[head_type] * tau_req`.
 
 Every timer counts whole sample periods. A cam-out holds the screw still on
-its onset step and on the n = sensor.periods(slip_dwell) steps after it.
+its onset step and on the n = sensor.periods(SLIP_DWELL) steps after it.
 `slipping`, `slip_steps_left > 0`, reads True on the onset step and the next
 n - 1, and False on the last held step, so back-to-back cam-outs give
-separate rising edges. At the default 0.1 s the screw holds for 11 steps, 10
-of them `slipping`. The clock is the int `step`, and `time` is
-`step / SAMPLE_HZ`, so the k-th sample's `t` is the float nearest `k / 100` s.
+separate rising edges. At 0.1 s the screw holds for 11 steps, 10 of them
+`slipping`. The clock is the int `step`, and `time` is `step / SAMPLE_HZ`,
+so the k-th sample's `t` is the float nearest `k / 100` s.
 
 Randomness comes from the caller's `rng`, which needs only a `random()`
 method giving uniforms in [0, 1) (a `random.Random`). Each step draws
@@ -30,12 +31,16 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .scenario import CONTACT_Z, Direction, SubstrateKind
+from .scenario import CONTACT_Z, NU_CHAR, Direction, SubstrateKind
 from .sensor import DT, SAMPLE_HZ, periods
 
 if TYPE_CHECKING:
     from .control import ToolCommand
     from .scenario import ScrewSpec, SimParams, SubstrateSpec
+
+THREAD_PITCH = 0.0005  # m per revolution (M3)
+SLIP_SHARPNESS = 6.0  # steepness of the cam-out logistic
+SLIP_DWELL = 0.1  # s, how long a cam-out reports `slipping`
 
 
 class FtSample(NamedTuple):
@@ -75,7 +80,7 @@ def initial_world(screw: ScrewSpec, direction: Direction,
     hand), unscrewing begins at full engagement with the head just free."""
     direction = Direction(direction)
     if direction == Direction.SCREWING:
-        depth = min(screw.thread_pitch, screw.shank_length)
+        depth = min(THREAD_PITCH, screw.shank_length)
     else:
         depth = screw.shank_length
     return WorldState(engaged_depth=depth, contact_z=contact_z)
@@ -102,14 +107,15 @@ def required_torque(world: WorldState, substrate: SubstrateSpec,
 def slip_probability(axial_force: float, tau_req: float, screw: ScrewSpec,
                      params: SimParams) -> float:
     """Per-step cam-out probability: logistic in force over the slippage
-    threshold nu_char * tau_req, saturating at p_max when unloaded."""
+    threshold NU_CHAR[head_type] * tau_req, saturating at p_max when
+    unloaded."""
     if axial_force < 0 or tau_req < 0:
         raise ValueError("axial_force and tau_req must be >= 0")
-    threshold = screw.nu_char * tau_req
-    if threshold == 0.0:  # no torque, or a product below the float range
+    threshold = NU_CHAR[screw.head_type] * tau_req
+    if threshold == 0.0:  # no torque
         return 0.0
     ratio = axial_force / threshold
-    arg = params.slip_sharpness * (ratio - 1.0)
+    arg = SLIP_SHARPNESS * (ratio - 1.0)
     if arg > 700.0:  # exp overflow guard
         return 0.0
     return params.p_max / (1.0 + math.exp(arg))
@@ -146,7 +152,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
         p = slip_probability(force, tau_req, screw, params)
         if u < p:  # never at p == 0, as u >= 0
             # tip skips one recess lobe; screw does not move this dwell
-            world.slip_steps_left = periods(params.slip_dwell)
+            world.slip_steps_left = periods(SLIP_DWELL)
         else:
             mz = tau_req
             turn = cmd.spindle_speed * DT  # rad, signed like the spindle
@@ -156,7 +162,7 @@ def step_world(world: WorldState, cmd: "ToolCommand", screw: ScrewSpec,
                     world.seated = False
             else:
                 old = world.engaged_depth
-                new = max(0.0, old + screw.thread_pitch * turn / math.tau)
+                new = max(0.0, old + THREAD_PITCH * turn / math.tau)
                 if turn > 0.0 and new >= screw.shank_length:
                     new = screw.shank_length
                     world.seated = True

@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import (HealthCheck, example, given, settings,
-                        strategies as st)
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from screwbench import analysis, cli, control, logio, runner, scenario
 from screwbench.errors import ScenarioError, ScrewbenchError
@@ -130,24 +129,33 @@ class TestSimulate:
             f"error: controller.{name}: unknown field\n")
         assert not (tmp_path / "r.yaml").exists()
 
-    @pytest.mark.parametrize("name, value", [
-        ("kp", 1.0e-4), ("ki", 5.0e-3), ("travel_limit", 0.02),
-        ("overload_torque", 0.4), ("free_spin_time", 2.0),
-    ], ids=["kp", "ki", "travel_limit", "overload_torque", "free_spin_time"])
+    @pytest.mark.parametrize("section, name, value", [
+        ("controller", "kp", 1.0e-4), ("controller", "ki", 5.0e-3),
+        ("controller", "travel_limit", 0.02),
+        ("controller", "overload_torque", 0.4),
+        ("controller", "free_spin_time", 2.0),
+        ("screw", "nu_char", 57.0), ("screw", "thread_pitch", 0.0005),
+        ("sim", "slip_sharpness", 6.0), ("sim", "slip_dwell", 0.1),
+    ], ids=["kp", "ki", "travel_limit", "overload_torque", "free_spin_time",
+            "nu_char", "thread_pitch", "slip_sharpness", "slip_dwell"])
     def test_controller_tuning_is_not_a_setting(self, tmp_path, capsys,
-                                                name, value):
+                                                section, name, value):
         """The PI gains, travel limit, overload fault and FREE spin are
-        constants of `control`: a file that sets one, even to its value,
-        names it as an unknown field, and so does code that passes it."""
+        constants of `control`, and the thread pitch, the head's slippage
+        ratio and the cam-out logistic's sharpness and dwell constants of
+        `sim`: a file that sets one, even to its value, names it as an
+        unknown field, and so does code that passes it."""
         scen = tmp_path / "tuning.yaml"
-        scen.write_text(f"seed: 0\ncontroller: {{{name}: {value!r}}}\n")
+        scen.write_text(f"seed: 0\n{section}: {{{name}: {value!r}}}\n")
         assert run_cli("simulate", scen, "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml") == 1
         assert capsys.readouterr().err == (
-            f"error: controller.{name}: unknown field\n")
+            f"error: {section}.{name}: unknown field\n")
         assert not (tmp_path / "r.yaml").exists()
+        cls = {"controller": scenario.ControllerConfig,
+               "screw": scenario.ScrewSpec, "sim": scenario.SimParams}[section]
         with pytest.raises(TypeError, match=f"unknown field '{name}'"):
-            scenario.ControllerConfig(**{name: value})
+            cls(**{name: value})
 
     @pytest.mark.parametrize("text, key, line", [
         ("seed: 0\nduration: 1.0\nduration: 2.0\n", "duration", 3),
@@ -251,7 +259,7 @@ _MAGNITUDES = [0, 1e-300, 1e-9, 1e-3, 0.5, 1, 3, 1e3, 1e9, 1e300]
 
 def _number_fields(cls):
     return sorted(f.name for f in dataclasses.fields(cls)
-                  if f.type in ("float", "float | None", "int"))
+                  if f.type in ("float", "int"))
 
 
 _run_mappings = st.fixed_dictionaries({
@@ -270,10 +278,6 @@ _run_mappings = st.fixed_dictionaries({
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_run_mappings)
-@example(data={  # nu_char * tau_req underflowed to a zero divisor
-    "seed": 0, "duration": 2.0, "direction": "screwing",
-    "screw": {"nu_char": 1e-300},
-    "substrate": {"tau_cut": 0, "k_depth": 1e-300}})
 def test_any_scenario_that_loads_runs_cleanly(tmp_path, data):
     """A scenario that loads runs to `done`, `fault` or `timeout`, with
     every number of its report finite and a log that `read_log` reads."""

@@ -120,11 +120,13 @@ class TestDetectTerminal:
         assert term is None
 
     def test_no_false_seating_during_induced_high_torque_slips(self):
-        # closed-loop screwing with aggressive slips near seating torque:
-        # ground-truth seated flag must agree with the detector's verdict
+        # closed-loop screwing with aggressive slips near seating torque
+        # (86 onsets, 10 of them in the last 3 s before the seat at
+        # 25.66 s): ground-truth seated flag must agree with the detector's
+        # verdict
         sc = scenario.default_scenario(
-            "screwing", seed=11,
-            sim={"p_max": 0.5, "slip_sharpness": 2.0})
+            "screwing", seed=11, sim={"p_max": 0.5},
+            controller={"margin": 1.0})
         for world, _, _, state in runner.closed_loop(sc):
             pass
         # the loop ends on the step that enters DONE, so this run seated

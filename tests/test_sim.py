@@ -89,7 +89,7 @@ class TestSlipProbability:
 
     def test_logistic_midpoint(self):
         tau = 0.15
-        f = self.screw.nu_char * tau
+        f = scenario.NU_CHAR[self.screw.head_type] * tau
         p = sim.slip_probability(f, tau, self.screw, self.params)
         assert p == pytest.approx(self.params.p_max / 2.0, rel=1e-12)
 
@@ -163,12 +163,13 @@ class TestStepWorld:
                 cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
                                           spindle_speed=sign * speed)
                 sim.step_world(world, cmd, self.screw, self.sub, params, rng)
-        quantum = self.screw.thread_pitch * speed * sensor.DT / math.tau
+        quantum = sim.THREAD_PITCH * speed * sensor.DT / math.tau
         assert abs(world.engaged_depth - start) <= quantum
 
     def test_slip_freezes_screw_and_torque(self):
-        # barely-loaded contact: slip probability is effectively p_max = 1
-        params = scenario.SimParams(p_max=1.0, slip_sharpness=50.0)
+        # barely-loaded contact: the slip probability is p_max / (1 + e^-6),
+        # above 0.99 at p_max = 1
+        params = scenario.SimParams(p_max=1.0)
         world = make_world(engaged_depth=0.004, contact_z=0.005)
         rng = np.random.default_rng(0)
         cmd = control.ToolCommand(z_cmd=0.0050001, spindle_speed=2 * math.pi)
@@ -179,14 +180,15 @@ class TestStepWorld:
         assert truth.mz == 0.0
         assert world.screw_angle == angle_before
 
-    def test_camout_holds_the_screw_for_whole_steps(self):
+    def test_camout_holds_the_screw_for_whole_steps(self, monkeypatch):
         """A cam-out holds the screw on its onset step and the next
-        max(1, round(slip_dwell / DT)) steps: 11 at the default 0.1 s.
-        `slipping` reads False on the last of them, so a cam-out on the
-        next step is a new onset."""
+        max(1, round(SLIP_DWELL / DT)) steps: 11 at its 0.1 s. `slipping`
+        reads False on the last of them, so a cam-out on the next step is a
+        new onset."""
         cmd = control.ToolCommand(z_cmd=0.0051, spindle_speed=2 * math.pi)
-        for dwell, held in ((0.1, 11), (0.03, 4), (0.0, 2)):
-            params = scenario.SimParams(slip_dwell=dwell)
+        params = scenario.SimParams()
+        for dwell, held in ((sim.SLIP_DWELL, 11), (0.03, 4), (0.0, 2)):
+            monkeypatch.setattr(sim, "SLIP_DWELL", dwell)
             world = make_world(engaged_depth=0.004, contact_z=0.005)
             slipping = []
             # the first draw slips, no later one does
@@ -211,9 +213,9 @@ class TestStepWorld:
         assert world.engaged_depth == self.screw.shank_length
 
     def test_unscrewing_never_seats(self):
-        # a pitch so small that one step's depth change rounds away leaves
+        # a shank so long that one step's depth change rounds away leaves
         # the depth at the shank length, which must not seat the screw
-        screw = scenario.ScrewSpec(thread_pitch=5e-324)
+        screw = scenario.ScrewSpec(shank_length=1e11)
         params = scenario.SimParams(p_max=1e-300)
         world = make_world(engaged_depth=screw.shank_length, contact_z=0.005)
         cmd = control.ToolCommand(z_cmd=world.contact_z + 0.006,
@@ -339,7 +341,7 @@ class TestStreamContract:
 
     def test_slip_onset_and_dwell_draw_once_per_step(self):
         world = make_world(engaged_depth=0.004, contact_z=0.005)
-        n = round(self.params.slip_dwell / sensor.DT)
+        n = round(sim.SLIP_DWELL / sensor.DT)
         slipping = []
         for _ in range(1 + n):  # the onset step, then the dwell
             assert self.step(world, self.pressed, u=0.0) == 1
@@ -402,15 +404,15 @@ def test_periods_is_the_nearest_count_and_at_least_one(seconds, count):
 
 
 def test_nu_char_ordering_across_heads():
-    hex_nu = scenario.ScrewSpec(head_type="internal_hex").nu_char
-    phil_nu = scenario.ScrewSpec(head_type="phillips").nu_char
-    bad_nu = scenario.ScrewSpec(head_type="mismatched_driver").nu_char
+    hex_nu = scenario.NU_CHAR[scenario.HeadType.INTERNAL_HEX]
+    phil_nu = scenario.NU_CHAR[scenario.HeadType.PHILLIPS]
+    bad_nu = scenario.NU_CHAR[scenario.HeadType.MISMATCHED_DRIVER]
     assert hex_nu < phil_nu < bad_nu
 
 
 def test_invalid_specs_raise():
     with pytest.raises(ValueError):
-        scenario.ScrewSpec(thread_pitch=0.0)
+        scenario.ScrewSpec(shank_length=0.0)
     with pytest.raises(ValueError):
         scenario.SubstrateSpec(k_seat=0.0)
     with pytest.raises(ValueError):
@@ -448,8 +450,8 @@ def _sign_rows(section, positive, non_negative):
     ({"controller": [1]}, "controller: expected a mapping"),
     ({"duration": 0.004}, "duration"),
     ({"duration": 1.0e308}, "duration"),
-    ({"sim": {"slip_dwell": 1.0e308}},
-     r"sim\.slip_dwell: too large to count in sample periods, got 1e\+308$"),
+    ({"duration": 1.0e308},
+     r"^duration: too large to count in sample periods, got 1e\+308$"),
     *_sign_rows("controller", ("nu", "margin", "base_ramp", "k_spring_est"),
                 ("f_min", "noise_floor")),
     # the PI gains, travel limit, overload fault and FREE spin are
@@ -458,17 +460,23 @@ def _sign_rows(section, positive, non_negative):
       for name, value in (("free_spin_time", 1.0e308), ("travel_limit", 0),
                           ("overload_torque", 0), ("kp", -1), ("ki", -1),
                           ("free_spin_time", -1))],
-    *_sign_rows("screw", ("thread_pitch", "shank_length", "nu_char"), ()),
+    *_sign_rows("screw", ("shank_length",), ()),
     *_sign_rows("substrate", ("k_seat",), ("tau_cut", "k_depth",
                                            "tau_run_nut")),
-    *_sign_rows("sim", ("k_spring", "p_max", "slip_sharpness"),
-                ("force_noise_std", "torque_noise_std", "slip_dwell")),
+    *_sign_rows("sim", ("k_spring", "p_max"),
+                ("force_noise_std", "torque_noise_std")),
     ({"seed": -1}, r"seed: must be >= 0, got -1$"),
-    # a negative sharpness inverts the logistic: more force, more cam-outs
-    ({"sim": {"slip_sharpness": -6.0}},
-     r"sim\.slip_sharpness: must be > 0, got -6\.0$"),
+    # the thread pitch, the head's slippage ratio and the cam-out logistic's
+    # sharpness and dwell are constants: a value that broke their old rules,
+    # or the None that stood for the head type's ratio, is an unknown field
+    *[({section: {name: value}}, rf"{section}\.{name}: unknown field$")
+      for section, name, value in (
+          ("screw", "thread_pitch", 0), ("screw", "nu_char", 0),
+          ("screw", "nu_char", None), ("sim", "slip_sharpness", 0),
+          ("sim", "slip_sharpness", -6.0), ("sim", "slip_dwell", -1),
+          ("sim", "slip_dwell", 1.0e308))],
     # of two bad fields, the first in field order is named
-    ({"sim": {"slip_dwell": -1, "k_spring": -1}},
+    ({"sim": {"torque_noise_std": -1, "k_spring": -1}},
      r"sim\.k_spring: must be > 0, got -1$"),
     # cross-field rules name their first field
     ({"sim": {"p_max": 2}}, r"sim\.p_max: must be <= 1$"),
@@ -503,7 +511,7 @@ def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
     a misspelled name in a rule table, or a default that breaks its own
     rule, would never be checked."""
     number_fields = {f.name: f.default for f in dataclasses.fields(cls)
-                     if f.type in ("float", "float | None", "int")}
+                     if f.type in ("float", "int")}
     assert set(cls.positive) <= number_fields.keys()
     assert set(cls.non_negative) <= number_fields.keys()
     assert not set(cls.positive) & set(cls.non_negative)
@@ -513,10 +521,7 @@ def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
             default = number_fields[name]
             if default is dataclasses.MISSING:
                 continue
-            # a None default (nu_char) stands for the head type's value
-            values = (scenario.NU_CHAR_DEFAULTS.values() if default is None
-                      else [default])
-            assert all(map(rule, values)), name
+            assert rule(default), name
 
 
 # Values of every kind a YAML file can hold: numbers finite, huge and
@@ -590,7 +595,7 @@ def test_any_mapping_gives_scenario_or_scenario_error(data):
                          scen.controller):
         for f in dataclasses.fields(settings_obj):
             value = getattr(settings_obj, f.name)
-            if f.type in ("float", "float | None"):
+            if f.type == "float":
                 assert type(value) is float and math.isfinite(value), f.name
             elif f.type == "int":
                 assert type(value) is int, f.name
@@ -602,8 +607,7 @@ def test_integer_literals_are_numbers():
     scen = scenario.scenario_from_dict({
         "seed": 3, "duration": 40, "contact_z": 0,
         "sim": {"k_spring": 5000},
-        "controller": {"base_ramp": 1, "nu": 100},
-        "screw": {"nu_char": None}})
+        "controller": {"base_ramp": 1, "nu": 100}})
     assert scen.duration == 40.0 and scen.sim.k_spring == 5000
     assert type(scen.controller.base_ramp) is float
     assert scen.controller.base_ramp == 1.0
@@ -639,7 +643,7 @@ def test_scenario_built_in_code_rejects_negative_seed():
 
 
 @pytest.mark.parametrize("build, field", [
-    (lambda: scenario.ScrewSpec(thread_pitch=math.nan), "thread_pitch"),
+    (lambda: scenario.ScrewSpec(shank_length=math.nan), "shank_length"),
     (lambda: scenario.SubstrateSpec(k_seat=math.inf), "k_seat"),
     (lambda: scenario.SimParams(p_max=True), "p_max"),
     (lambda: scenario.ControllerConfig(margin=math.nan), "margin"),
@@ -652,7 +656,7 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  duration=math.nan),
      "duration: expected a finite number"),
-], ids=["thread_pitch", "k_seat", "p_max", "margin", "seed", "margin_and_nu",
+], ids=["shank_length", "k_seat", "p_max", "margin", "seed", "margin_and_nu",
         "contact_z", "duration"])
 def test_settings_built_in_code_follow_the_number_rule(build, field):
     """Settings built in code obey the number rule a scenario file obeys,
@@ -697,17 +701,18 @@ def test_scenario_built_in_code_checks_its_sections(section, wrong):
 _SETTINGS_EXAMPLES = {
     scenario.ScrewSpec: lambda: [
         scenario.ScrewSpec(),
-        scenario.ScrewSpec(head_type="internal_hex", nu_char=106),
-        scenario.ScrewSpec(nu_char=80),
-        scenario.ScrewSpec(thread_pitch=0.001, shank_length=0.01)],
+        scenario.ScrewSpec(head_type="internal_hex"),
+        scenario.ScrewSpec(shank_length=0.01),
+        scenario.ScrewSpec(head_type="mismatched_driver",
+                           shank_length=0.006)],
     scenario.SubstrateSpec: lambda: [
         scenario.SubstrateSpec(), scenario.SubstrateSpec(kind="nut"),
         scenario.SubstrateSpec(k_seat=0.1),
         scenario.SubstrateSpec(tau_cut=0, k_depth=20)],
     scenario.SimParams: lambda: [
         scenario.SimParams(), scenario.SimParams(k_spring=4000),
-        scenario.SimParams(slip_dwell=0),
-        scenario.SimParams(p_max=0.5, slip_sharpness=3)],
+        scenario.SimParams(p_max=0.5),
+        scenario.SimParams(torque_noise_std=0, p_max=0.5)],
     scenario.ControllerConfig: lambda: [
         scenario.ControllerConfig(),
         scenario.ControllerConfig(direction="screwing"),
@@ -715,7 +720,7 @@ _SETTINGS_EXAMPLES = {
         scenario.ControllerConfig(base_ramp=1, tau_stop=1, margin=3)],
     scenario.Scenario: lambda: [
         scenario.default_scenario("screwing"),
-        scenario.default_scenario("screwing", screw={"thread_pitch": 0.001}),
+        scenario.default_scenario("screwing", screw={"shank_length": 0.01}),
         scenario.default_scenario("screwing", contact_z=0.004),
         scenario.default_scenario("unscrewing", seed=5, duration=10)],
 }
