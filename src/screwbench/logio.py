@@ -5,7 +5,7 @@ units written with full precision so write/load round-trips bit-exactly.
 Calibration pairs are ``pot_reading,ref_force`` CSV rows under an optional
 header. Reports are flat YAML key/value documents with deterministic key
 order. Only the log read path loads numpy and the analysis module; writing
-a log or a report needs neither. This module alone cites a bad input file:
+a log or a report needs neither. A bad log or pairs file is cited as
 ``<path>:<line>: <what>``, or ``<path>: <what>`` where no line is at fault.
 """
 

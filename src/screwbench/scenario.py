@@ -7,8 +7,8 @@ field order, and then the class's cross-field rules (`__post_init__`).
 Their shared `repr` and `==` give what dataclass-generated ones would, so
 no class generates methods of its own at import. Each class lists its
 sign rules in the class tuples `positive` (> 0) and `non_negative` (>= 0);
-a bad setting, in a file or in code, is a `ScenarioError` naming the field
-(`substrate.tau_cut: must be >= 0, ...`).
+a bad value is a `ScenarioError` naming the field (`substrate.tau_cut: must
+be >= 0, ...`); in code, an unknown or missing field is a `TypeError`.
 
 A scenario is a YAML mapping with optional sections `screw`, `substrate`,
 `sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 import reprlib
 from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
@@ -70,14 +69,14 @@ NU_CHAR = {
 @functools.cache
 def _layout(cls) -> tuple:
     """`cls`'s field defaults in field order (MISSING for a field without
-    one), the fields without one, and (name, kind, default, sign) of each
-    number or enum field in field order."""
+    one), the fields without one, and (name, kind, sign) of each checked
+    field in field order."""
     signs = {**dict.fromkeys(cls.non_negative, ">="),
              **dict.fromkeys(cls.positive, ">")}
     defaults = {f.name: f.default for f in fields(cls)}
     required = tuple(name for name, default in defaults.items()
                      if default is MISSING)
-    checked = tuple((f.name, _KINDS[f.type], f.default, signs.get(f.name))
+    checked = tuple((f.name, _KINDS[f.type], signs.get(f.name))
                     for f in fields(cls) if f.type in _KINDS)
     return defaults, required, checked
 
@@ -95,13 +94,12 @@ class _Settings:
     applies the field rule, and a `repr` and `==` over the fields, the same
     as a dataclass's.
 
-    The field rule: a `float` field holds a finite real, stored as a float,
-    an `int` field an integer, stored as an int, and neither a bool, and
-    obeys the class's sign tables; an enum field holds a member, and a
-    settings field (a section of a `Scenario`) an instance of its class.
-    Only the given fields are checked, in field order, and one given as
-    its (known-good) class default object is skipped. The class's
-    `__post_init__` then applies its cross-field rules."""
+    The field rule: a `float` field holds a finite `int` or `float`, stored
+    as a float, and an `int` field an `int`, of exactly those types (not a
+    bool, a numpy scalar or a `Fraction`), each obeying the sign tables; an
+    enum field holds a member, and a settings field (a section of a
+    `Scenario`) an instance of its class. Every given field is checked, in
+    field order, before the class's `__post_init__` cross-field rules."""
 
     positive: ClassVar[tuple] = ()  # fields that must be > 0
     non_negative: ClassVar[tuple] = ()  # fields that must be >= 0
@@ -116,12 +114,10 @@ class _Settings:
         for name in required:
             if name not in given:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
-        for name, kind, default, sign in checked:
+        for name, kind, sign in checked:
             if name not in given:
                 continue
             value = given[name]
-            if value is default:
-                continue
             if issubclass(kind, enum.Enum):
                 values[name] = _member(kind, name, value)
                 continue
@@ -131,11 +127,11 @@ class _Settings:
                 raise ScenarioError(
                     f"{name}: expected a {kind.__name__}, got {value!r}")
             try:
-                ok = (isinstance(value, numbers.Integral) if kind is int else
-                      isinstance(value, numbers.Real) and math.isfinite(value))
+                ok = (type(value) is int if kind is int else
+                      type(value) in (int, float) and math.isfinite(value))
             except OverflowError:  # an int too large to be a float
                 ok = False
-            if not ok or isinstance(value, bool):
+            if not ok:
                 what = "an integer" if kind is int else "a finite number"
                 raise ScenarioError(f"{name}: expected {what}, got {value!r}")
             if sign and not (value > 0 if sign == ">" else value >= 0):
@@ -329,8 +325,8 @@ def load_scenario(path) -> Scenario:
                     continue
                 if repeated:
                     raise yaml.constructor.ConstructorError(
-                        None, None, f"duplicate key {key!r} on line "
-                                    f"{key_node.start_mark.line + 1}")
+                        None, None, f"duplicate key {key!r}",
+                        key_node.start_mark)
                 seen.add(key)
             return super().construct_mapping(node, deep=deep)
 
@@ -339,7 +335,10 @@ def load_scenario(path) -> Scenario:
     try:
         data = yaml.load(read_text(path), Loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
+        mark = getattr(exc, "problem_mark", None)  # a parse error's line
+        what = (" ".join(str(exc).split()) if mark is None else
+                f"{exc.problem} on line {mark.line + 1}")
+        raise ScenarioError(f"{path}: invalid YAML: {what}") from exc
     # an empty file is an empty mapping, so it still asks for the seed
     return scenario_from_dict({} if data is None else data)
 

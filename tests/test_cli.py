@@ -504,11 +504,21 @@ class TestLogIo:
                 columns(reference_read_log(path))
 
 
+# scenario files PyYAML refuses with a multi-line message of its own
+_MALFORMED_YAML = {
+    "simulate_unclosed_flow_sequence": "seed: [1",
+    "simulate_tab_indent": "seed: 1\nsim:\n\tk_spring: 1\n",
+    "simulate_unclosed_quote": 'seed: 1\ndirection: "screwing\n',
+    "simulate_python_object_tag": "!!python/object:os.system 1\n",
+}
+
+
 @pytest.mark.parametrize("case", ["analyze_missing_log",
                                   "analyze_not_utf8_log",
                                   "calibrate_not_utf8_pairs",
                                   "simulate_out_in_missing_dir",
-                                  "simulate_deeply_nested_scenario"])
+                                  "simulate_deeply_nested_scenario",
+                                  *_MALFORMED_YAML])
 def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
                                            case):
     not_utf8 = tmp_path / "not_utf8.csv"
@@ -516,6 +526,8 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
     missing = tmp_path / "missing" / "run.csv"
     nested = tmp_path / "nested.yaml"  # deeper than the parser recurses
     nested.write_text("seed: " + "[" * 600 + "]" * 600 + "\n")
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text(_MALFORMED_YAML.get(case, ""))
     argv, named = {
         "analyze_missing_log": (["analyze", missing], missing),
         "analyze_not_utf8_log": (["analyze", not_utf8], not_utf8),
@@ -526,6 +538,9 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
         "simulate_deeply_nested_scenario": (
             ["simulate", nested, "--out", tmp_path / "o.csv",
              "--report", tmp_path / "r.yaml"], nested),
+        **dict.fromkeys(_MALFORMED_YAML, (
+            ["simulate", malformed, "--out", tmp_path / "o.csv",
+             "--report", tmp_path / "r.yaml"], malformed)),
     }[case]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
@@ -1153,16 +1168,23 @@ def test_no_command_loads_scipy(tmp_path):
 def test_building_a_scenario_loads_no_model_controller_or_argparse():
     """The run settings live in `scenario`: importing the cli and building
     a scenario load neither the model (`sim`), the controller (`control`),
-    the closed loop (`runner`) nor `argparse`; a run still works after."""
+    the closed loop (`runner`), `argparse` nor `numbers`; a run still works
+    after. Importing the cli, which is all the set-up of the `simulate`,
+    `analyze` and `compare` benchmarks, loads no module outside the package
+    beyond the ones its own import lines name."""
     src = Path(cli.__file__).resolve().parents[1]
     code = textwrap.dedent("""
-        import sys
+        import __future__, pathlib, sys, typing  # named by cli's imports
+        before = set(sys.modules)
         import screwbench.cli
+        added = sorted(k for k in set(sys.modules) - before
+                       if k.partition(".")[0] != "screwbench")
+        assert not added, added
         from screwbench import scenario
 
         scen = scenario.default_scenario("screwing")
         unused = ("screwbench.sim", "screwbench.control",
-                  "screwbench.runner", "argparse")
+                  "screwbench.runner", "argparse", "numbers")
         loaded = [k for k in unused if k in sys.modules]
         assert not loaded, loaded
         from screwbench import runner

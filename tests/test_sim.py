@@ -3,6 +3,7 @@ import math
 import random
 import re
 import statistics
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,12 @@ def _sign_rows(section, positive, non_negative):
      r"screw\.head_type: expected one of phillips, .*, got 'torx'$"),
     ({"substrate": {"kind": [1]}}, r"substrate\.kind: expected one of "),
     ({"direction": "sideways"}, r"direction: expected one of screwing, "),
+    # the number types are exact: a numpy scalar or a Fraction is refused
+    ({"seed": np.int64(3)}, r"^seed: expected an integer, got "),
+    ({"sim": {"k_spring": np.float64(5000.0)}},
+     r"^sim\.k_spring: expected a finite number, got "),
+    ({"sim": {"p_max": Fraction(1, 2)}},
+     r"^sim\.p_max: expected a finite number, got Fraction\(1, 2\)$"),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
 def test_invalid_scenario_value_names_field(overrides, field):
     with pytest.raises(ScenarioError, match=field):
@@ -507,9 +514,10 @@ def test_invalid_scenario_value_names_field(overrides, field):
     scenario.ScrewSpec, scenario.SubstrateSpec, scenario.SimParams,
     scenario.ControllerConfig, scenario.Scenario], ids=lambda c: c.__name__)
 def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
-    """The settings constructor skips a field given as its class default, so
-    a misspelled name in a rule table, or a default that breaks its own
-    rule, would never be checked."""
+    """Every rule-table name is a number field and every default obeys its
+    own rule. The constructor checks only the fields it is given, so a
+    misspelled name in a rule table, or a default that breaks its rule,
+    would go unchecked in every scenario that leaves the field out."""
     number_fields = {f.name: f.default for f in dataclasses.fields(cls)
                      if f.type in ("float", "int")}
     assert set(cls.positive) <= number_fields.keys()
