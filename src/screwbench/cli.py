@@ -11,9 +11,10 @@ exit 1; physical outcomes (fault, timeout) are recorded in the report and
 exit zero.
 
 `simulate` writes its log and report to the two paths it is given, which
-must name different files, and removes the log file if the report cannot
-be written; `analyze`, `compare` and `calibrate` print their one report on
-stdout. The file formats live in `logio` and the fits in `analysis`.
+must name two different files, neither of them the scenario file, and
+removes the log file if the report cannot be written; `analyze`,
+`compare` and `calibrate` print their one report on stdout. The file
+formats live in `logio` and the fits in `analysis`.
 Imports at the point of use: `import screwbench.cli` loads only the error
 types (`errors`), not even `argparse`, which loads when `main` builds the
 parser; each subcommand loads the rest where it uses
@@ -58,6 +59,11 @@ def cmd_simulate(args) -> int:
     if Path(args.out).resolve() == Path(args.report).resolve():
         raise ScrewbenchError(
             f"--out and --report name the same file: {args.out}")
+    scenario_path = Path(args.scenario).resolve()
+    for option, path in (("--out", args.out), ("--report", args.report)):
+        if Path(path).resolve() == scenario_path:
+            raise ScrewbenchError(
+                f"{option} names the scenario file: {args.scenario}")
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         # through the settings rule, like a `seed:` in the file

@@ -331,13 +331,24 @@ def load_scenario(path) -> Scenario:
             return super().construct_mapping(node, deep=deep)
 
     # an integer literal past Python's digit limit is a ValueError, and
-    # nesting deeper than the parser's recursion limit a RecursionError
+    # nesting deeper than the parser's recursion limit a RecursionError.
+    # A parse error cites the line it stopped at, or the file's last line
+    # where the file ends early; a control character, which has no mark,
+    # is cited at the line of its position in the text
+    text = read_text(path)
     try:
-        data = yaml.load(read_text(path), Loader)
+        data = yaml.load(text, Loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        mark = getattr(exc, "problem_mark", None)  # a parse error's line
-        what = (" ".join(str(exc).split()) if mark is None else
-                f"{exc.problem} on line {mark.line + 1}")
+        mark = getattr(exc, "problem_mark", None)
+        if isinstance(exc, yaml.reader.ReaderError):
+            what = (f"unacceptable character #x{exc.character:04x}: "
+                    f"{exc.reason} on line "
+                    f"{len(text[:exc.position + 1].splitlines())}")
+        elif mark is None:
+            what = " ".join(str(exc).split())
+        else:
+            what = (f"{exc.problem} on line "
+                    f"{min(mark.line + 1, len(text.splitlines()))}")
         raise ScenarioError(f"{path}: invalid YAML: {what}") from exc
     # an empty file is an empty mapping, so it still asks for the seed
     return scenario_from_dict({} if data is None else data)

@@ -188,6 +188,25 @@ class TestSimulate:
             "error: --out and --report name the same file: both.out\n")
         assert not (tmp_path / "both.out").exists()
 
+    @pytest.mark.parametrize("option", ["--out", "--report"])
+    def test_output_on_the_scenario_file_rejected(self, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  option):
+        """An output that resolves to the scenario file would replace it,
+        so it is refused before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        scen = tmp_path / "s.yaml"
+        scen.write_text(SCENARIO_TEXT)
+        other = {"--out": ["--report", "r.yaml"],
+                 "--report": ["--out", "o.csv"]}[option]
+        assert run_cli("simulate", "s.yaml", option, scen, *other) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {option} names the scenario file: s.yaml\n")
+        assert scen.read_bytes() == SCENARIO_TEXT.encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
+
     def test_unwritable_report_leaves_no_log(self, tmp_path, scenario_file,
                                              monkeypatch, capsys):
         """A report that cannot be written fails the run, and the log
@@ -504,12 +523,34 @@ class TestLogIo:
                 columns(reference_read_log(path))
 
 
-# scenario files PyYAML refuses with a multi-line message of its own
+# scenario files PyYAML refuses, each with what its one `error:` line says
+# after `<path>: invalid YAML: `; an error at the end of the file cites the
+# file's last line, and a control character its own line
 _MALFORMED_YAML = {
-    "simulate_unclosed_flow_sequence": "seed: [1",
-    "simulate_tab_indent": "seed: 1\nsim:\n\tk_spring: 1\n",
-    "simulate_unclosed_quote": 'seed: 1\ndirection: "screwing\n',
-    "simulate_python_object_tag": "!!python/object:os.system 1\n",
+    "simulate_unclosed_flow_sequence": (
+        "seed: [1", "expected ',' or ']', but got '<stream end>' on line 1"),
+    "simulate_tab_indent": (
+        "seed: 1\nsim:\n\tk_spring: 1\n",
+        "found character '\\t' that cannot start any token on line 3"),
+    "simulate_unclosed_quote": (
+        'seed: 1\ndirection: "screwing\n',
+        "found unexpected end of stream on line 2"),
+    "simulate_python_object_tag": (
+        "!!python/object:os.system 1\n",
+        "could not determine a constructor for the tag "
+        "'tag:yaml.org,2002:python/object:os.system' on line 1"),
+    "simulate_unclosed_flow_sequence_and_newline": (
+        "seed: [1\n", "expected ',' or ']', but got '<stream end>' on line 1"),
+    "simulate_unclosed_flow_mapping": (
+        "seed: 0\nsim: {k_spring: 1\n",
+        "expected ',' or '}', but got '<stream end>' on line 2"),
+    "simulate_nul_on_line_1": (
+        "seed: 1\x00", "unacceptable character #x0000: special characters "
+        "are not allowed on line 1"),
+    "simulate_bell_on_line_3": (
+        "seed: 1\nduration: 5.0\ndirection: screwing\x07\n",
+        "unacceptable character #x0007: special characters are not allowed "
+        "on line 3"),
 }
 
 
@@ -527,7 +568,7 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
     nested = tmp_path / "nested.yaml"  # deeper than the parser recurses
     nested.write_text("seed: " + "[" * 600 + "]" * 600 + "\n")
     malformed = tmp_path / "malformed.yaml"
-    malformed.write_text(_MALFORMED_YAML.get(case, ""))
+    malformed.write_text(_MALFORMED_YAML.get(case, ("",))[0])
     argv, named = {
         "analyze_missing_log": (["analyze", missing], missing),
         "analyze_not_utf8_log": (["analyze", not_utf8], not_utf8),
@@ -546,6 +587,11 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(named) in err
+    if case in _MALFORMED_YAML:
+        assert err == (f"error: {malformed}: invalid YAML: "
+                       f"{_MALFORMED_YAML[case][1]}\n")
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "r.yaml").exists()
 
 
 @pytest.mark.parametrize("case", ["analyze_envelope_points",
@@ -593,6 +639,16 @@ def test_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, case):
     """Each read failure is one `error:` line that starts with the path of
     the bad file and names it once."""
     header = "t_s,fz_n,mz_nm\n"
+    after_path = {
+        "analyze_bad_row": ":3: non-numeric value in '0.02,oops,0.1'",
+        "analyze_wrong_header": ":1: expected header 't_s,fz_n,mz_nm'",
+        "analyze_header_only": ": log contains no samples",
+        "analyze_30ms_step": ": sampling must be uniform 100 Hz within 1%",
+        "compare_bad_row_in_group_b": ":5: non-numeric value in '0.05,abc,1'",
+        "calibrate_bad_row": ":3: non-numeric pair 'x,y'",
+        "calibrate_constant_readings": ": potentiometer readings are constant",
+        "calibrate_header_only": ": need at least 2 calibration pairs",
+    }[case]
     texts = {
         "analyze_bad_row": header + "0.01,1.0,0.1\n0.02,oops,0.1\n",
         "analyze_wrong_header": "time,force,torque\n0.01,1.0,0.1\n",
@@ -621,6 +677,7 @@ def test_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, case):
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: {bad}")
     assert err.count(str(bad)) == 1
+    assert err == f"error: {bad}{after_path}\n"
 
 
 @pytest.mark.parametrize("case", ["log_bad_row", "log_header_only",

@@ -504,6 +504,10 @@ def _sign_rows(section, positive, non_negative):
      r"^sim\.k_spring: expected a finite number, got "),
     ({"sim": {"p_max": Fraction(1, 2)}},
      r"^sim\.p_max: expected a finite number, got Fraction\(1, 2\)$"),
+    ({"sim": {"k_spring": True}},
+     r"^sim\.k_spring: expected a finite number, got True$"),
+    ({"controller": {"slip_limit": 10}},
+     r"^controller\.slip_limit: unknown field$"),
 ], ids=lambda v: repr(v) if isinstance(v, dict) else None)
 def test_invalid_scenario_value_names_field(overrides, field):
     with pytest.raises(ScenarioError, match=field):
