@@ -53,15 +53,27 @@ def __getattr__(name):
 def cmd_simulate(args) -> int:
     import contextlib
     import dataclasses
+    import os
 
     from . import logio, runner
     from .scenario import load_scenario
-    if Path(args.out).resolve() == Path(args.report).resolve():
+
+    def identity(path):
+        # a file that exists is its device and inode, so that a hard link
+        # to it is the same file; a file not yet made is its resolved path
+        try:
+            stat = os.stat(path)
+        except OSError:
+            return Path(path).resolve()
+        return stat.st_dev, stat.st_ino
+
+    out_id, report_id = identity(args.out), identity(args.report)
+    if out_id == report_id:
         raise ScrewbenchError(
             f"--out and --report name the same file: {args.out}")
-    scenario_path = Path(args.scenario).resolve()
-    for option, path in (("--out", args.out), ("--report", args.report)):
-        if Path(path).resolve() == scenario_path:
+    scenario_id = identity(args.scenario)
+    for option, output_id in (("--out", out_id), ("--report", report_id)):
+        if output_id == scenario_id:
             raise ScrewbenchError(
                 f"{option} names the scenario file: {args.scenario}")
     scenario = load_scenario(args.scenario)

@@ -26,8 +26,6 @@ Every settings class lives here, so building a scenario loads neither the
 model (`sim`) nor the controller (`control`); they load with the first run.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import math
@@ -69,15 +67,14 @@ NU_CHAR = {
 @functools.cache
 def _layout(cls) -> tuple:
     """`cls`'s field defaults in field order (MISSING for a field without
-    one), the fields without one, and (name, kind, sign) of each checked
-    field in field order."""
+    one), the fields without one, and (name, type, sign) of each field in
+    field order."""
     signs = {**dict.fromkeys(cls.non_negative, ">="),
              **dict.fromkeys(cls.positive, ">")}
     defaults = {f.name: f.default for f in fields(cls)}
     required = tuple(name for name, default in defaults.items()
                      if default is MISSING)
-    checked = tuple((f.name, _KINDS[f.type], signs.get(f.name))
-                    for f in fields(cls) if f.type in _KINDS)
+    checked = tuple((f.name, f.type, signs.get(f.name)) for f in fields(cls))
     return defaults, required, checked
 
 
@@ -229,13 +226,6 @@ class ControllerConfig(_Settings):
             raise ScenarioError("tau_stop: must be > noise_floor")
 
 
-# Checked field annotations (strings under postponed evaluation).
-_KINDS = {"float": float, "int": int, **{
-    kind.__name__: kind for kind in (
-        HeadType, SubstrateKind, Direction,
-        ScrewSpec, SubstrateSpec, SimParams, ControllerConfig)}}
-
-
 @dataclass(init=False, repr=False, eq=False)
 class Scenario(_Settings):
     """One run: its settings, seed, duration and contact position."""
@@ -305,13 +295,26 @@ def scenario_from_dict(data: dict) -> Scenario:
                   sim=sim, controller=controller)
 
 
+# Flow collections (`[`, `{`) nested deeper than this are a parse error:
+# the scanner's work per token grows with the nesting level.
+_MAX_FLOW_NESTING = 64
+
+
 def load_scenario(path) -> Scenario:
     import yaml
     from .logio import read_text
 
     class Loader(yaml.SafeLoader):
         """`yaml.safe_load`'s loader, except that a key repeated in one
-        mapping is an error rather than the last value kept."""
+        mapping is an error rather than the last value kept, and that flow
+        collections nest at most `_MAX_FLOW_NESTING` levels deep."""
+
+        def fetch_flow_collection_start(self, TokenClass):
+            if self.flow_level >= _MAX_FLOW_NESTING:
+                raise yaml.scanner.ScannerError(
+                    None, None, f"flow collections nested deeper than "
+                    f"{_MAX_FLOW_NESTING} levels", self.get_mark())
+            super().fetch_flow_collection_start(TokenClass)
 
         def construct_mapping(self, node, deep=False):
             seen = set()
@@ -331,7 +334,8 @@ def load_scenario(path) -> Scenario:
             return super().construct_mapping(node, deep=deep)
 
     # an integer literal past Python's digit limit is a ValueError, and
-    # nesting deeper than the parser's recursion limit a RecursionError.
+    # block nesting deeper than the parser's recursion limit a
+    # RecursionError (flow nesting stops at `_MAX_FLOW_NESTING` first).
     # A parse error cites the line it stopped at, or the file's last line
     # where the file ends early; a control character, which has no mark,
     # is cited at the line of its position in the text

@@ -207,6 +207,36 @@ class TestSimulate:
         assert scen.read_bytes() == SCENARIO_TEXT.encode()
         assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
 
+    @pytest.mark.parametrize("case", ["report_on_scenario", "out_on_scenario",
+                                      "out_on_report"])
+    def test_hard_linked_output_rejected(self, tmp_path, monkeypatch, capsys,
+                                         case):
+        """Files are compared by identity, so an output that is a hard
+        link to the scenario file or to the other output is refused before
+        anything is written."""
+        monkeypatch.chdir(tmp_path)
+        scen = tmp_path / "s.yaml"
+        scen.write_text(SCENARIO_TEXT)
+        os.link(scen, tmp_path / "h.yaml")
+        (tmp_path / "o.csv").write_text("log\n")
+        os.link(tmp_path / "o.csv", tmp_path / "l.csv")
+        argv, err = {
+            "report_on_scenario": (["--out", "new.csv", "--report", "h.yaml"],
+                                   "--report names the scenario file: s.yaml"),
+            "out_on_scenario": (["--out", "h.yaml", "--report", "new.yaml"],
+                                "--out names the scenario file: s.yaml"),
+            "out_on_report": (["--out", "o.csv", "--report", "l.csv"],
+                              "--out and --report name the same file: o.csv"),
+        }[case]
+        assert run_cli("simulate", "s.yaml", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+        assert scen.read_bytes() == SCENARIO_TEXT.encode()
+        assert (tmp_path / "o.csv").read_text() == "log\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "h.yaml", "l.csv", "o.csv", "s.yaml"]
+
     def test_unwritable_report_leaves_no_log(self, tmp_path, scenario_file,
                                              monkeypatch, capsys):
         """A report that cannot be written fails the run, and the log
@@ -278,7 +308,7 @@ _MAGNITUDES = [0, 1e-300, 1e-9, 1e-3, 0.5, 1, 3, 1e3, 1e9, 1e300]
 
 def _number_fields(cls):
     return sorted(f.name for f in dataclasses.fields(cls)
-                  if f.type in ("float", "int"))
+                  if f.type in (float, int))
 
 
 _run_mappings = st.fixed_dictionaries({
@@ -551,6 +581,15 @@ _MALFORMED_YAML = {
         "seed: 1\nduration: 5.0\ndirection: screwing\x07\n",
         "unacceptable character #x0007: special characters are not allowed "
         "on line 3"),
+    "simulate_flow_sequences_4000_deep": (
+        "seed: " + "[" * 4000 + "]" * 4000 + "\n",
+        "flow collections nested deeper than 64 levels on line 1"),
+    "simulate_flow_sequences_65_deep": (
+        "seed: " + "[" * 65 + "]" * 65 + "\n",
+        "flow collections nested deeper than 64 levels on line 1"),
+    "simulate_flow_mappings_65_deep": (
+        "seed: 1\nsim: " + "{a: " * 65 + "1" + "}" * 65 + "\n",
+        "flow collections nested deeper than 64 levels on line 2"),
 }
 
 
@@ -559,14 +598,17 @@ _MALFORMED_YAML = {
                                   "calibrate_not_utf8_pairs",
                                   "simulate_out_in_missing_dir",
                                   "simulate_deeply_nested_scenario",
-                                  *_MALFORMED_YAML])
+                                  *_MALFORMED_YAML,
+                                  "simulate_deeply_nested_block"])
 def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
                                            case):
     not_utf8 = tmp_path / "not_utf8.csv"
     not_utf8.write_bytes(b"\xff\xfe0.01,1.0,0.1\n")
     missing = tmp_path / "missing" / "run.csv"
-    nested = tmp_path / "nested.yaml"  # deeper than the parser recurses
+    nested = tmp_path / "nested.yaml"  # past the flow-nesting cap
     nested.write_text("seed: " + "[" * 600 + "]" * 600 + "\n")
+    block = tmp_path / "block.yaml"  # deeper than the parser recurses
+    block.write_text("seed: 1\nsim:\n" + "- " * 1000 + "1\n")
     malformed = tmp_path / "malformed.yaml"
     malformed.write_text(_MALFORMED_YAML.get(case, ("",))[0])
     argv, named = {
@@ -579,6 +621,9 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
         "simulate_deeply_nested_scenario": (
             ["simulate", nested, "--out", tmp_path / "o.csv",
              "--report", tmp_path / "r.yaml"], nested),
+        "simulate_deeply_nested_block": (
+            ["simulate", block, "--out", tmp_path / "o.csv",
+             "--report", tmp_path / "r.yaml"], block),
         **dict.fromkeys(_MALFORMED_YAML, (
             ["simulate", malformed, "--out", tmp_path / "o.csv",
              "--report", tmp_path / "r.yaml"], malformed)),
@@ -592,6 +637,19 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
                        f"{_MALFORMED_YAML[case][1]}\n")
     assert not (tmp_path / "o.csv").exists()
     assert not (tmp_path / "r.yaml").exists()
+
+
+def test_flow_nesting_at_the_limit_parses(tmp_path, capsys):
+    """64 levels of flow nesting parse, so the error is the field's; the
+    65th level is a parse error (`_MALFORMED_YAML`)."""
+    path = tmp_path / "s.yaml"
+    path.write_text("seed: " + "[" * 64 + "]" * 64 + "\n")
+    assert run_cli("simulate", path, "--out", tmp_path / "o.csv",
+                   "--report", tmp_path / "r.yaml") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed: expected an integer, got [[")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]
 
 
 @pytest.mark.parametrize("case", ["analyze_envelope_points",

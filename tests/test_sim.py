@@ -523,7 +523,7 @@ def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
     misspelled name in a rule table, or a default that breaks its rule,
     would go unchecked in every scenario that leaves the field out."""
     number_fields = {f.name: f.default for f in dataclasses.fields(cls)
-                     if f.type in ("float", "int")}
+                     if f.type in (float, int)}
     assert set(cls.positive) <= number_fields.keys()
     assert set(cls.non_negative) <= number_fields.keys()
     assert not set(cls.positive) & set(cls.non_negative)
@@ -534,6 +534,17 @@ def test_sign_rule_tables_name_number_fields_with_good_defaults(cls):
             if default is dataclasses.MISSING:
                 continue
             assert rule(default), name
+
+
+@pytest.mark.parametrize("cls", [
+    scenario.ScrewSpec, scenario.SubstrateSpec, scenario.SimParams,
+    scenario.ControllerConfig, scenario.Scenario], ids=lambda c: c.__name__)
+def test_field_types_are_classes(cls):
+    """Each field's type is its class, not an annotation string, so the
+    tests that pick fields by `f.type` compare it with `float` and `int`
+    and cannot pass without checking anything."""
+    for f in dataclasses.fields(cls):
+        assert isinstance(f.type, type), (f.name, f.type)
 
 
 # Values of every kind a YAML file can hold: numbers finite, huge and
@@ -607,9 +618,9 @@ def test_any_mapping_gives_scenario_or_scenario_error(data):
                          scen.controller):
         for f in dataclasses.fields(settings_obj):
             value = getattr(settings_obj, f.name)
-            if f.type == "float":
+            if f.type is float:
                 assert type(value) is float and math.isfinite(value), f.name
-            elif f.type == "int":
+            elif f.type is int:
                 assert type(value) is int, f.name
     control.ControllerState()
     sim.initial_world(scen.screw, scen.direction, contact_z=scen.contact_z)
