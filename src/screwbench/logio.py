@@ -5,8 +5,10 @@ units written with full precision so write/load round-trips bit-exactly.
 Calibration pairs are ``pot_reading,ref_force`` CSV rows under an optional
 header. Reports are flat YAML key/value documents with deterministic key
 order. Only the log read path loads numpy and the analysis module; writing
-a log or a report needs neither. A bad log or pairs file is cited as
-``<path>:<line>: <what>``, or ``<path>: <what>`` where no line is at fault.
+a log or a report needs neither. The log line scan and the pairs reader
+share one row reader, `_read_rows`. A bad log or pairs file is cited as
+``<path>:<line>: <what>``, or ``<path>: <what>`` where no line is at fault,
+and a quoted row is shown through `errors.shown`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ScrewbenchError
+from .errors import ScrewbenchError, shown
 
 if TYPE_CHECKING:
     from .analysis import FtSeries
@@ -95,23 +97,7 @@ def _read_log_lines(path) -> FtSeries:
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise ScrewbenchError(f"{path}:1: expected header {LOG_HEADER!r}")
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ScrewbenchError(
-                f"{path}:{lineno}: expected 3 comma-separated values")
-        try:
-            t, fz, mz = (float(p) for p in parts)
-        except ValueError:
-            raise ScrewbenchError(
-                f"{path}:{lineno}: non-numeric value in {line!r}") from None
-        if not all(map(math.isfinite, (t, fz, mz))):
-            raise ScrewbenchError(
-                f"{path}:{lineno}: non-finite value in {line!r}")
-        samples.append((t, fz, mz))
+    samples = _read_rows(path, lines[1:], 2, 3, "value in", header=False)
     if not samples:
         raise ScrewbenchError(f"{path}: log contains no samples")
     try:
@@ -122,30 +108,40 @@ def _read_log_lines(path) -> FtSeries:
 
 def read_pairs(path) -> list:
     """The finite (pot_reading, ref_force) pairs of a calibration CSV; a
-    first row that is not numeric is a header. A bad row is an error
-    naming the file and the line."""
-    pairs = []
-    first = True
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    first row that is not numeric is a header, and a leading byte-order
+    mark (U+FEFF) is not part of it. A bad row is an error naming the file
+    and the line."""
+    text = read_text(path).removeprefix("\ufeff")
+    return _read_rows(path, text.splitlines(), 1, 2, "pair", header=True)
+
+
+def _read_rows(path, lines, start, width, noun, *, header) -> list:
+    """The rows of `lines`, numbered from `start`, as tuples of `width`
+    finite floats; blank lines are skipped and, with `header`, a first
+    non-blank row that is not numeric. A bad row is an error naming its
+    line, and a bad value quotes the row after `non-numeric <noun>` or
+    `non-finite <noun>`."""
+    rows = []
+    for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
-        header_allowed, first = first, False
+        header_allowed, header = header, False
         parts = line.split(",")
-        if len(parts) != 2:
+        if len(parts) != width:
             raise ScrewbenchError(
-                f"{path}:{lineno}: expected 2 comma-separated values")
+                f"{path}:{lineno}: expected {width} comma-separated values")
         try:
-            pair = (float(parts[0]), float(parts[1]))
+            row = tuple(map(float, parts))
         except ValueError:
             if header_allowed:
                 continue  # header row
+            raise ScrewbenchError(f"{path}:{lineno}: non-numeric {noun} "
+                                  f"{shown(line)}") from None
+        if not all(map(math.isfinite, row)):
             raise ScrewbenchError(
-                f"{path}:{lineno}: non-numeric pair {line!r}") from None
-        if not all(map(math.isfinite, pair)):
-            raise ScrewbenchError(
-                f"{path}:{lineno}: non-finite pair {line!r}")
-        pairs.append(pair)
-    return pairs
+                f"{path}:{lineno}: non-finite {noun} {shown(line)}")
+        rows.append(row)
+    return rows
 
 
 def format_report(data: dict) -> str:

@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
 from . import sensor
-from .errors import ScenarioError
+from .errors import ScenarioError, shown
 
 CONTACT_Z = 0.005  # m, default carriage position at first head contact
 
@@ -83,7 +83,7 @@ def _member(kind, name: str, value):
         return kind(value)
     except ValueError:
         raise ScenarioError(f"{name}: expected one of {', '.join(kind)}, "
-                            f"got {value!r}") from None
+                            f"got {shown(value)}") from None
 
 
 class _Settings:
@@ -122,7 +122,7 @@ class _Settings:
                 if isinstance(value, kind):
                     continue
                 raise ScenarioError(
-                    f"{name}: expected a {kind.__name__}, got {value!r}")
+                    f"{name}: expected a {kind.__name__}, got {shown(value)}")
             try:
                 ok = (type(value) is int if kind is int else
                       type(value) in (int, float) and math.isfinite(value))
@@ -130,9 +130,11 @@ class _Settings:
                 ok = False
             if not ok:
                 what = "an integer" if kind is int else "a finite number"
-                raise ScenarioError(f"{name}: expected {what}, got {value!r}")
+                raise ScenarioError(
+                    f"{name}: expected {what}, got {shown(value)}")
             if sign and not (value > 0 if sign == ">" else value >= 0):
-                raise ScenarioError(f"{name}: must be {sign} 0, got {value!r}")
+                raise ScenarioError(
+                    f"{name}: must be {sign} 0, got {shown(value)}")
             values[name] = kind(value)
         self.__dict__.update(values)
         self.__post_init__()

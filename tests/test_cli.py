@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from screwbench import analysis, cli, control, logio, runner, scenario
+from screwbench import (analysis, cli, control, errors, logio, runner,
+                        scenario)
 from screwbench.errors import ScenarioError, ScrewbenchError
 from screwbench.sim import FtSample
 
@@ -652,6 +655,69 @@ def test_flow_nesting_at_the_limit_parses(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]
 
 
+@pytest.mark.parametrize("case", ["simulate_100k_item_seed",
+                                  "simulate_100k_char_head_type",
+                                  "analyze_200k_char_row",
+                                  "calibrate_200k_char_pair"])
+def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
+    """A huge refused value gives one short `error:` line, cut by `...`,
+    and no output file."""
+    name, text, start = {
+        "simulate_100k_item_seed": (
+            "s.yaml", "seed: [" + ",".join(["1"] * 100_000) + "]\n",
+            "error: seed: expected an integer, got [1, 1, 1, 1, 1, 1, ...]"),
+        "simulate_100k_char_head_type": (
+            "s.yaml", "seed: 0\nscrew: {head_type: " + "z" * 100_000 + "}\n",
+            "error: screw.head_type: expected one of phillips, internal_hex, "
+            "mismatched_driver, got 'zzz"),
+        "analyze_200k_char_row": (
+            "log.csv", "t_s,fz_n,mz_nm\n0.01,1.0," + "x" * 200_000 + "\n",
+            "error: {path}:2: non-numeric value in '0.01,1.0,xxx"),
+        "calibrate_200k_char_pair": (
+            "p.csv", "0,1\n2," + "y" * 200_000 + "\n",
+            "error: {path}:2: non-numeric pair '2,yyy"),
+    }[case]
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {"s.yaml": ["simulate", path, "--out", tmp_path / "o.csv",
+                       "--report", tmp_path / "r.yaml"],
+            "log.csv": ["analyze", path], "p.csv": ["calibrate", path]}[name]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(start.format(path=path))
+    assert err.count("\n") == 1
+    assert "..." in err and len(err.encode()) < 4096
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+@pytest.mark.parametrize("value", [
+    "torx", "x" * 1498, "0.01,1,\x0c2", 2 ** 63, -1, 30.5, 1e308, True,
+    None, Fraction(1, 2), [1], [[1, 2], ("a", "b")], list(range(6)),
+    {"a": 1, "b": [2]}, scenario.ControllerConfig()],
+    ids=["word", "long_string", "log_row", "large_int", "int", "float",
+         "float_limit", "bool", "none", "fraction", "list", "nested",
+         "six_items", "mapping", "settings"])
+def test_shown_value_within_the_limits_is_its_repr(value):
+    assert errors.shown(value) == repr(value)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("z" * 100_000, "'" + "z" * 747 + "..." + "z" * 748 + "'"),
+    (10 ** 2000, "1" + "0" * 747 + "..." + "0" * 749),
+    ([1] * 100_000, "[1, 1, 1, 1, 1, 1, ...]"),
+    ((1,) * 7, "(1, 1, 1, 1, 1, 1, ...)"),
+    ({i: i for i in range(5, 0, -1)}, "{1: 1, 2: 2, 3: 3, 4: 4, ...}"),
+    ([[[[1]]]], "[[[[...]]]]"),
+    ({"b": 1, "a": 2}, "{'a': 2, 'b': 1}"),
+], ids=["string", "integer", "list", "tuple", "mapping", "nesting",
+        "sorted_keys"])
+def test_shown_value_past_the_limits_is_cut(value, expected):
+    """A single value keeps 1,500 characters of its `repr`, a container six
+    items (a mapping four, keys sorted) and three levels of nesting."""
+    assert errors.shown(value) == expected
+
+
 @pytest.mark.parametrize("case", ["analyze_envelope_points",
                                   "analyze_min_separation",
                                   "simulate_scenario_dir",
@@ -1055,6 +1121,56 @@ _odd_rows = st.one_of(st.tuples(_odd_fields, _odd_fields).map(",".join),
 _pair_lines = st.integers(0, 3).flatmap(
     lambda k: _plausible_rows if k else _odd_rows)
 pairs_texts = st.lists(_pair_lines, max_size=8).map("\n".join)
+# A pairs text whose first row may be a header, a header look-alike or a
+# wide row, under an optional byte-order mark and blank lines.
+_first_rows = st.sampled_from([
+    "pot_reading,ref_force", "pot,ref", "nan,1", "1,-inf", "1e999,2",
+    "pot,ref,extra", "1,2,3", "pot_reading", "1", "x,", ",", "1_0,2",
+    "\ufeff", "\ufeffpot,ref", "\ufeff0,1", " 0 , 1 "])
+headed_pairs_texts = st.tuples(
+    st.sampled_from(["", "\ufeff", "\ufeff\ufeff", "\n", "\ufeff \n"]),
+    _first_rows, st.sampled_from(["\n", "\n\n"]),
+    pairs_texts).map("".join)
+
+
+def reference_read_pairs(path):
+    """The line loop `read_pairs` had before it shared the log scan's row
+    reader, as a copy, with a leading byte-order mark removed: every pairs
+    file must read to the same pairs, or fail with the same error."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
+    pairs = []
+    first = True
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(),
+                                  start=1):
+        if not line.strip():
+            continue
+        header_allowed, first = first, False
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ScrewbenchError(
+                f"{path}:{lineno}: expected 2 comma-separated values")
+        try:
+            pair = (float(parts[0]), float(parts[1]))
+        except ValueError:
+            if header_allowed:
+                continue  # header row
+            raise ScrewbenchError(
+                f"{path}:{lineno}: non-numeric pair {line!r}") from None
+        if not all(map(math.isfinite, pair)):
+            raise ScrewbenchError(
+                f"{path}:{lineno}: non-finite pair {line!r}")
+        pairs.append(pair)
+    return pairs
+
+
+def pairs_outcome(read, path):
+    try:
+        return read(path)
+    except ScrewbenchError as exc:
+        return type(exc), str(exc)
 
 
 class TestCalibrate:
@@ -1149,6 +1265,31 @@ class TestCalibrate:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
             assert captured.err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(pairs_texts, headed_pairs_texts))
+    def test_matches_reference_reader(self, tmp_path, text):
+        """Only the first non-blank row may be a header, and only if it is
+        two fields that are not both numbers: `nan,1` there is a non-finite
+        pair and `1,2,3` a width error."""
+        path = tmp_path / "pairs.csv"
+        path.write_text(text, encoding="utf-8")
+        assert pairs_outcome(logio.read_pairs, path) == \
+            pairs_outcome(reference_read_pairs, path)
+
+    def test_byte_order_mark_is_not_part_of_the_first_row(self, tmp_path,
+                                                          capsys):
+        """A spreadsheet's "CSV UTF-8" export starts with U+FEFF; the file
+        reads as the same file without it, not as one with a header."""
+        reports = []
+        for name, mark in (("plain.csv", b""), ("marked.csv", codecs.BOM_UTF8)):
+            path = tmp_path / name
+            path.write_bytes(mark + b"0,1\n1,3\n2,5\n")
+            assert run_cli("calibrate", path) == 0
+            reports.append(capsys.readouterr())
+        assert reports[0] == reports[1]
+        assert yaml.safe_load(reports[1].out)["n"] == 3
 
 
 @pytest.fixture(scope="module")
