@@ -1,11 +1,12 @@
 """Signal analysis for force/torque recordings.
 
-Covers the pipeline used on 100 Hz recordings: peak picking with a
-prominence filter, a shape-preserving envelope through the peaks, regrasp
-frequency from inter-peak intervals, cam-out flags, force/torque ratio
-estimation by least squares, and nonparametric comparison of ratio
-distributions. The force sensor's calibration line is the same kind of
-least-squares fit, so it lives here too.
+A recording is three columns, time `t`, axial force `fz` and torque `mz`,
+held by an `FtSeries`. Covers the pipeline used on 100 Hz recordings: peak
+picking with a prominence filter, a shape-preserving envelope through the
+peaks, regrasp frequency from inter-peak intervals, cam-out flags,
+force/torque ratio estimation by least squares, and nonparametric
+comparison of ratio distributions. The force sensor's calibration line is
+the same kind of least-squares fit, so it lives here too.
 
 Needs numpy alone. Peak picking and the envelope give the same bits as
 scipy's `find_peaks` and `PchipInterpolator`, which the tests use as
@@ -33,19 +34,18 @@ DEFAULT_SEPARATION = 0.2  # s
 
 class FtSeries:
     """A force/torque recording sampled every `sensor.DT` (100 Hz, within
-    1%). `samples` are finite (t, fz, mz) triples, such as `FtSample`s or
-    the rows of an (n, 3) array, copied once into the columns `times()` and
-    `channel()` return (read-only). Compares by identity."""
+    1%): the columns `t`, `fz` and `mz`, finite and of one length, copied
+    once into the arrays `times()` and `channel()` return (read-only).
+    Compares by identity."""
 
-    def __init__(self, samples):
-        if len(samples) == 0:
+    def __init__(self, t, fz, mz):
+        columns = np.array((t, fz, mz), dtype=float)
+        if columns.ndim != 2:
+            raise ValueError("t, fz and mz must be 1-D and of one length")
+        if columns.shape[1] == 0:
             raise ValueError("empty series")
-        rows = np.asarray(samples, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ValueError("samples must be (t, fz, mz) triples")
-        if not np.isfinite(rows).all():
+        if not np.isfinite(columns).all():
             raise ValueError("samples must be finite")
-        columns = rows.T.copy()
         columns.flags.writeable = False
         self._columns = dict(zip(("t", "fz", "mz"), columns))
         dts = np.diff(columns[0])

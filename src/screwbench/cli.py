@@ -81,7 +81,7 @@ def cmd_simulate(args) -> int:
         # through the settings rule, like a `seed:` in the file
         scenario = dataclasses.replace(scenario, seed=args.seed)
     result = runner.run_scenario(scenario)
-    logio.write_log(args.out, result.samples)
+    logio.write_log(args.out, result.t, result.fz, result.mz)
     try:
         logio.write_text(args.report,
                          logio.format_report(result.report(scenario)))

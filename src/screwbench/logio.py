@@ -1,7 +1,9 @@
 """CSV log, calibration pairs and report file formats.
 
 Logs are plain CSV with header ``t_s,fz_n,mz_nm`` at 100 Hz, values in SI
-units written with full precision so write/load round-trips bit-exactly.
+units written with full precision so write/load round-trips bit-exactly. A
+log holds a recording, the three columns ``t``, ``fz`` and ``mz``:
+`write_log` takes them and `read_log` gives them as an `FtSeries`.
 Calibration pairs are ``pot_reading,ref_force`` CSV rows under an optional
 header. Reports are flat YAML key/value documents with deterministic key
 order. Only the log read path loads numpy and the analysis module; writing
@@ -48,11 +50,10 @@ def write_text(path, text: str) -> None:
         raise ScrewbenchError(f"cannot write {path}: {exc}") from exc
 
 
-def write_log(path, samples) -> None:
-    lines = [LOG_HEADER]
-    for s in samples:
-        lines.append(f"{s.t!r},{s.fz!r},{s.mz!r}")
-    write_text(path, "\n".join(lines) + "\n")
+def write_log(path, t, fz, mz) -> None:
+    """The columns `t`, `fz` and `mz`, of Python floats, as a log."""
+    rows = [f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(t, fz, mz)]
+    write_text(path, LOG_HEADER + "\n" + "".join(rows))
 
 
 def read_log(path) -> FtSeries:
@@ -81,12 +82,14 @@ def _read_log_fast(path) -> FtSeries | None:
     if b"," not in body:
         return None  # no row: loadtxt would only warn about an empty body
     try:
-        rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
-                          ndmin=2)
+        columns = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                             ndmin=2, unpack=True)
     except ValueError:
         return None
+    if len(columns) != 3:
+        return None  # rows of another width: the line scan names the line
     try:
-        return FtSeries(samples=rows)
+        return FtSeries(*columns)
     except ValueError:
         return None
 
@@ -97,11 +100,11 @@ def _read_log_lines(path) -> FtSeries:
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise ScrewbenchError(f"{path}:1: expected header {LOG_HEADER!r}")
-    samples = _read_rows(path, lines[1:], 2, 3, "value in", header=False)
-    if not samples:
+    rows = _read_rows(path, lines[1:], 2, 3, "value in", header=False)
+    if not rows:
         raise ScrewbenchError(f"{path}: log contains no samples")
     try:
-        return FtSeries(samples=samples)
+        return FtSeries(*zip(*rows))
     except ValueError as exc:
         raise ScrewbenchError(f"{path}: {exc}") from exc
 

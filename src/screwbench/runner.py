@@ -5,7 +5,9 @@ One run owns its world state, controller state and RNG, so identical
 RNG is one `random.Random(seed)` stream (MT19937), drawn three times per
 step (see `sim`). `closed_loop` is the loop itself: `run_scenario`
 folds it into a `RunResult`, and a caller that needs per-step ground truth
-reads the same generator.
+reads the same generator. A run's recording is three columns, `t`, `fz`
+and `mz`, as `write_log` and `analysis.FtSeries` take them; an `FtSample`
+is the value of one step.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,18 +40,26 @@ _FINAL = {control.Phase.DONE: Outcome.DONE,
 
 @dataclass
 class RunResult:
-    """Outcome, sensed samples, final states and slip onsets of one run."""
+    """Outcome, sensed recording, final states and slip onsets of one run."""
 
     outcome: Outcome
-    samples: list  # finite sensed FtSample stream, 100 Hz
+    t: array  # finite sensed sample times (s), 100 Hz
+    fz: array  # their axial force (N)
+    mz: array  # their torque (N·m)
     world: sim.WorldState
     controller: control.ControllerState
     slip_times: list  # ground-truth cam-out onset times (s)
 
     @property
+    def samples(self) -> list:
+        """The recording as `FtSample` rows, for the benchmark, which reads
+        rows; it goes when ROADMAP item 3 replaces the benchmark's tracer."""
+        return list(map(sim.FtSample, self.t, self.fz, self.mz))
+
+    @property
     def peak_torque(self) -> float | None:
         """Max sensed torque (N·m), None when no sample was recorded."""
-        return max((s.mz for s in self.samples), default=None)
+        return max(self.mz, default=None)
 
     def report(self, scenario: Scenario) -> dict:
         """The run's report. A run whose first sample was not finite
@@ -58,7 +69,7 @@ class RunResult:
             "slip_events": len(self.slip_times),
             "completion_time": self.world.time,
             "peak_torque": self.peak_torque,
-            "final_force": self.samples[-1].fz if self.samples else None,
+            "final_force": self.fz[-1] if self.fz else None,
             "nu_applied": scenario.controller.margin * scenario.controller.nu,
             "seed": scenario.seed,
             "direction": scenario.direction.value,
@@ -93,15 +104,18 @@ def closed_loop(scenario: Scenario) -> Iterator[tuple]:
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
-    samples, slip_times = [], []
+    t, fz, mz = array("d"), array("d"), array("d")
+    slip_times = []
     was_slipping = False
     for world, _, sensed, state in closed_loop(scenario):
-        samples.append(sensed)
+        t.append(sensed.t)
+        fz.append(sensed.fz)
+        mz.append(sensed.mz)
         if world.slipping and not was_slipping:
             slip_times.append(world.time)
         was_slipping = world.slipping
     if not (math.isfinite(sensed.fz) and math.isfinite(sensed.mz)):
-        samples.pop()  # the controller faulted on it, which ended the loop
+        del t[-1], fz[-1], mz[-1]  # the controller faulted on it and stopped
     return RunResult(
-        outcome=_FINAL.get(state.phase, Outcome.TIMEOUT), samples=samples,
+        outcome=_FINAL.get(state.phase, Outcome.TIMEOUT), t=t, fz=fz, mz=mz,
         world=world, controller=state, slip_times=slip_times)

@@ -111,7 +111,7 @@ def test_3_nu_recovery():
         mz = np.abs(tau + rng.normal(0, 0.003, 1000))
         samples = [FtSample(float((i + 1) * 0.01), float(a), float(b))
                    for i, (a, b) in enumerate(zip(fz, mz))]
-        est = analysis.estimate_nu(analysis.FtSeries(samples=samples))
+        est = analysis.estimate_nu(analysis.FtSeries(*zip(*samples)))
         ok = ok and abs(est.nu - true_nu) <= 0.05 * true_nu and est.r > 0.7
     elapsed = time.perf_counter() - t0
     report_line(3, "nu recovery", ok and elapsed < 1.0)
@@ -126,7 +126,7 @@ def test_4_regrasp_frequency():
         fz = np.maximum(0.0, 10.0 * np.sin(2 * np.pi * freq * t))
         samples = [FtSample(float(tt), float(f), 0.1 * float(f))
                    for tt, f in zip(t, fz)]
-        got = analysis.regrasp_frequency(analysis.FtSeries(samples=samples),
+        got = analysis.regrasp_frequency(analysis.FtSeries(*zip(*samples)),
                                          "fz")
         ok = ok and abs(got - freq) <= 0.05
     elapsed = time.perf_counter() - t0
@@ -190,7 +190,7 @@ def test_6_envelope_monotonicity():
             truth = sim.step_world(world, cmd, sc.screw, sc.substrate,
                                    sc.sim, rng)
             sensed.append(sim.read_sensors(truth, sc.sim, rng))
-        series = analysis.FtSeries(samples=sensed)
+        series = analysis.FtSeries(*zip(*sensed))
         peaks = analysis.local_maxima(series, "mz", min_prominence=0.009,
                                       min_separation=1.0)
         if len(peaks) < 2:

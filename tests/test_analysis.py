@@ -15,48 +15,45 @@ from screwbench import analysis, logio, runner, scenario, sensor
 from screwbench.analysis import FtSeries, UTestMethod
 from screwbench.errors import ScrewbenchError
 from screwbench.scenario import SimParams
-from screwbench.sim import FtSample
 
 
 def series_from(values, channel="mz"):
-    samples = []
-    for i, v in enumerate(values):
-        fz, mz = (v, 0.0) if channel == "fz" else (0.0, v)
-        samples.append(FtSample(t=i * 0.01, fz=fz, mz=mz))
-    return FtSeries(samples=samples)
+    values = np.asarray(values, dtype=float)
+    zeros = np.zeros_like(values)
+    fz, mz = (values, zeros) if channel == "fz" else (zeros, values)
+    return FtSeries(np.arange(len(values)) * 0.01, fz, mz)
 
 
 def fz_mz_series(fz, mz):
-    return FtSeries(samples=[FtSample(i * 0.01, f, m)
-                             for i, (f, m) in enumerate(zip(fz, mz))])
+    return FtSeries(np.arange(len(fz)) * 0.01, fz, mz)
 
 
 class TestFtSeries:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            FtSeries(samples=[])
+            FtSeries([], [], [])
 
-    @pytest.mark.parametrize("samples", [
-        [(0.0, 1.0), (0.01, 2.0), (0.02, 3.0)],
-        [(0.0, 1.0, 0.1, 9.0), (0.01, 2.0, 0.2, 9.0), (0.02, 3.0, 0.3, 9.0)],
-        [(0.0, 1.0, 0.1), (math.nan, 2.0, 0.2), (0.02, 3.0, 0.3)],
-        [(0.0, 1.0, 0.1), (0.01, 2.0, math.nan), (0.02, 3.0, 0.3)],
-    ], ids=["two_columns", "four_columns", "nan_time", "nan_torque"])
-    def test_rejects_rows_that_are_not_finite_triples(self, samples):
+    @pytest.mark.parametrize("columns", [
+        ([0.0, 0.01, 0.02], [1.0, 2.0], [0.1, 0.2, 0.3]),
+        ([0.0, 0.01, 0.02], 1.0, [0.1, 0.2, 0.3]),
+        ([0.0, math.nan, 0.02], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]),
+        ([0.0, 0.01, 0.02], [1.0, 2.0, 3.0], [0.1, math.nan, 0.3]),
+        (0.0, 1.0, 0.1),
+    ], ids=["unequal_lengths", "scalar_column", "nan_time", "nan_torque",
+            "scalars"])
+    def test_rejects_rows_that_are_not_finite_triples(self, columns):
+        """The series' rows are (t, fz, mz) triples: the three columns are
+        1-D, of one length and finite."""
         with pytest.raises(ValueError):
-            FtSeries(samples=samples)
+            FtSeries(*columns)
 
     def test_rejects_non_monotone_time(self):
-        samples = [FtSample(0.0, 0, 0), FtSample(0.02, 0, 0),
-                   FtSample(0.01, 0, 0)]
         with pytest.raises(ValueError):
-            FtSeries(samples=samples)
+            FtSeries([0.0, 0.02, 0.01], [0, 0, 0], [0, 0, 0])
 
     def test_rejects_non_uniform_spacing(self):
-        samples = [FtSample(0.0, 0, 0), FtSample(0.01, 0, 0),
-                   FtSample(0.05, 0, 0)]
         with pytest.raises(ValueError) as excinfo:
-            FtSeries(samples=samples)
+            FtSeries([0.0, 0.01, 0.05], [0, 0, 0], [0, 0, 0])
         assert str(excinfo.value) == \
             "sampling must be uniform 100 Hz within 1%"
 
@@ -684,7 +681,8 @@ def test_analysis_recovers_the_applied_force_law(tmp_path):
             sc = scenario.default_scenario("screwing", seed=seed,
                                            screw={"head_type": head})
             path = tmp_path / f"{head}{seed}.csv"
-            logio.write_log(path, runner.run_scenario(sc).samples)
+            result = runner.run_scenario(sc)
+            logio.write_log(path, result.t, result.fz, result.mz)
             runs.append(analysis.estimate_nu(logio.read_log(path)))
         applied = sc.controller.margin * sc.controller.nu
         assert all(est.r > 0.9 for est in runs), head
@@ -731,6 +729,6 @@ def test_seated_screwing_log_ends_without_a_camout(seed):
     result = runner.run_scenario(
         scenario.default_scenario("screwing", seed=seed))
     assert result.outcome == runner.Outcome.DONE and result.world.seated
-    flags = analysis.camout_flags([s.mz for s in result.samples])
+    flags = analysis.camout_flags(result.mz)
     rising = flags[1:] & ~flags[:-1]  # rising[i] is at sample i + 1
     assert not rising[-3:].any()

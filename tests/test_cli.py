@@ -345,8 +345,8 @@ def test_any_scenario_that_loads_runs_cleanly(tmp_path, data):
     assert all(isinstance(v, (int, float)) and math.isfinite(v)
                for v in numbers), report
     log = tmp_path / "run.csv"
-    logio.write_log(log, result.samples)
-    assert len(logio.read_log(log).times()) == len(result.samples)
+    logio.write_log(log, result.t, result.fz, result.mz)
+    assert len(logio.read_log(log).times()) == len(result.t)
 
 
 @pytest.fixture
@@ -395,7 +395,7 @@ def reference_read_log(path):
     if not samples:
         raise ScrewbenchError(f"{path}: log contains no samples")
     try:
-        return analysis.FtSeries(samples=samples)
+        return analysis.FtSeries(*zip(*samples))
     except ValueError as exc:
         raise ScrewbenchError(f"{path}: {exc}") from exc
 
@@ -476,7 +476,7 @@ class TestLogIo:
         samples = [FtSample(i * 0.01, rng.uniform(0, 50),
                             rng.uniform(0, 0.4)) for i in range(200)]
         path = tmp_path / "log.csv"
-        logio.write_log(path, samples)
+        logio.write_log(path, *zip(*samples))
         series = logio.read_log(path)
         got = np.stack([series.times(), series.channel("fz"),
                         series.channel("mz")], axis=1)
@@ -489,7 +489,8 @@ class TestLogIo:
         for direction in ("screwing", "unscrewing"):
             sc = scenario.default_scenario(direction, seed=0)
             path = tmp_path / f"{direction}.csv"
-            logio.write_log(path, runner.run_scenario(sc).samples)
+            result = runner.run_scenario(sc)
+            logio.write_log(path, result.t, result.fz, result.mz)
             times = [row.split(",")[0]
                      for row in path.read_text().splitlines()[1:]]
             assert len(times) > 1000
@@ -497,7 +498,7 @@ class TestLogIo:
 
     def test_header_schema(self, tmp_path):
         path = tmp_path / "log.csv"
-        logio.write_log(path, [FtSample(0.01, 1.0, 0.1)])
+        logio.write_log(path, [0.01], [1.0], [0.1])
         assert path.read_text().splitlines()[0] == "t_s,fz_n,mz_nm"
 
     def test_malformed_row_cites_line(self, tmp_path):
@@ -526,7 +527,11 @@ class TestLogIo:
         samples = [FtSample((i + 1) * 0.01, v, -v)
                    for i, v in enumerate(extremes)]
         path = tmp_path / "log.csv"
-        logio.write_log(path, samples)
+        logio.write_log(path, *zip(*samples))
+        # the same bytes as one `repr` f-string per `FtSample` row
+        lines = [logio.LOG_HEADER] + [f"{s.t!r},{s.fz!r},{s.mz!r}"
+                                      for s in samples]
+        assert path.read_text() == "\n".join(lines) + "\n"
         assert columns(logio.read_log(path)) == np.array(samples).T.tobytes()
 
     @settings(max_examples=500, deadline=None,
@@ -658,7 +663,9 @@ def test_flow_nesting_at_the_limit_parses(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["simulate_100k_item_seed",
                                   "simulate_100k_char_head_type",
                                   "analyze_200k_char_row",
-                                  "calibrate_200k_char_pair"])
+                                  "calibrate_200k_char_pair",
+                                  "simulate_six_100k_char_seeds",
+                                  "simulate_six_lists_of_six_seeds"])
 def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
     """A huge refused value gives one short `error:` line, cut by `...`,
     and no output file."""
@@ -676,6 +683,14 @@ def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
         "calibrate_200k_char_pair": (
             "p.csv", "0,1\n2," + "y" * 200_000 + "\n",
             "error: {path}:2: non-numeric pair '2,yyy"),
+        # each item is cut to 1,500 characters, so the whole text is cut too
+        "simulate_six_100k_char_seeds": (
+            "s.yaml", "seed: [" + ", ".join(["z" * 100_000] * 6) + "]\n",
+            "error: seed: expected an integer, got ['zzz"),
+        "simulate_six_lists_of_six_seeds": (
+            "s.yaml", "seed: [" + ", ".join(
+                ["[" + ", ".join(["z" * 100_000] * 6) + "]"] * 6) + "]\n",
+            "error: seed: expected an integer, got [['zzz"),
     }[case]
     path = tmp_path / name
     path.write_text(text)
@@ -710,11 +725,15 @@ def test_shown_value_within_the_limits_is_its_repr(value):
     ({i: i for i in range(5, 0, -1)}, "{1: 1, 2: 2, 3: 3, 4: 4, ...}"),
     ([[[[1]]]], "[[[[...]]]]"),
     ({"b": 1, "a": 2}, "{'a': 2, 'b': 1}"),
+    (["z" * 100_000] * 6, "['" + "z" * 746 + "..." + "z" * 747 + "']"),
+    (10 ** 5000, "<int of 16610 bits>"),
 ], ids=["string", "integer", "list", "tuple", "mapping", "nesting",
-        "sorted_keys"])
+        "sorted_keys", "whole_text", "integer_past_the_digit_limit"])
 def test_shown_value_past_the_limits_is_cut(value, expected):
     """A single value keeps 1,500 characters of its `repr`, a container six
-    items (a mapping four, keys sorted) and three levels of nesting."""
+    items (a mapping four, keys sorted) and three levels of nesting, and
+    the whole text 1,500 characters. An int too long for `repr` is shown
+    by its size."""
     assert errors.shown(value) == expected
 
 
@@ -813,8 +832,8 @@ def test_bad_input_or_fit_raises_the_base_error(tmp_path, case):
     itself, with its message."""
     path = tmp_path / "in.csv"
     header = "t_s,fz_n,mz_nm\n"
-    ramp = analysis.FtSeries(samples=[(k / 100, float(k), 0.1)
-                                      for k in range(1, 11)])
+    ramp = analysis.FtSeries([k / 100 for k in range(1, 11)],
+                             [float(k) for k in range(1, 11)], [0.1] * 10)
     text, call, message = {
         "log_bad_row": (header + "0.01,1.0,0.1\n0.02,oops,0.1\n",
                         logio.read_log,
@@ -890,9 +909,7 @@ def write_line_log(path, nu=106.0, n=600):
     """Synthetic oscillatory log with F exactly nu * tau."""
     t = np.arange(1, n + 1) * 0.01
     tau = 0.1 + 0.05 * np.sin(2 * np.pi * 1.3 * t)
-    samples = [FtSample(float(tt), float(nu * mz), float(mz))
-               for tt, mz in zip(t, tau)]
-    logio.write_log(path, samples)
+    logio.write_log(path, t.tolist(), (nu * tau).tolist(), tau.tolist())
 
 
 class TestAnalyze:
@@ -908,17 +925,16 @@ class TestAnalyze:
 
     def test_constant_zero_log_exits_nonzero(self, tmp_path, capsys):
         log = tmp_path / "zero.csv"
-        logio.write_log(log, [FtSample(i * 0.01, 0.0, 0.0)
-                              for i in range(1, 100)])
+        logio.write_log(log, [i * 0.01 for i in range(1, 100)],
+                        [0.0] * 99, [0.0] * 99)
         assert run_cli("analyze", log) == 1
         assert "variance" in capsys.readouterr().err
 
     def test_torque_near_float_limit_gives_one_error_line(self, tmp_path,
                                                          capsys):
         log = tmp_path / "tiny.csv"
-        logio.write_log(log, [FtSample(i * 0.01, f, m) for i, (f, m) in
-                              enumerate([(1.0, 0.0), (2.0, 1e-300),
-                                         (3.0, 2e-300), (1.0, 0.0)])])
+        logio.write_log(log, [0.0, 0.01, 0.02, 0.03], [1.0, 2.0, 3.0, 1.0],
+                        [0.0, 1e-300, 2e-300, 0.0])
         assert run_cli("analyze", log) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {log}: force/torque fit is degenerate")
@@ -1026,8 +1042,8 @@ class TestCompare:
         self.make_group(tmp_path / "a", [100.0, 110.0])
         self.make_group(tmp_path / "b", [100.0, 110.0])
         flat = tmp_path / "b" / "run2.csv"
-        logio.write_log(flat, [FtSample(i * 0.01, 1.0, 0.1)
-                               for i in range(1, 100)])
+        logio.write_log(flat, [i * 0.01 for i in range(1, 100)],
+                        [1.0] * 99, [0.1] * 99)
         argv = ([flat] if command == "analyze"
                 else [tmp_path / "a", tmp_path / "b"])
         assert run_cli(command, *argv) == 1
@@ -1044,8 +1060,9 @@ class TestCompare:
             for seed in range(8):
                 sc = scenario.default_scenario(
                     "screwing", seed=seed, screw={"head_type": head})
+                result = runner.run_scenario(sc)
                 logio.write_log(tmp_path / name / f"{seed}.csv",
-                                runner.run_scenario(sc).samples)
+                                result.t, result.fz, result.mz)
         assert run_cli("compare", tmp_path / "a", tmp_path / "b") == 0
         report = yaml.safe_load(capsys.readouterr().out)
         assert (report["u"], report["method"], report["p"]) == (

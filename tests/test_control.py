@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from array import array
 
 import numpy as np
 import pytest
@@ -459,9 +460,10 @@ class TestUpdate:
 ], ids=["done", "fault", "timeout", "timeout_part_period"])
 def test_run_scenario_folds_the_closed_loop(monkeypatch, fields, constants,
                                             outcome, steps):
-    """`run_scenario` agrees with one pass of `closed_loop`: its samples,
-    slip onsets, final states and report come from the yielded steps.
-    `constants` replaces `control` constants for the run."""
+    """`run_scenario` agrees with one pass of `closed_loop`: its recording
+    (three `array('d')` columns, bit for bit, and their `FtSample` row
+    view), slip onsets, final states and report come from the yielded
+    steps. `constants` replaces `control` constants for the run."""
     set_constants(monkeypatch, **constants)
     sc = scenario.default_scenario("screwing", seed=3, **fields)
     sensed, times, slipping = [], [], []
@@ -472,6 +474,11 @@ def test_run_scenario_folds_the_closed_loop(monkeypatch, fields, constants,
     result = runner.run_scenario(sc)
 
     assert len(sensed) == steps
+    for name in ("t", "fz", "mz"):
+        column = getattr(result, name)
+        assert isinstance(column, array) and column.typecode == "d"
+        assert column.tobytes() == array(
+            "d", [getattr(s, name) for s in sensed]).tobytes()
     assert result.samples == sensed
     assert result.slip_times == [
         t for t, now, before in zip(times, slipping, [False] + slipping)

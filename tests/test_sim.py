@@ -679,8 +679,11 @@ def test_scenario_built_in_code_rejects_negative_seed():
     (lambda: dataclasses.replace(scenario.default_scenario("screwing"),
                                  duration=math.nan),
      "duration: expected a finite number"),
+    # past the digits `repr` converts, so the message shows its size
+    (lambda: scenario.SimParams(k_spring=10 ** 5000),
+     "k_spring: expected a finite number, got <int of 16610 bits>$"),
 ], ids=["shank_length", "k_seat", "p_max", "margin", "seed", "margin_and_nu",
-        "contact_z", "duration"])
+        "contact_z", "duration", "k_spring_past_the_digit_limit"])
 def test_settings_built_in_code_follow_the_number_rule(build, field):
     """Settings built in code obey the number rule a scenario file obeys,
     so no run starts from a non-finite or mistyped setting."""
