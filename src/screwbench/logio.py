@@ -1,4 +1,4 @@
-"""CSV log, calibration pairs and report file formats.
+"""CSV log, calibration pairs, scenario and report file formats.
 
 Logs are plain CSV with header ``t_s,fz_n,mz_nm`` at 100 Hz, values in SI
 units written with full precision so write/load round-trips bit-exactly. A
@@ -6,11 +6,14 @@ log holds a recording, the three columns ``t``, ``fz`` and ``mz``:
 `write_log` takes them and `read_log` gives them as an `FtSeries`.
 Calibration pairs are ``pot_reading,ref_force`` CSV rows under an optional
 header. Reports are flat YAML key/value documents with deterministic key
-order. Only the log read path loads numpy and the analysis module; writing
-a log or a report needs neither. The log line scan and the pairs reader
+order. A scenario file is a YAML document, which `scenario.load_scenario`
+builds the run settings from. This is the only module that loads PyYAML,
+and only the log read path loads numpy and the analysis module; writing a
+log or a report needs neither. The log line scan and the pairs reader
 share one row reader, `_read_rows`. A bad log or pairs file is cited as
 ``<path>:<line>: <what>``, or ``<path>: <what>`` where no line is at fault,
-and a quoted row is shown through `errors.shown`.
+and a quoted row is shown through `errors.shown`; a scenario file that is
+not valid YAML is cited as ``<path>: invalid YAML: <what> on line <N>``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ScrewbenchError, shown
+from .errors import ScenarioError, ScrewbenchError, clip, shown
 
 if TYPE_CHECKING:
     from .analysis import FtSeries
@@ -145,6 +148,72 @@ def _read_rows(path, lines, start, width, noun, *, header) -> list:
                 f"{path}:{lineno}: non-finite {noun} {shown(line)}")
         rows.append(row)
     return rows
+
+
+# Flow collections (`[`, `{`) nested deeper than this are a parse error:
+# the scanner's work per token grows with the nesting level.
+_MAX_FLOW_NESTING = 64
+
+
+def read_scenario_file(path) -> object:
+    """The YAML document of the scenario file at `path`, `{}` for an empty
+    file; a file that is not valid YAML is a `ScenarioError` citing it and
+    the line (`<path>: invalid YAML: <what> on line <N>`)."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        """`yaml.safe_load`'s loader, except that a key repeated in one
+        mapping is an error rather than the last value kept, and that flow
+        collections nest at most `_MAX_FLOW_NESTING` levels deep."""
+
+        def fetch_flow_collection_start(self, TokenClass):
+            if self.flow_level >= _MAX_FLOW_NESTING:
+                raise yaml.scanner.ScannerError(
+                    None, None, f"flow collections nested deeper than "
+                    f"{_MAX_FLOW_NESTING} levels", self.get_mark())
+            super().fetch_flow_collection_start(TokenClass)
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue  # `<<: *base` may be overridden by design
+                key = self.construct_object(key_node, deep=deep)
+                try:
+                    repeated = key in seen
+                except TypeError:  # unhashable: the base class refuses it
+                    continue
+                if repeated:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {shown(key)}",
+                        key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    # an integer literal past Python's digit limit is a ValueError, and
+    # block nesting deeper than the parser's recursion limit a
+    # RecursionError (flow nesting stops at `_MAX_FLOW_NESTING` first).
+    # A parse error cites the line it stopped at, or the file's last line
+    # where the file ends early, and PyYAML's text, which may quote a tag
+    # or alias of any length, is cut by `clip`; a control character, which
+    # has no mark, is cited at the line of its position in the text
+    text = read_text(path)
+    try:
+        data = yaml.load(text, Loader)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if isinstance(exc, yaml.reader.ReaderError):
+            what = (f"unacceptable character #x{exc.character:04x}: "
+                    f"{exc.reason} on line "
+                    f"{len(text[:exc.position + 1].splitlines())}")
+        elif mark is None:
+            what = " ".join(str(exc).split())
+        else:
+            what = (f"{clip(exc.problem)} on line "
+                    f"{min(mark.line + 1, len(text.splitlines()))}")
+        raise ScenarioError(f"{path}: invalid YAML: {what}") from exc
+    # an empty file is an empty mapping, so it still asks for the seed
+    return {} if data is None else data
 
 
 def format_report(data: dict) -> str:

@@ -10,11 +10,11 @@ sign rules in the class tuples `positive` (> 0) and `non_negative` (>= 0);
 a bad value is a `ScenarioError` naming the field (`substrate.tau_cut: must
 be >= 0, ...`); in code, an unknown or missing field is a `TypeError`.
 
-A scenario is a YAML mapping with optional sections `screw`, `substrate`,
-`sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`.
-Any field left out takes the documented default, so a minimal file only
-needs to say what differs; a key given twice in one mapping is an error
-naming it and its line. `NU_CHAR[head_type]` is the head's slippage
+A scenario is a mapping with optional sections `screw`, `substrate`,
+`sim`, `controller` plus `direction`, `duration`, `contact_z` and `seed`;
+`load_scenario` reads it from a file through `logio`. Any field left out
+takes the documented default, so a minimal file only needs to say what
+differs. `NU_CHAR[head_type]` is the head's slippage
 ratio: `sim` takes it as the cam-out threshold, and `scenario_from_dict`
 and `default_scenario` give it to the controller as its nu gain (the
 human-derived value for that head type); a `ControllerConfig()` built in
@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import ClassVar
 
 from . import sensor
-from .errors import ScenarioError, shown
+from .errors import ScenarioError, clip, shown
 
 CONTACT_Z = 0.005  # m, default carriage position at first head contact
 
@@ -267,7 +267,7 @@ def _build(cls, section: str | None, data: dict, **given):
     names = _layout(cls)[0]
     for key in data:
         if key not in names or key in given:
-            raise ScenarioError(f"{prefix}{key}: unknown field")
+            raise ScenarioError(f"{prefix}{clip(str(key))}: unknown field")
     try:
         return cls(**data, **given)
     except ScenarioError as exc:  # names the field
@@ -297,67 +297,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                   sim=sim, controller=controller)
 
 
-# Flow collections (`[`, `{`) nested deeper than this are a parse error:
-# the scanner's work per token grows with the nesting level.
-_MAX_FLOW_NESTING = 64
-
-
 def load_scenario(path) -> Scenario:
-    import yaml
-    from .logio import read_text
-
-    class Loader(yaml.SafeLoader):
-        """`yaml.safe_load`'s loader, except that a key repeated in one
-        mapping is an error rather than the last value kept, and that flow
-        collections nest at most `_MAX_FLOW_NESTING` levels deep."""
-
-        def fetch_flow_collection_start(self, TokenClass):
-            if self.flow_level >= _MAX_FLOW_NESTING:
-                raise yaml.scanner.ScannerError(
-                    None, None, f"flow collections nested deeper than "
-                    f"{_MAX_FLOW_NESTING} levels", self.get_mark())
-            super().fetch_flow_collection_start(TokenClass)
-
-        def construct_mapping(self, node, deep=False):
-            seen = set()
-            for key_node, _ in node.value:
-                if key_node.tag == "tag:yaml.org,2002:merge":
-                    continue  # `<<: *base` may be overridden by design
-                key = self.construct_object(key_node, deep=deep)
-                try:
-                    repeated = key in seen
-                except TypeError:  # unhashable: the base class refuses it
-                    continue
-                if repeated:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"duplicate key {key!r}",
-                        key_node.start_mark)
-                seen.add(key)
-            return super().construct_mapping(node, deep=deep)
-
-    # an integer literal past Python's digit limit is a ValueError, and
-    # block nesting deeper than the parser's recursion limit a
-    # RecursionError (flow nesting stops at `_MAX_FLOW_NESTING` first).
-    # A parse error cites the line it stopped at, or the file's last line
-    # where the file ends early; a control character, which has no mark,
-    # is cited at the line of its position in the text
-    text = read_text(path)
-    try:
-        data = yaml.load(text, Loader)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if isinstance(exc, yaml.reader.ReaderError):
-            what = (f"unacceptable character #x{exc.character:04x}: "
-                    f"{exc.reason} on line "
-                    f"{len(text[:exc.position + 1].splitlines())}")
-        elif mark is None:
-            what = " ".join(str(exc).split())
-        else:
-            what = (f"{exc.problem} on line "
-                    f"{min(mark.line + 1, len(text.splitlines()))}")
-        raise ScenarioError(f"{path}: invalid YAML: {what}") from exc
-    # an empty file is an empty mapping, so it still asks for the seed
-    return scenario_from_dict({} if data is None else data)
+    from .logio import read_scenario_file
+    return scenario_from_dict(read_scenario_file(path))
 
 
 def default_scenario(direction=None, seed: int = 0,

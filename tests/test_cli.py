@@ -561,6 +561,33 @@ class TestLogIo:
                 columns(reference_read_log(path))
 
 
+class TestReadScenarioFile:
+    """`logio.read_scenario_file` gives the file's YAML document as it is;
+    `scenario.load_scenario` builds the run settings from it."""
+
+    @pytest.mark.parametrize("text, data", [
+        ("", {}), ("seed: 3\n", {"seed": 3})], ids=["empty", "seed"])
+    def test_document(self, tmp_path, text, data):
+        path = tmp_path / "s.yaml"
+        path.write_text(text)
+        assert logio.read_scenario_file(path) == data
+
+    def test_top_level_list_comes_back_and_the_loader_refuses_it(
+            self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_text("- 1\n- 2\n")
+        assert logio.read_scenario_file(path) == [1, 2]
+        with pytest.raises(ScenarioError, match="^scenario: expected a "
+                           "mapping at top level$"):
+            scenario.load_scenario(path)
+
+    def test_missing_file_is_not_a_scenario_error(self, tmp_path):
+        path = tmp_path / "missing.yaml"
+        with pytest.raises(ScrewbenchError, match="^cannot read ") as info:
+            logio.read_scenario_file(path)
+        assert not isinstance(info.value, ScenarioError)
+
+
 # scenario files PyYAML refuses, each with what its one `error:` line says
 # after `<path>: invalid YAML: `; an error at the end of the file cites the
 # file's last line, and a control character its own line
@@ -665,7 +692,12 @@ def test_flow_nesting_at_the_limit_parses(tmp_path, capsys):
                                   "analyze_200k_char_row",
                                   "calibrate_200k_char_pair",
                                   "simulate_six_100k_char_seeds",
-                                  "simulate_six_lists_of_six_seeds"])
+                                  "simulate_six_lists_of_six_seeds",
+                                  "simulate_100k_char_section_key",
+                                  "simulate_100k_char_top_level_key",
+                                  "simulate_100k_char_key_twice",
+                                  "simulate_100k_char_tag",
+                                  "simulate_100k_char_alias"])
 def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
     """A huge refused value gives one short `error:` line, cut by `...`,
     and no output file."""
@@ -691,6 +723,24 @@ def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
             "s.yaml", "seed: [" + ", ".join(
                 ["[" + ", ".join(["z" * 100_000] * 6) + "]"] * 6) + "]\n",
             "error: seed: expected an integer, got [['zzz"),
+        # a key, tag or alias is cut as a value is; PyYAML's text quotes it
+        "simulate_100k_char_section_key": (
+            "s.yaml",
+            "seed: 0\ncontroller:\n  ? " + "y" * 100_000 + "\n  : 1\n",
+            "error: controller.yyy"),
+        "simulate_100k_char_top_level_key": (
+            "s.yaml", "seed: 0\n? " + "y" * 100_000 + "\n: 1\n",
+            "error: yyy"),
+        "simulate_100k_char_key_twice": (
+            "s.yaml", "seed: 0\n" + ("? " + "y" * 100_000 + "\n: 1\n") * 2,
+            "error: {path}: invalid YAML: duplicate key 'yyy"),
+        "simulate_100k_char_tag": (
+            "s.yaml", "seed: !" + "z" * 100_000 + " 1\n",
+            "error: {path}: invalid YAML: could not determine a constructor "
+            "for the tag '!zzz"),
+        "simulate_100k_char_alias": (
+            "s.yaml", "seed: *" + "a" * 100_000 + "\n",
+            "error: {path}: invalid YAML: found undefined alias 'aaa"),
     }[case]
     path = tmp_path / name
     path.write_text(text)
@@ -706,6 +756,20 @@ def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
+def test_cut_yaml_text_keeps_its_line(tmp_path, capsys):
+    """PyYAML's text is cut to 1,500 characters as a single value is, and
+    the line it cites follows the cut."""
+    path = tmp_path / "s.yaml"
+    path.write_text("seed: 0\nduration: !" + "z" * 100_000 + " 1\n")
+    assert run_cli("simulate", path, "--out", tmp_path / "o.csv",
+                   "--report", tmp_path / "r.yaml") == 1
+    problem = ("could not determine a constructor for the tag "
+               "'!" + "z" * 100_000 + "'")
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid YAML: {problem[:748]}...{problem[-749:]} "
+        f"on line 2\n")
+
+
 @pytest.mark.parametrize("value", [
     "torx", "x" * 1498, "0.01,1,\x0c2", 2 ** 63, -1, 30.5, 1e308, True,
     None, Fraction(1, 2), [1], [[1, 2], ("a", "b")], list(range(6)),
@@ -715,6 +779,11 @@ def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
          "six_items", "mapping", "settings"])
 def test_shown_value_within_the_limits_is_its_repr(value):
     assert errors.shown(value) == repr(value)
+
+
+class BadRepr:
+    def __repr__(self):
+        raise RuntimeError("no repr")
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -727,13 +796,17 @@ def test_shown_value_within_the_limits_is_its_repr(value):
     ({"b": 1, "a": 2}, "{'a': 2, 'b': 1}"),
     (["z" * 100_000] * 6, "['" + "z" * 746 + "..." + "z" * 747 + "']"),
     (10 ** 5000, "<int of 16610 bits>"),
+    (BadRepr(), "<BadRepr instance>"),
+    ([BadRepr()], "[<BadRepr instance>]"),
 ], ids=["string", "integer", "list", "tuple", "mapping", "nesting",
-        "sorted_keys", "whole_text", "integer_past_the_digit_limit"])
+        "sorted_keys", "whole_text", "integer_past_the_digit_limit",
+        "bad_repr", "bad_repr_in_a_list"])
 def test_shown_value_past_the_limits_is_cut(value, expected):
     """A single value keeps 1,500 characters of its `repr`, a container six
     items (a mapping four, keys sorted) and three levels of nesting, and
     the whole text 1,500 characters. An int too long for `repr` is shown
-    by its size."""
+    by its size, and a value whose `repr` raises by its type name alone, so
+    the same refusal gives the same line on every run."""
     assert errors.shown(value) == expected
 
 

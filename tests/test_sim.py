@@ -682,8 +682,12 @@ def test_scenario_built_in_code_rejects_negative_seed():
     # past the digits `repr` converts, so the message shows its size
     (lambda: scenario.SimParams(k_spring=10 ** 5000),
      "k_spring: expected a finite number, got <int of 16610 bits>$"),
+    # `repr` raises past the digit limit: the type shows, with no address
+    (lambda: scenario.SimParams(k_spring=Fraction(10 ** 5000, 3)),
+     "k_spring: expected a finite number, got <Fraction instance>$"),
 ], ids=["shank_length", "k_seat", "p_max", "margin", "seed", "margin_and_nu",
-        "contact_z", "duration", "k_spring_past_the_digit_limit"])
+        "contact_z", "duration", "k_spring_past_the_digit_limit",
+        "k_spring_fraction_past_the_digit_limit"])
 def test_settings_built_in_code_follow_the_number_rule(build, field):
     """Settings built in code obey the number rule a scenario file obeys,
     so no run starts from a non-finite or mistyped setting."""
