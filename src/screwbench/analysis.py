@@ -39,8 +39,13 @@ class FtSeries:
     Compares by identity."""
 
     def __init__(self, t, fz, mz):
-        columns = np.array((t, fz, mz), dtype=float)
-        if columns.ndim != 2:
+        try:
+            columns = np.array((t, fz, mz), dtype=float)
+        except ValueError:
+            if len({np.shape(c) for c in (t, fz, mz)}) == 1:
+                raise  # one shape: a value that is not a number
+            columns = None  # numpy refuses columns of unequal shapes
+        if columns is None or columns.ndim != 2:
             raise ValueError("t, fz and mz must be 1-D and of one length")
         if columns.shape[1] == 0:
             raise ValueError("empty series")

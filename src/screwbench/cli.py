@@ -8,7 +8,9 @@ Subcommands:
 
 Validation failures, bad arguments included, print one `error:` line and
 exit 1; physical outcomes (fault, timeout) are recorded in the report and
-exit zero.
+exit zero. That line, and `simulate`'s status line, write each character
+that is not `str.isprintable()` as its escape (a line break in a path or
+a quoted key as `\\n`, U+2028 as `\\u2028`), so each stays one line.
 
 `simulate` writes its log and report to the two paths it is given, which
 must name two different files, neither of them the scenario file, and
@@ -48,6 +50,12 @@ def __getattr__(name):
         from . import scenario
         return scenario.load_scenario
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _printable(text: str) -> str:
+    """`text` with each character that is not `str.isprintable()` written
+    as its escape, as `repr` writes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def cmd_simulate(args) -> int:
@@ -94,9 +102,9 @@ def cmd_simulate(args) -> int:
             with contextlib.suppress(OSError):
                 out.unlink()
         raise
-    print(f"outcome: {result.outcome.value}  "
-          f"slip_events: {len(result.slip_times)}  "
-          f"log: {args.out}  report: {args.report}")
+    print(_printable(f"outcome: {result.outcome.value}  "
+                     f"slip_events: {len(result.slip_times)}  "
+                     f"log: {args.out}  report: {args.report}"))
     return 0
 
 
@@ -227,7 +235,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ScrewbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_printable(f"error: {exc}"), file=sys.stderr)
         return 1
 
 

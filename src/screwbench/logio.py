@@ -207,7 +207,7 @@ def read_scenario_file(path) -> object:
                     f"{exc.reason} on line "
                     f"{len(text[:exc.position + 1].splitlines())}")
         elif mark is None:
-            what = " ".join(str(exc).split())
+            what = str(exc)
         else:
             what = (f"{clip(exc.problem)} on line "
                     f"{min(mark.line + 1, len(text.splitlines()))}")

@@ -175,7 +175,7 @@ class SubstrateSpec(_Settings):
 
     kind: SubstrateKind = SubstrateKind.PLASTIC_HOLE
     tau_cut: float = 0.03  # N·m, thread-cutting torque (screwing only)
-    k_depth: float = 0.19 / 0.008  # N·m per m of engaged thread
+    k_depth: float = 0.19 / ScrewSpec.shank_length  # N·m per m of thread
     tau_run_nut: float = 0.002  # N·m, running torque in a nut
     k_seat: float = 0.05  # N·m/rad, head-seating torsional stiffness
     positive: ClassVar[tuple] = ("k_seat",)
@@ -257,19 +257,20 @@ class Scenario(_Settings):
         return self.controller.direction
 
 
-def _build(cls, section: str | None, data: dict, **given):
+def _build(cls, section, data: dict, default: dict = {}, **given):
     """`cls` from the mapping `data` of a file `section` (None: the top
-    level) plus the `given` fields, which a file cannot set. `cls` checks
-    the values, and its field errors get the section's prefix."""
+    level) over the file defaults `default`, plus the `given` fields, which
+    a file cannot set. `cls` checks the values, and its field errors get
+    the section's prefix."""
     if not isinstance(data, dict):
-        raise ScenarioError(f"{section or 'scenario'}: expected a mapping")
+        raise ScenarioError(f"{section}: expected a mapping")
     prefix = f"{section}." if section else ""
     names = _layout(cls)[0]
     for key in data:
         if key not in names or key in given:
             raise ScenarioError(f"{prefix}{clip(str(key))}: unknown field")
     try:
-        return cls(**data, **given)
+        return cls(**{**default, **data}, **given)
     except ScenarioError as exc:  # names the field
         raise ScenarioError(f"{prefix}{exc}") from exc
 
@@ -286,13 +287,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     screw = _build(ScrewSpec, "screw", data.pop("screw", {}))
     substrate = _build(SubstrateSpec, "substrate", data.pop("substrate", {}))
     sim = _build(SimParams, "sim", data.pop("sim", {}))
-
-    ctrl_data = data.pop("controller", {})
-    if not isinstance(ctrl_data, dict):
-        raise ScenarioError("controller: expected a mapping")
     controller = _build(ControllerConfig, "controller",
-                        {"nu": NU_CHAR[screw.head_type], **ctrl_data},
-                        direction=direction)
+                        data.pop("controller", {}),
+                        {"nu": NU_CHAR[screw.head_type]}, direction=direction)
     return _build(Scenario, None, data, screw=screw, substrate=substrate,
                   sim=sim, controller=controller)
 
@@ -302,9 +299,9 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(read_scenario_file(path))
 
 
-def default_scenario(direction=None, seed: int = 0,
+def default_scenario(direction=ControllerConfig.direction, seed: int = 0,
                      **overrides) -> Scenario:
-    """Convenience builder used by tests and the bundled examples. A
-    `direction` of None is left out, as in a file that sets none."""
-    given = {} if direction is None else {"direction": direction}
-    return scenario_from_dict({**given, "seed": seed, **overrides})
+    """The scenario of a file that sets `direction`, `seed` and the
+    `overrides`; a convenience for the tests and the benchmark."""
+    return scenario_from_dict({"direction": direction, "seed": seed,
+                               **overrides})

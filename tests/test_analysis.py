@@ -28,23 +28,27 @@ def fz_mz_series(fz, mz):
     return FtSeries(np.arange(len(fz)) * 0.01, fz, mz)
 
 
+_RAGGED = "^t, fz and mz must be 1-D and of one length$"
+
+
 class TestFtSeries:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FtSeries([], [], [])
 
-    @pytest.mark.parametrize("columns", [
-        ([0.0, 0.01, 0.02], [1.0, 2.0], [0.1, 0.2, 0.3]),
-        ([0.0, 0.01, 0.02], 1.0, [0.1, 0.2, 0.3]),
-        ([0.0, math.nan, 0.02], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]),
-        ([0.0, 0.01, 0.02], [1.0, 2.0, 3.0], [0.1, math.nan, 0.3]),
-        (0.0, 1.0, 0.1),
+    @pytest.mark.parametrize("columns, match", [
+        (([0.0, 0.01, 0.02], [1.0, 2.0], [0.1, 0.2, 0.3]), _RAGGED),
+        (([0.0, 0.01, 0.02], 1.0, [0.1, 0.2, 0.3]), _RAGGED),
+        (([0.0, math.nan, 0.02], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]), None),
+        (([0.0, 0.01, 0.02], [1.0, 2.0, 3.0], [0.1, math.nan, 0.3]), None),
+        ((0.0, 1.0, 0.1), None),
     ], ids=["unequal_lengths", "scalar_column", "nan_time", "nan_torque",
             "scalars"])
-    def test_rejects_rows_that_are_not_finite_triples(self, columns):
+    def test_rejects_rows_that_are_not_finite_triples(self, columns, match):
         """The series' rows are (t, fz, mz) triples: the three columns are
-        1-D, of one length and finite."""
-        with pytest.raises(ValueError):
+        1-D, of one length and finite; columns of unequal shapes are
+        refused in those words, not numpy's."""
+        with pytest.raises(ValueError, match=match):
             FtSeries(*columns)
 
     def test_rejects_non_monotone_time(self):

@@ -674,6 +674,42 @@ def test_unreadable_file_is_one_error_line(tmp_path, scenario_file, capsys,
     assert not (tmp_path / "r.yaml").exists()
 
 
+@pytest.mark.parametrize("case", ["simulate_key_with_line_breaks",
+                                  "simulate_key_with_line_separator",
+                                  "analyze_path_with_line_break",
+                                  "compare_directory_with_line_break",
+                                  "analyze_argument_with_line_break"])
+def test_unprintable_character_is_escaped_in_the_error_line(
+        tmp_path, monkeypatch, capsys, case):
+    """A character that is not `str.isprintable()` in a quoted key, a path
+    or an argument is written as its escape, so the refusal stays one
+    `error:` line; no file is written."""
+    monkeypatch.chdir(tmp_path)
+    Path("s.yaml").write_text({
+        "simulate_key_with_line_breaks": 'seed: 0\n"a\\nb\\rc": 1\n',
+        "simulate_key_with_line_separator": 'seed: 0\n"a\\u2028b": 1\n',
+    }.get(case, "seed: 0\n"))
+    simulate = ["simulate", "s.yaml", "--out", "o.csv", "--report", "r.yaml"]
+    argv, line = {
+        "simulate_key_with_line_breaks": (
+            simulate, r"error: a\nb\rc: unknown field"),
+        "simulate_key_with_line_separator": (
+            simulate, r"error: a\u2028b: unknown field"),
+        "analyze_path_with_line_break": (
+            ["analyze", "no\nsuch.csv"],
+            r"error: cannot read no\nsuch.csv: [Errno 2] No such file or "
+            r"directory: 'no\nsuch.csv'"),
+        "compare_directory_with_line_break": (
+            ["compare", "d\nx", "d\nx"], r"error: no CSV logs in d\nx"),
+        "analyze_argument_with_line_break": (
+            ["analyze", "a", "b\nc"],
+            r"error: screwbench: unrecognized arguments: b\nc"),
+    }[case]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
+
+
 def test_flow_nesting_at_the_limit_parses(tmp_path, capsys):
     """64 levels of flow nesting parse, so the error is the field's; the
     65th level is a parse error (`_MALFORMED_YAML`)."""
