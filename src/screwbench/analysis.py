@@ -39,14 +39,10 @@ class FtSeries:
     Compares by identity."""
 
     def __init__(self, t, fz, mz):
-        try:
-            columns = np.array((t, fz, mz), dtype=float)
-        except ValueError:
-            if len({np.shape(c) for c in (t, fz, mz)}) == 1:
-                raise  # one shape: a value that is not a number
-            columns = None  # numpy refuses columns of unequal shapes
-        if columns is None or columns.ndim != 2:
+        t, fz, mz = (np.asarray(c, dtype=float) for c in (t, fz, mz))
+        if t.ndim != 1 or not t.shape == fz.shape == mz.shape:
             raise ValueError("t, fz and mz must be 1-D and of one length")
+        columns = np.stack((t, fz, mz))
         if columns.shape[1] == 0:
             raise ValueError("empty series")
         if not np.isfinite(columns).all():
@@ -92,6 +88,7 @@ class EnvelopeFit:
 
     Never overshoots beyond adjacent knot values, so the curve is usable
     directly as a force/torque reference. Evaluable on [t_min, t_max].
+    Takes 2 or more 1-D knots of one length, times strictly increasing.
     """
 
     knot_times: np.ndarray
@@ -99,7 +96,13 @@ class EnvelopeFit:
     _coeffs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x, y = self.knot_times, self.knot_values
+        x = self.knot_times = np.asarray(self.knot_times, dtype=float)
+        y = self.knot_values = np.asarray(self.knot_values, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValueError("knot times and values must be 1-D and of one"
+                             " length")
+        if len(x) < 2:
+            raise ValueError("need at least 2 peaks to fit an envelope")
         h = np.diff(x)
         if np.any(h <= 0):
             raise ValueError("knot times must be strictly increasing")
@@ -280,11 +283,8 @@ def _previous_higher(values: list) -> list:
 
 
 def fit_envelope(peaks: PeakSet) -> EnvelopeFit:
-    """Shape-preserving interpolant through the peak points."""
-    if len(peaks) < 2:
-        raise ValueError("need at least 2 peaks to fit an envelope")
-    return EnvelopeFit(knot_times=np.asarray(peaks.times, dtype=float),
-                       knot_values=np.asarray(peaks.values, dtype=float))
+    """Shape-preserving interpolant through 2 or more peak points."""
+    return EnvelopeFit(knot_times=peaks.times, knot_values=peaks.values)
 
 
 def regrasp_frequency(series: FtSeries, channel: str,

@@ -39,16 +39,17 @@ _WRITER_BODY_BYTES = b"0123456789+-.eE,\n"
 
 
 def read_text(path) -> str:
-    """A missing, unreadable or non-UTF-8 file is an error naming it."""
+    """The file as UTF-8, whatever the locale. A missing, unreadable or
+    non-UTF-8 file is an error naming it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
 
 
 def write_text(path, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ScrewbenchError(f"cannot write {path}: {exc}") from exc
 

@@ -41,9 +41,10 @@ class TestFtSeries:
         (([0.0, 0.01, 0.02], 1.0, [0.1, 0.2, 0.3]), _RAGGED),
         (([0.0, math.nan, 0.02], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]), None),
         (([0.0, 0.01, 0.02], [1.0, 2.0, 3.0], [0.1, math.nan, 0.3]), None),
-        ((0.0, 1.0, 0.1), None),
+        ((0.0, 1.0, 0.1), _RAGGED),
+        (([[0.0, 0.01]], [[1.0, 2.0]], [[0.1, 0.2]]), _RAGGED),
     ], ids=["unequal_lengths", "scalar_column", "nan_time", "nan_torque",
-            "scalars"])
+            "scalars", "2d_columns"])
     def test_rejects_rows_that_are_not_finite_triples(self, columns, match):
         """The series' rows are (t, fz, mz) triples: the three columns are
         1-D, of one length and finite; columns of unequal shapes are
@@ -147,9 +148,32 @@ class TestFitEnvelope:
         v = env(np.linspace(0, 4, 400))
         assert np.all(np.diff(v) <= 1e-12)
 
-    def test_single_peak_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.fit_envelope(self.peaks_at([0.0], [1.0]))
+    @pytest.mark.parametrize("build, message", [
+        (lambda self: analysis.fit_envelope(self.peaks_at([0.0], [1.0])),
+         "need at least 2 peaks to fit an envelope"),
+        (lambda self: analysis.EnvelopeFit(knot_times=np.array([]),
+                                           knot_values=np.array([])),
+         "need at least 2 peaks to fit an envelope"),
+        (lambda self: analysis.EnvelopeFit(knot_times=np.array([0.0]),
+                                           knot_values=np.array([1.0])),
+         "need at least 2 peaks to fit an envelope"),
+        (lambda self: analysis.EnvelopeFit(
+            knot_times=np.array([0.0, 1.0, 2.0]),
+            knot_values=np.array([1.0, 2.0])),
+         "knot times and values must be 1-D and of one length"),
+        (lambda self: analysis.EnvelopeFit(
+            knot_times=np.array([[0.0, 1.0]]),
+            knot_values=np.array([[1.0, 2.0]])),
+         "knot times and values must be 1-D and of one length"),
+    ], ids=["fit_envelope_one_peak", "no_knots", "one_knot",
+            "unequal_knot_arrays", "2d_knots"])
+    def test_single_peak_rejected(self, build, message):
+        """`EnvelopeFit` checks its own knots, however it is built: fewer
+        than 2, or arrays that are not 1-D and of one length, raise
+        `ValueError` in those words, not an `IndexError` or numpy's."""
+        with pytest.raises(ValueError) as excinfo:
+            build(self)
+        assert str(excinfo.value) == message
 
     def test_evaluation_outside_range_rejected(self):
         env = analysis.fit_envelope(self.peaks_at([0.0, 1.0], [1.0, 2.0]))

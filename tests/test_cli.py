@@ -368,7 +368,7 @@ def reference_read_log(path):
     log it accepts must read to the same bits, and every log it rejects
     must fail with the same error."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
@@ -1264,7 +1264,7 @@ def reference_read_pairs(path):
     reader, as a copy, with a leading byte-order mark removed: every pairs
     file must read to the same pairs, or fail with the same error."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
     pairs = []
@@ -1655,3 +1655,39 @@ def test_module_entry_point_exit_status(tmp_path, capsys):
     assert (bad.returncode, bad.stdout) == (1, "")
     assert len(bad.stderr.splitlines()) == 1
     assert bad.stderr.startswith("error: ")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path, monkeypatch, capsys):
+    """Under the C locale with locale coercion and UTF-8 mode off, a pairs
+    file with a byte-order mark and a scenario whose comment holds `N·m`
+    read as UTF-8: both commands exit 0 with the reports of a UTF-8
+    locale, and the log and report files hold the same bytes."""
+    src = Path(cli.__file__).resolve().parents[1]
+    monkeypatch.chdir(tmp_path)
+    Path("bom.csv").write_bytes(b"\xef\xbb\xbf0,1\n1,3\n2,5\n")
+    Path("s.yaml").write_text("# torque in N·m\n" + SCENARIO_TEXT,
+                              encoding="utf-8")
+    simulate = ["simulate", "s.yaml", "--out", "o.csv", "--report", "r.yaml"]
+    assert run_cli(*simulate) == 0
+    printed = capsys.readouterr().out
+    files = {name: Path(name).read_bytes() for name in ("o.csv", "r.yaml")}
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0"}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-X", "utf8=0", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    locale = run("-c", "import locale; "
+                 "print(locale.getpreferredencoding(False))").stdout
+    assert codecs.lookup(locale.strip()).name != "utf-8"
+    calibrate = run("-m", "screwbench.cli", "calibrate", "bom.csv")
+    assert (calibrate.returncode, calibrate.stderr) == (0, "")
+    assert calibrate.stdout == ("gain: 2.0\nn: 3\noffset: 1.0\n"
+                                "residual_rms: 0.0\n")
+    for path in files:
+        Path(path).unlink()
+    sim = run("-m", "screwbench.cli", *simulate)
+    assert (sim.returncode, sim.stderr, sim.stdout) == (0, "", printed)
+    assert {name: Path(name).read_bytes() for name in files} == files
