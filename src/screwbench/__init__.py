@@ -6,5 +6,3 @@ Each public name is imported from the submodule that defines it, as in
 `from screwbench.runner import run_scenario`; the README's module map
 lists them. Importing the package loads no submodule.
 """
-
-__version__ = "0.1.0"

@@ -6,23 +6,24 @@ Subcommands:
   compare    Mann-Whitney U test of per-log ratios between two directories
   calibrate  least-squares force calibration from (pot_reading, ref_force) CSV
 
-Validation failures, bad arguments included, print one `error:` line and
-exit 1; physical outcomes (fault, timeout) are recorded in the report and
-exit zero. That line, and `simulate`'s status line, write each character
-that is not `str.isprintable()` as its escape (a line break in a path or
-a quoted key as `\\n`, U+2028 as `\\u2028`), so each stays one line.
+Each command returns the text it prints or raises `ScrewbenchError`, and
+`main` alone writes: that text on stdout and exit 0, or one `error:` line on
+stderr and exit 1, for bad input, arguments included; a fault or timeout is
+recorded in the report. The `error:` line and `simulate`'s status line
+escape each character that is not `str.isprintable()` (a line break in a
+path or key as `\\n`, U+2028 as `\\u2028`), so each stays one line.
 
 `simulate` writes its log and report to the two paths it is given, which
 must name two different files, neither of them the scenario file, and
 removes the log file if the report cannot be written; `analyze`,
-`compare` and `calibrate` print their one report on stdout. The file
-formats live in `logio` and the fits in `analysis`.
+`compare` and `calibrate` return their one report. The file formats live
+in `logio` and the fits in `analysis`.
 Imports at the point of use: `import screwbench.cli` loads only the error
 types (`errors`), not even `argparse`, which loads when `main` builds the
-parser; each subcommand loads the rest where it uses
-it. Only `simulate` loads the closed loop (`runner`, `sim`), the
-controller (`control`) and the run settings (`scenario`); `analyze` reads
-the cam-out rule and its defaults from `sensor`.
+parser; each subcommand loads the rest where it uses it. Only `simulate`
+loads the closed loop (`runner`, `sim`), the controller (`control`) and
+the run settings (`scenario`); `analyze` reads the cam-out rule and its
+defaults from `sensor`.
 `cli.load_scenario` stays readable as `scenario.load_scenario`, loaded on
 first access.
 """
@@ -58,7 +59,7 @@ def _printable(text: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     import contextlib
     import dataclasses
     import os
@@ -102,10 +103,9 @@ def cmd_simulate(args) -> int:
             with contextlib.suppress(OSError):
                 out.unlink()
         raise
-    print(_printable(f"outcome: {result.outcome.value}  "
-                     f"slip_events: {len(result.slip_times)}  "
-                     f"log: {args.out}  report: {args.report}"))
-    return 0
+    return _printable(f"outcome: {result.outcome.value}  "
+                      f"slip_events: {len(result.slip_times)}  "
+                      f"log: {args.out}  report: {args.report}") + "\n"
 
 
 def _count_slip_flags(mz: np.ndarray) -> int:
@@ -117,7 +117,7 @@ def _count_slip_flags(mz: np.ndarray) -> int:
     return int((flags[1:] & ~flags[:-1]).sum())
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     from dataclasses import asdict
 
     import numpy as np
@@ -139,8 +139,7 @@ def cmd_analyze(args) -> int:
         report["envelope_t"] = grid.tolist()
         report["envelope_mz"] = env(grid).tolist()
     report["slip_events"] = _count_slip_flags(series.channel("mz"))
-    sys.stdout.write(logio.format_report(report))
-    return 0
+    return logio.format_report(report)
 
 
 def _fit(path, fit, data):
@@ -161,7 +160,7 @@ def _group_nus(directory: Path) -> list:
             for log in logs]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     from dataclasses import asdict
 
     from . import analysis, logio
@@ -175,18 +174,16 @@ def cmd_compare(args) -> int:
     }
     for label, s in analysis.summarize_conditions(groups).items():
         report[label] = {**asdict(s), "n": len(groups[label])}
-    sys.stdout.write(logio.format_report(report))
-    return 0
+    return logio.format_report(report)
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> str:
     from dataclasses import asdict
 
     from . import analysis, logio
     pairs = logio.read_pairs(args.pairs)
     result = _fit(args.pairs, analysis.calibrate_force, pairs)
-    sys.stdout.write(logio.format_report({**asdict(result), "n": len(pairs)}))
-    return 0
+    return logio.format_report({**asdict(result), "n": len(pairs)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        print(args.func(args), end="")
     except ScrewbenchError as exc:
         print(_printable(f"error: {exc}"), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

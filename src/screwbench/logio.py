@@ -38,13 +38,19 @@ LOG_HEADER = "t_s,fz_n,mz_nm"
 _WRITER_BODY_BYTES = b"0123456789+-.eE,\n"
 
 
-def read_text(path) -> str:
-    """The file as UTF-8, whatever the locale. A missing, unreadable or
-    non-UTF-8 file is an error naming it."""
+def read_text(path, limit=None) -> str:
+    """The file as UTF-8, whatever the locale, each `\\r\\n` or `\\r` read
+    as `\\n`. A missing, unreadable or non-UTF-8 file is an error naming
+    it, and so is a file of more than `limit` bytes, read no further."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            data = file.read(-1 if limit is None else limit + 1)
+        if limit is not None and len(data) > limit:
+            raise ScrewbenchError(f"{path}: larger than {limit} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScrewbenchError(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_text(path, text: str) -> None:
@@ -154,12 +160,16 @@ def _read_rows(path, lines, start, width, noun, *, header) -> list:
 # Flow collections (`[`, `{`) nested deeper than this are a parse error:
 # the scanner's work per token grows with the nesting level.
 _MAX_FLOW_NESTING = 64
+# A scenario file of more bytes than this is refused before it is parsed:
+# the pure-Python parser takes about 0.3 s on 16 KiB of its slowest shape.
+_MAX_SCENARIO_BYTES = 16 * 1024
 
 
 def read_scenario_file(path) -> object:
     """The YAML document of the scenario file at `path`, `{}` for an empty
-    file; a file that is not valid YAML is a `ScenarioError` citing it and
-    the line (`<path>: invalid YAML: <what> on line <N>`)."""
+    file; a file of more than `_MAX_SCENARIO_BYTES` is an error naming it
+    and the bound, and a file that is not valid YAML a `ScenarioError`
+    citing it and the line (`<path>: invalid YAML: <what> on line <N>`)."""
     import yaml
 
     class Loader(yaml.SafeLoader):
@@ -198,7 +208,7 @@ def read_scenario_file(path) -> object:
     # where the file ends early, and PyYAML's text, which may quote a tag
     # or alias of any length, is cut by `clip`; a control character, which
     # has no mark, is cited at the line of its position in the text
-    text = read_text(path)
+    text = read_text(path, _MAX_SCENARIO_BYTES)
     try:
         data = yaml.load(text, Loader)
     except (yaml.YAMLError, ValueError, RecursionError) as exc:

@@ -723,6 +723,42 @@ def test_flow_nesting_at_the_limit_parses(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]
 
 
+# Scenario texts built around one long value, key, tag or alias of `n`
+# characters or items, with the `n` that the refusal tests use: past the
+# limit each case tests, and inside the scenario-file bound. At the 100,000
+# that the case ids name, each text is past the bound and is refused by
+# size (`test_scenario_file_past_the_bound_is_refused`).
+_LONG_SCENARIOS = {
+    "simulate_100k_item_seed": (
+        lambda n: "seed: [" + ",".join(["1"] * n) + "]\n", 1_000),
+    "simulate_100k_char_head_type": (
+        lambda n: "seed: 0\nscrew: {head_type: " + "z" * n + "}\n", 10_000),
+    "simulate_six_100k_char_seeds": (
+        lambda n: "seed: [" + ", ".join(["z" * n] * 6) + "]\n", 2_000),
+    "simulate_six_lists_of_six_seeds": (
+        lambda n: "seed: [" + ", ".join(
+            ["[" + ", ".join(["z" * n] * 6) + "]"] * 6) + "]\n", 400),
+    "simulate_100k_char_section_key": (
+        lambda n: "seed: 0\ncontroller:\n  ? " + "y" * n + "\n  : 1\n",
+        10_000),
+    "simulate_100k_char_top_level_key": (
+        lambda n: "seed: 0\n? " + "y" * n + "\n: 1\n", 10_000),
+    "simulate_100k_char_key_twice": (
+        lambda n: "seed: 0\n" + ("? " + "y" * n + "\n: 1\n") * 2, 5_000),
+    "simulate_100k_char_tag": (
+        lambda n: "seed: !" + "z" * n + " 1\n", 10_000),
+    "simulate_100k_char_alias": (
+        lambda n: "seed: *" + "a" * n + "\n", 10_000),
+    "simulate_100k_char_duration_tag": (
+        lambda n: "seed: 0\nduration: !" + "z" * n + " 1\n", 10_000),
+}
+
+
+def long_scenario(case, n=None):
+    build, inside = _LONG_SCENARIOS[case]
+    return build(inside if n is None else n)
+
+
 @pytest.mark.parametrize("case", ["simulate_100k_item_seed",
                                   "simulate_100k_char_head_type",
                                   "analyze_200k_char_row",
@@ -739,10 +775,10 @@ def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
     and no output file."""
     name, text, start = {
         "simulate_100k_item_seed": (
-            "s.yaml", "seed: [" + ",".join(["1"] * 100_000) + "]\n",
+            "s.yaml", None,
             "error: seed: expected an integer, got [1, 1, 1, 1, 1, 1, ...]"),
         "simulate_100k_char_head_type": (
-            "s.yaml", "seed: 0\nscrew: {head_type: " + "z" * 100_000 + "}\n",
+            "s.yaml", None,
             "error: screw.head_type: expected one of phillips, internal_hex, "
             "mismatched_driver, got 'zzz"),
         "analyze_200k_char_row": (
@@ -751,35 +787,29 @@ def test_refused_value_is_shown_shortened(tmp_path, capsys, case):
         "calibrate_200k_char_pair": (
             "p.csv", "0,1\n2," + "y" * 200_000 + "\n",
             "error: {path}:2: non-numeric pair '2,yyy"),
-        # each item is cut to 1,500 characters, so the whole text is cut too
+        # an item past 1,500 characters is cut, and so is a whole text
+        # past 1,500 characters
         "simulate_six_100k_char_seeds": (
-            "s.yaml", "seed: [" + ", ".join(["z" * 100_000] * 6) + "]\n",
-            "error: seed: expected an integer, got ['zzz"),
+            "s.yaml", None, "error: seed: expected an integer, got ['zzz"),
         "simulate_six_lists_of_six_seeds": (
-            "s.yaml", "seed: [" + ", ".join(
-                ["[" + ", ".join(["z" * 100_000] * 6) + "]"] * 6) + "]\n",
-            "error: seed: expected an integer, got [['zzz"),
+            "s.yaml", None, "error: seed: expected an integer, got [['zzz"),
         # a key, tag or alias is cut as a value is; PyYAML's text quotes it
         "simulate_100k_char_section_key": (
-            "s.yaml",
-            "seed: 0\ncontroller:\n  ? " + "y" * 100_000 + "\n  : 1\n",
-            "error: controller.yyy"),
-        "simulate_100k_char_top_level_key": (
-            "s.yaml", "seed: 0\n? " + "y" * 100_000 + "\n: 1\n",
-            "error: yyy"),
+            "s.yaml", None, "error: controller.yyy"),
+        "simulate_100k_char_top_level_key": ("s.yaml", None, "error: yyy"),
         "simulate_100k_char_key_twice": (
-            "s.yaml", "seed: 0\n" + ("? " + "y" * 100_000 + "\n: 1\n") * 2,
+            "s.yaml", None,
             "error: {path}: invalid YAML: duplicate key 'yyy"),
         "simulate_100k_char_tag": (
-            "s.yaml", "seed: !" + "z" * 100_000 + " 1\n",
+            "s.yaml", None,
             "error: {path}: invalid YAML: could not determine a constructor "
             "for the tag '!zzz"),
         "simulate_100k_char_alias": (
-            "s.yaml", "seed: *" + "a" * 100_000 + "\n",
+            "s.yaml", None,
             "error: {path}: invalid YAML: found undefined alias 'aaa"),
     }[case]
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text or long_scenario(case))
     argv = {"s.yaml": ["simulate", path, "--out", tmp_path / "o.csv",
                        "--report", tmp_path / "r.yaml"],
             "log.csv": ["analyze", path], "p.csv": ["calibrate", path]}[name]
@@ -796,14 +826,35 @@ def test_cut_yaml_text_keeps_its_line(tmp_path, capsys):
     """PyYAML's text is cut to 1,500 characters as a single value is, and
     the line it cites follows the cut."""
     path = tmp_path / "s.yaml"
-    path.write_text("seed: 0\nduration: !" + "z" * 100_000 + " 1\n")
+    path.write_text(long_scenario("simulate_100k_char_duration_tag"))
     assert run_cli("simulate", path, "--out", tmp_path / "o.csv",
                    "--report", tmp_path / "r.yaml") == 1
     problem = ("could not determine a constructor for the tag "
-               "'!" + "z" * 100_000 + "'")
+               "'!" + "z" * 10_000 + "'")
     assert capsys.readouterr().err == (
         f"error: {path}: invalid YAML: {problem[:748]}...{problem[-749:]} "
         f"on line 2\n")
+
+
+@pytest.mark.parametrize("case", ["at_the_bound", "one_byte_past",
+                                  "one_utf8_byte_past", *_LONG_SCENARIOS])
+def test_scenario_file_past_the_bound_is_refused(tmp_path, capsys, case):
+    """A scenario file of 16,384 bytes is parsed; one byte more, counted
+    in UTF-8, is refused before parsing with one `error:` line naming the
+    file and the bound, and no file is written."""
+    path = tmp_path / "s.yaml"
+    at_the_bound = "seed: -1\n#" + "x" * 16_373 + "\n"
+    path.write_text({
+        "at_the_bound": at_the_bound,
+        "one_byte_past": at_the_bound + "\n",
+        "one_utf8_byte_past": at_the_bound.replace("x", "\u00e9", 1),
+    }.get(case) or long_scenario(case, 100_000), encoding="utf-8")
+    assert run_cli("simulate", path, "--out", tmp_path / "o.csv",
+                   "--report", tmp_path / "r.yaml") == 1
+    assert capsys.readouterr() == ("", (
+        "error: seed: must be >= 0, got -1\n" if case == "at_the_bound"
+        else f"error: {path}: larger than 16384 bytes\n"))
+    assert [p.name for p in tmp_path.iterdir()] == ["s.yaml"]
 
 
 @pytest.mark.parametrize("value", [
@@ -1656,6 +1707,33 @@ def test_module_entry_point_exit_status(tmp_path, capsys):
     assert len(bad.stderr.splitlines()) == 1
     assert bad.stderr.startswith("error: ")
 
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "compare",
+                                     "calibrate"])
+def test_command_returns_what_main_prints(tmp_path, monkeypatch, capsys,
+                                          command):
+    """A command prints nothing itself: it returns its text, and `main`
+    writes exactly that text on stdout and exits 0, also when there is no
+    stdout to write to (`sys.stdout` is None under `>&-`)."""
+    monkeypatch.chdir(tmp_path)
+    Path("s.yaml").write_text(SCENARIO_TEXT)
+    for group, nus in (("a", [100.0, 110.0]), ("b", [120.0, 130.0])):
+        Path(group).mkdir()
+        for i, nu in enumerate(nus):
+            write_line_log(Path(group, f"run{i}.csv"), nu=nu, n=400)
+    Path("pairs.csv").write_text("0,1\n1,3\n2,5\n")
+    argv = {"simulate": ["simulate", "s.yaml"],
+            "analyze": ["analyze", "a/run0.csv"],
+            "compare": ["compare", "a", "b"],
+            "calibrate": ["calibrate", "pairs.csv"]}[command]
+    args = cli.build_parser().parse_args(argv)
+    returned = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (returned, "")
+    assert returned.endswith("\n")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(argv) == 0
 
 def test_files_are_utf8_whatever_the_locale(tmp_path, monkeypatch, capsys):
     """Under the C locale with locale coercion and UTF-8 mode off, a pairs
